@@ -39,7 +39,7 @@ X, Y = grid.mesh()
 # inside.  (The counter in the state records how often clamping fired.)
 inside = ((np.abs(X + Y - a) <= grid.half_width - grid.h)
           & (np.abs(X - Y + a) <= grid.half_width - grid.h))
-print(f"truncated characteristic evaluations: {state.truncated_evals}")
+print(f"slice-integral limits clamped to the window: {state.truncated_evals}")
 
 for order, closed in ((1, delta_first_iterate), (2, delta_second_iterate)):
     err = np.max(np.abs(state.iterates[order].smooth - closed(X, Y, z, a))[inside])

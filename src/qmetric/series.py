@@ -6,18 +6,20 @@ The integral operator acting on a kernel eta is
                   + int_{r0}^{x} ds conj(v(s)) int_{-x+y+s}^{x+y-s} dr eta(s, r) ]
 
 and the kernel solution is the series eta = sum_l K^l u over a seed u.
-Identity and parity singular parts are propagated by closed forms; the
-smooth part goes through characteristic-line quadrature: per-column
-cumulative integrals of the bilinear representation combined with a
-composite Simpson rule in the outer variable.  Point couplings use the
+Identity and parity singular parts are propagated by closed forms.  The
+smooth part goes through characteristic-line quadrature of the bilinear
+representation: on each grid cell the integrand of a characteristic is a
+cubic in r, integrated exactly by one Simpson pair, and a cell holding a
+segment breakpoint is split there (only v jumps).  Point couplings use the
 slice rule: each delta at x = a contributes line integrals of the
 kernel slices at y = a and x = a, with one-sided limits recovered at
 jump positions by two-node extrapolation.
 
 Evaluations outside the grid square treat the kernel as zero.  For a
 box domain that is exact (the kernel vanishes at and beyond the walls);
-on the full line it is a truncation, counted per evaluation and
-reported through the optional stats dictionary and SeriesState.
+on the full line it is a truncation, counted per evaluation (per
+characteristic and cell in the smooth quadrature) and reported through
+the optional stats dictionary and SeriesState.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from qmetric.kernels import Grid, Kernel, SeedPair, seed_to_kernel
 from qmetric.potentials import PotentialSpec, eval_potential, unit_step
@@ -43,36 +46,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KConfig:
-    """Quadrature and iteration controls for the series engine.
+    """Base point and iteration controls for the series engine.
 
     r0 is the base point of the indefinite integrals (it must lie on a
-    grid node when the smooth quadrature is used); simpson_per_h is the
-    number of Simpson panels per grid cell (even, at least 8).
+    grid node when the smooth quadrature is used).  That quadrature has no
+    accuracy knob: it integrates the cubic integrand of each grid cell
+    exactly, splitting cells at the segment breakpoints inside them.
     """
 
     r0: float = 0.0
-    simpson_per_h: int = 8
     max_order: int = 4
     stop_tol: float = 1e-10
 
     def __post_init__(self):
         if not np.isfinite(self.r0):
             raise ValueError(f"r0 must be finite, got {self.r0}")
-        if self.simpson_per_h < 8 or self.simpson_per_h % 2 != 0:
-            raise ValueError(
-                f"simpson_per_h must be even and at least 8, got {self.simpson_per_h}")
         if self.max_order < 1:
             raise ValueError(f"max_order must be at least 1, got {self.max_order}")
         if not self.stop_tol > 0.0:
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
 
     def to_dict(self) -> dict:
-        return {"r0": self.r0, "simpson_per_h": self.simpson_per_h,
-                "max_order": self.max_order, "stop_tol": self.stop_tol}
+        return {"r0": self.r0, "max_order": self.max_order, "stop_tol": self.stop_tol}
 
     @staticmethod
     def from_dict(data: dict) -> "KConfig":
-        known = {"r0", "simpson_per_h", "max_order", "stop_tol"}
+        known = {"r0", "max_order", "stop_tol"}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown series config keys: {sorted(extra)}")
@@ -128,83 +127,81 @@ def apply_K_to_identity(pot: PotentialSpec, grid: Grid, cfg: KConfig | None = No
     return Kernel(grid=grid, smooth=smooth)
 
 
-def _prefix_query(t: np.ndarray, Sb: np.ndarray, Cb: np.ndarray,
-                  X: float, h: float) -> np.ndarray:
-    """Cumulative integral of a bilinear column at query positions.
+def _cell_weights(pot: PotentialSpec, grid: Grid) -> np.ndarray:
+    """Weights (w0, wm, w1, w3) of the exact rule on each r cell, shape (4, n-1).
 
-    Sb and Cb hold, per query row, nodal values and nodal prefix
-    integrals (from -X) of one interpolated column; entries of t beyond
-    [-X, X] clamp to the boundary values (kernel zero outside).
+    Along a characteristic, cell [r_c, r_c + h] contributes the integral
+    of v(r) g(lam), r = r_c + lam h, with g cubic in lam: that is
+    w0 g(0) + wm g(1/2) + w1 g(1) + w3 g3, g3 the cubic coefficient.
+    Cells are split at segment breakpoints; on each piece v is constant
+    and Simpson's rule is exact.  An unsplit cell gets v h (1/6, 4/6, 1/6, 0).
     """
-    tt = np.clip(t, -X, X)
-    pos = (tt + X) / h
-    k = np.minimum(pos.astype(int), Sb.shape[0] - 2)
-    f = pos - k
-    rows = np.arange(t.shape[0])[:, None]
-    s0 = Sb[k, rows]
-    s1 = Sb[k + 1, rows]
-    return Cb[k, rows] + h * (f * s0 + 0.5 * f * f * (s1 - s0))
+    n, h, nodes = grid.n, grid.h, grid.nodes
+    t = np.union1d(nodes, [c for (a, b), _ in pot.segments for c in (a, b)
+                           if nodes[0] < c < nodes[-1]])
+    cell = np.searchsorted(nodes, t[:-1], side="right") - 1
+    lo = (t[:-1] - nodes[cell]) / h
+    hi = np.where(np.isin(t[1:], nodes), 1.0, (t[1:] - nodes[cell]) / h)
+    v = eval_potential(pot, 0.5 * (t[:-1] + t[1:]))
+
+    def basis(lam):  # Lagrange basis on lam = 0, 1/2, 1, and the cubic vanishing there
+        return np.stack([2.0 * (lam - 0.5) * (lam - 1.0), 4.0 * lam * (1.0 - lam),
+                         lam * (2.0 * lam - 1.0), lam * (lam - 0.5) * (lam - 1.0)])
+
+    piece = h * (hi - lo) / 6.0 * (basis(lo) + 4.0 * basis(0.5 * (lo + hi)) + basis(hi))
+    w = np.zeros((n - 1, 4), dtype=complex)
+    np.add.at(w, cell, (piece * v).T)
+    return w.T
 
 
-def _characteristic_term(S: np.ndarray, vfun, grid: Grid, r0: float,
-                         spp: int, count_clamped: bool) -> tuple[np.ndarray, int]:
+def _skew(buf: np.ndarray, first: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """Read-only view of buf with [i, j] at flat index first + i*steps[0] + j*steps[1]."""
+    return as_strided(buf.reshape(-1)[first:], shape, [s * buf.itemsize for s in steps],
+                      writeable=False)
+
+
+def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> np.ndarray:
     """A(x,y) = int_{r0}^{y} v(r) [ C(x+y-r, r) - C(x-y+r, r) ] dr on all nodes.
 
-    C(t, r) is the cumulative integral of the bilinear kernel along the
-    first coordinate.  Accumulation runs once per antidiagonal value of
-    x+y (and per value of x-y), capturing the prefix at every y node.
+    C(t, r), the cumulative integral of the bilinear kernel along the first
+    coordinate (zero below -X, constant above X), fills `prefix`: row k+n-1
+    holds it at s_k in column r_c (even columns) and at s_k + h/2 in column
+    r_c + h/2 (odd columns).  The query t = x-+y+-r at r = r_c + lam h sits
+    at s-index u -+ c -+ lam (u indexes x-+y), so g(0), g(1/2), g(1) of all
+    (u, c) are skew views; cell integrals, summed over r in `acc`, too.
     """
-    n, h, X = grid.n, grid.h, grid.half_width
-    nodes = grid.nodes
-    j0_hits = np.nonzero(np.abs(nodes - r0) <= 1e-9 * max(1.0, X))[0]
-    if len(j0_hits) == 0:
-        raise ValueError(f"series base point r0={r0} must coincide with a grid node")
-    j0 = int(j0_hits[0])
-
-    Cn = np.zeros((n, n), dtype=complex)
-    Cn[1:] = np.cumsum(0.5 * h * (S[:-1] + S[1:]), axis=0)
-
-    du = grid.diff_nodes
-    lam = np.arange(spp + 1) / spp
-    wts = np.ones(spp + 1)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    wts *= (h / spp) / 3.0
-
-    I1 = np.zeros((2 * n - 1, n - 1), dtype=complex)
-    I2 = np.zeros((2 * n - 1, n - 1), dtype=complex)
-    clamped = 0
-    tol_out = 1e-12 * max(1.0, X)
-    for c in range(n - 1):
-        r_q = nodes[c] + lam * h
-        mid = nodes[c] + 0.5 * h
-        # nudge the sample toward the cell interior so segment jumps that sit
-        # exactly on cell edges contribute their one-sided value
-        v_q = np.asarray(vfun(r_q + (mid - r_q) * 1e-9), dtype=complex)
-        Sb = S[:, c][:, None] * (1.0 - lam)[None, :] + S[:, c + 1][:, None] * lam[None, :]
-        Cb = Cn[:, c][:, None] * (1.0 - lam)[None, :] + Cn[:, c + 1][:, None] * lam[None, :]
-        t1 = du[None, :] - r_q[:, None]
-        t2 = du[None, :] + r_q[:, None]
-        if count_clamped:
-            clamped += int(np.count_nonzero(np.abs(t1) > X + tol_out))
-            clamped += int(np.count_nonzero(np.abs(t2) > X + tol_out))
-        q1 = _prefix_query(t1, Sb, Cb, X, h)
-        q2 = _prefix_query(t2, Sb, Cb, X, h)
-        wv = (wts * v_q)[:, None]
-        I1[:, c] = (wv * q1).sum(axis=0)
-        I2[:, c] = (wv * q2).sum(axis=0)
-
-    cs1 = np.concatenate([np.zeros((2 * n - 1, 1), dtype=complex),
-                          np.cumsum(I1, axis=1)], axis=1)
-    cs2 = np.concatenate([np.zeros((2 * n - 1, 1), dtype=complex),
-                          np.cumsum(I2, axis=1)], axis=1)
-    G1 = cs1 - cs1[:, [j0]]
-    G2 = cs2 - cs2[:, [j0]]
-    ii = np.arange(n)
-    IU = ii[:, None] + ii[None, :]
-    IW = ii[:, None] - ii[None, :] + (n - 1)
-    J = np.broadcast_to(ii[None, :], (n, n))
-    return G1[IU, J] - G2[IW, J], clamped
+    n, h = grid.n, grid.h
+    width = 2 * n - 1
+    prefix = np.empty((3 * n - 2, width), dtype=complex)
+    acc = np.empty((width, n), dtype=complex)
+    node, mid = prefix[:, 0::2], prefix[:, 1::2]
+    node[:n] = 0.0
+    np.cumsum(0.5 * h * (S[:-1] + S[1:]), axis=0, out=node[n:width])
+    node[width:] = node[width - 1]
+    np.add(node[:, :-1], node[:, 1:], out=mid)
+    mid *= 0.5
+    mid[n - 1:width - 1] += h / 16 * (3 * (S[:-1, :-1] + S[:-1, 1:]) + S[1:, :-1] + S[1:, 1:])
+    c = np.flatnonzero(w[3])  # split cells, where g3 = (h/2) twist enters
+    twist = np.zeros((3 * n - 2, c.size), dtype=complex)
+    twist[n - 1:width - 1] = S[1:, c + 1] - S[:-1, c + 1] - S[1:, c] + S[:-1, c]
+    out = np.zeros((n, n), dtype=complex)
+    cells = acc[:, 1:]
+    # sgn = -1: t = x+y-r, the cell spans s-rows u-c-1 (lam = 1) to u-c; read at u = i+j.
+    # sgn = +1: t = x-y+r, it spans u+c-n+1 (lam = 0) to u+c-n+2; read at u = i-j+n-1.
+    for sgn, node_row, cell_row, first in ((-1, n - 1, n - 2, 0), (1, 0, 0, (n - 1) * n)):
+        steps = (width, sgn * width + 2)
+        g_node = _skew(prefix, node_row * width, (width, n), steps)
+        g_mid = _skew(prefix, cell_row * width + 1, (width, n - 1), steps)
+        np.multiply(g_mid, w[1], out=cells)
+        cells += g_node[:, :-1] * w[0]
+        cells += g_node[:, 1:] * w[2]
+        rows = np.arange(width)[:, None] + sgn * c + cell_row
+        cells[:, c] += 0.5 * h * w[3, c] * twist[rows, np.arange(c.size)]
+        acc[:, 0] = 0.0
+        np.cumsum(cells, axis=1, out=cells)
+        acc -= acc[:, [j0]]
+        out -= sgn * _skew(acc, first, (n, n), (n, 1 - sgn * n))
+    return out
 
 
 def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
@@ -215,22 +212,23 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     apply_K adds their closed-form images.  The second term of K is
     evaluated by running the first-term machinery on the transposed
     array with the conjugate potential, which makes Hermiticity
-    preservation exact for Hermitian inputs.
+    preservation exact for Hermitian inputs.  On the line, n of the
+    2n-1 characteristics of each family leave the grid square inside
+    each of the n-1 cells; every such pair counts once per term.
     """
     _check_grid_domain(pot, grid)
-    count = not pot.domain.is_box
-    S = np.ascontiguousarray(kernel.smooth)
-    A1, n1 = _characteristic_term(S, lambda r: eval_potential(pot, r),
-                                  grid, cfg.r0, cfg.simpson_per_h, count)
-    A2, n2 = _characteristic_term(np.ascontiguousarray(S.T),
-                                  lambda r: np.conj(eval_potential(pot, r)),
-                                  grid, cfg.r0, cfg.simpson_per_h, count)
-    c = pot.constants.mass / pot.constants.hbar**2
-    out = c * (A1 + A2.T)
+    n, X, count = grid.n, grid.half_width, not pot.domain.is_box
+    j0_hits = np.nonzero(np.abs(grid.nodes - cfg.r0) <= 1e-9 * max(1.0, X))[0]
+    if len(j0_hits) == 0:
+        raise ValueError(f"series base point r0={cfg.r0} must coincide with a grid node")
+    j0, w, S = int(j0_hits[0]), _cell_weights(pot, grid), kernel.smooth
+    out = _characteristic_term(S, w, grid, j0)
+    out += _characteristic_term(S.T, np.conj(w), grid, j0).T
+    out *= pot.constants.mass / pot.constants.hbar**2
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite value in characteristic quadrature")
     if stats is not None:
-        stats["truncated_evals"] = stats.get("truncated_evals", 0) + n1 + n2
+        stats["truncated_evals"] = stats.get("truncated_evals", 0) + count * 4 * n * (n - 1)
     return Kernel(grid=grid, smooth=out)
 
 

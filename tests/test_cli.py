@@ -115,6 +115,19 @@ class TestCompute:
         assert manifest["config"]["grid"]["n"] == 65
         assert manifest["config"]["seed"] == "seed.csv"
 
+    def test_removed_series_key_rejected(self, tmp_path, capsys):
+        doc = {
+            "constants": {"hbar": 1.0, "mass": 1.0},
+            "domain": {"type": "line"},
+            "segments": [{"from": -0.5, "to": 0.5, "re": 0.0, "im": 0.2}],
+            "deltas": [],
+            "series": {"simpson_per_h": 8},
+        }
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        assert run("compute", "--potential", str(tmp_path / "old.json"), "--n", "33",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "simpson_per_h" in capsys.readouterr().err
+
     def test_divergent_series_still_exits_zero(self, tmp_path):
         out = tmp_path / "div"
         assert run("compute", "--model", "deltas", "--deltas", "12:0",

@@ -29,7 +29,7 @@ BT = constants_preset("bender-tan")
 NAT = constants_preset("natural")
 BOX_GRID = Grid.for_box(np.pi, 33)
 LINE_GRID = Grid(half_width=2.0, n=33)
-CFG = KConfig(simpson_per_h=8, max_order=2)
+CFG = KConfig(max_order=2)
 
 
 def _rotating_potential(rng, i):

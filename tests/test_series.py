@@ -53,11 +53,11 @@ def constant_line_potential(value, half_width=2.0, constants=NAT):
 
 class TestKConfig:
     def test_defaults_round_trip(self):
-        cfg = KConfig(r0=0.5, simpson_per_h=10, max_order=3, stop_tol=1e-8)
+        cfg = KConfig(r0=0.5, max_order=3, stop_tol=1e-8)
         assert KConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("kwargs", [
-        {"simpson_per_h": 7}, {"simpson_per_h": 6}, {"simpson_per_h": 9},
+        {"r0": float("nan")}, {"max_order": -1}, {"stop_tol": -1e-3},
         {"max_order": 0}, {"stop_tol": 0.0}, {"r0": float("inf")},
     ])
     def test_validation(self, kwargs):
@@ -185,6 +185,39 @@ class TestSmoothQuadratureExact:
         apply_K_smooth(smooth_kernel(box_grid, np.ones((41, 41), dtype=complex)),
                        box_pot, CFG, box_grid, stats=box_stats)
         assert box_stats["truncated_evals"] == 0
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    @pytest.mark.parametrize("L", [1.0, 1.01])
+    def test_step_potential_exact(self, L, bilinear):
+        # Away from the window edge, with F_v(t) = int_0^t v(r) 2 (t - r) dr and
+        # H_v(t) = int_0^t v(r) r (t - r) dr, K maps eta = 1 to (m/hbar^2) [F_v(y) + F_{v*}(x)]
+        # and eta = s r to (m/hbar^2) [2x H_v(y) + 2y H_{v*}(x)].  L = 1.01 puts the
+        # breakpoints +-L/2 inside grid cells; eta = s r makes the cell integrands cubic.
+        grid = Grid(half_width=2.0, n=129)
+        pot = scattering_potential(0.7, L, NAT)
+        X, Y = grid.mesh()
+        eta = X * Y if bilinear else np.ones_like(X)
+        out = apply_K_smooth(smooth_kernel(grid, eta.astype(complex)), pot, CFG, grid)
+
+        def integral(t, conj):
+            if bilinear:
+                antiderivative = lambda r: t * r**2 / 2.0 - r**3 / 3.0
+            else:
+                antiderivative = lambda r: 2.0 * t * r - r**2
+            total = np.zeros(t.shape, dtype=complex)
+            for (a, b), v in pot.segments:
+                total += (np.conj(v) if conj else v) * (
+                    antiderivative(np.clip(t, a, b)) - antiderivative(np.clip(0.0, a, b)))
+            return total
+
+        keep = (np.abs(X) <= 0.6) & (np.abs(Y) <= 0.6)
+        x, y = X[keep], Y[keep]
+        if bilinear:
+            ref = 2.0 * x * integral(y, False) + 2.0 * y * integral(x, True)
+        else:
+            ref = integral(y, False) + integral(x, True)
+        err = np.max(np.abs(out.smooth[keep] - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
 
     def test_grid_box_mismatch_raises(self):
         pot = square_well(0.4, 2.0, NAT)
