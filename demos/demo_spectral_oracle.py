@@ -35,7 +35,7 @@ system = biorthonormalize(ham)
 # breaking threshold and every discrete level is real to solver noise.
 imag_over_real = np.max(np.abs(system.energies.imag)) / np.max(np.abs(system.energies.real))
 print(f"levels: {len(system.energies)}, max |Im E| / max |Re E| = {imag_over_real:.3e}")
-print(f"pairing defect |<L_m, R_n> - delta_mn|: {system.defect:.3e}")
+print(f"biorthonormality defect |<R_m, L_n> - delta_mn|: {system.defect:.3e}")
 
 # The lowest levels approach the free box ladder as zeta -> 0; at finite
 # zeta the shift is second order in the coupling.

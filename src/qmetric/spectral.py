@@ -2,10 +2,11 @@
 
 The Hamiltonian -kappa d^2/dx^2 + v(x) is discretized on the interior
 nodes of a grid with walls held at zero (exact for box domains, a
-truncated approximation on the line).  Right and left eigenvectors are
-computed independently, paired by eigenvalue, and normalized to a
-biorthonormal system under the grid inner product h * sum(conj(a) * b).
-The metric kernel is then the resolved sum of left projectors
+truncated approximation on the line).  One dense eigen-solve gives the
+right eigenvectors; the left eigenvectors are their dual basis, which
+makes the pair a biorthonormal system under the grid inner product
+h * sum(conj(a) * b) by construction.  The metric kernel is then the
+resolved sum of left projectors
 
     M(x, y) = sum_n phi_n(x) * conj(phi_n(y))
 
@@ -131,12 +132,15 @@ def free_box_levels(grid: Grid, constants: PhysConstants, count: int | None = No
 
 
 def pair_eigensystem(matrix: np.ndarray, h: float):
-    """Diagonalize a matrix and its conjugate transpose and pair the modes.
+    """Diagonalize a matrix once and take the dual basis as left eigenvectors.
 
-    Returns (energies, right, left, defect) with the normalization of
-    BiorthonormalSystem.  Raises ExceptionalPointError for eigenvalue
-    gaps below 1e-9 (relative), eigenvector condition number above 1e8,
-    an unpairable left mode, or a biorthonormality defect >= 1e-8.
+    The right eigenvectors are sorted and scaled to sqrt(h) * ||psi_n|| = 1;
+    the left ones are then fixed by them, L = R^{-dag} / h, so that
+    h * R^dag L = I by construction.  Returns (energies, right, left,
+    defect) with the normalization of BiorthonormalSystem.  Raises
+    ExceptionalPointError for eigenvalue gaps below 1e-9 (relative),
+    eigenvector condition number above 1e6, or a biorthonormality
+    defect >= 1e-8.
     """
     matrix = np.asarray(matrix, dtype=complex)
     m = matrix.shape[0]
@@ -149,32 +153,16 @@ def pair_eigensystem(matrix: np.ndarray, h: float):
                 f"eigenvalue gap {dist.min():.3g} below threshold; "
                 "eigenvectors are coalescing")
     cond = np.linalg.cond(vr)
-    if cond > 1e8:
+    # at an exact exceptional point the computed eigenvectors have cond ~ 1/sqrt(eps) ~ 1e7-1e8
+    if cond > 1e6:
         raise ExceptionalPointError(
-            f"right eigenvector condition number {cond:.3g} exceeds 1e8")
-    wl, vl = np.linalg.eig(matrix.conj().T)
+            f"right eigenvector condition number {cond:.3g} exceeds 1e6")
 
     order = np.lexsort((wr.imag, wr.real))
     energies = wr[order]
     right = vr[:, order]
-    left = np.empty_like(right)
-    available = np.ones(m, dtype=bool)
-    wl_conj = np.conj(wl)
-    for k, e in enumerate(energies):
-        gaps = np.where(available, np.abs(wl_conj - e), np.inf)
-        j = int(np.argmin(gaps))
-        if gaps[j] > 1e-6 * scale:
-            raise ExceptionalPointError(
-                f"no left eigenvalue pairs with {e} (best gap {gaps[j]:.3g})")
-        available[j] = False
-        left[:, k] = vl[:, j]
-
     right = right / (np.sqrt(h) * np.linalg.norm(right, axis=0))
-    overlaps = h * np.sum(np.conj(right) * left, axis=0)
-    if np.min(np.abs(overlaps)) < 1e-12:
-        raise ExceptionalPointError(
-            "a mode is orthogonal to its own partner (self-orthogonality)")
-    left = left / overlaps
+    left = np.linalg.inv(right).conj().T / h
     defect = float(np.max(np.abs(h * (right.conj().T @ left) - np.eye(m))))
     if defect >= 1e-8:
         raise ExceptionalPointError(f"biorthonormality defect {defect:.3g} >= 1e-8")

@@ -168,6 +168,26 @@ class TestBiorthonormalize:
         with pytest.raises(ExceptionalPointError, match="condition"):
             pair_eigensystem(np.array([[1.0, 1e9], [0.0, 2.0]], dtype=complex), 1.0)
 
+    def test_exact_exceptional_points_raise(self):
+        # the complex-symmetric block [[c+s, i*s], [i*s, c-s]] is a Jordan
+        # block at the double eigenvalue c; embedded in a diagonal matrix and
+        # rotated by a real orthogonal Q it stays complex symmetric and defective
+        rng = np.random.default_rng(0)
+        for m in (2, 10, 50):
+            for _ in range(20):
+                c, s = rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0)
+                a = np.diag(np.concatenate(([c + s, c - s],
+                                            rng.uniform(-3.0, 3.0, m - 2)))).astype(complex)
+                a[0, 1] = a[1, 0] = 1j * s
+                q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+                with pytest.raises(ExceptionalPointError):
+                    pair_eigensystem(q @ a @ q.T, 1.0)
+
+    def test_round_off_biorthonormality(self):
+        grid = Grid.for_box(np.pi, 257)
+        sys = biorthonormalize(discretize(square_well(0.9, np.pi, BT), grid))
+        assert sys.defect < 1e-13
+
 
 class TestSpectralMetric:
     def test_completeness_at_zero_coupling(self):
