@@ -13,6 +13,9 @@ this spectral route against the integral-operator route: the two
 kernels are independent, so their difference is a strong cross-check.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from qmetric import (
@@ -62,5 +65,7 @@ diff = Kernel(grid=grid, c_diag=series.c_diag, c_anti=series.c_anti,
 rep = kg_residual(diff, pot, grid, tolerance=1.0)
 print(f"wave residual of (series - spectral): {rep.residual:.3e}")
 
-spectrum_to_csv(system, "/tmp/demo_spectrum.csv")
-print("spectrum written to /tmp/demo_spectrum.csv")
+with tempfile.TemporaryDirectory() as out:
+    path = os.path.join(out, "spectrum.csv")
+    spectrum_to_csv(system, path)
+    print(f"spectrum written to {path} (removed when the demo exits)")

@@ -264,10 +264,15 @@ def kernel_to_csv(kernel: Kernel, path) -> None:
     """Write the kernel in the tabular format.
 
     Three comment headers carry the singular coefficients and the grid
-    metadata, followed by a column header and row-major x,y,re,im rows.
+    metadata, followed by a column header and row-major x,y,re,im rows
+    (x outer, every number as FLOAT_FMT).  Each grid row is formatted by
+    one template whose x,y fields are filled in once, applied to the
+    interleaved re,im values of that row.
     """
     g = kernel.grid
-    X, Y = g.mesh()
+    nodes = [FLOAT_FMT % v for v in g.nodes]
+    cells = ["," + y + "," + FLOAT_FMT + "," + FLOAT_FMT + "\n" for y in nodes]
+    values = np.ascontiguousarray(kernel.smooth).view(np.float64)
     with open(path, "w") as f:
         f.write("# c_diag_re,c_diag_im," + FLOAT_FMT % kernel.c_diag.real + ","
                 + FLOAT_FMT % kernel.c_diag.imag + "\n")
@@ -275,14 +280,13 @@ def kernel_to_csv(kernel: Kernel, path) -> None:
                 + FLOAT_FMT % kernel.c_anti.imag + "\n")
         f.write("# half_width,n," + FLOAT_FMT % g.half_width + ",%d\n" % g.n)
         f.write("x,y,re,im\n")
-        cols = np.column_stack([X.ravel(), Y.ravel(),
-                                kernel.smooth.real.ravel(), kernel.smooth.imag.ravel()])
-        np.savetxt(f, cols, fmt=FLOAT_FMT, delimiter=",")
+        for x, row in zip(nodes, values):
+            f.write((x + x.join(cells)) % tuple(row))
 
 
 def kernel_from_csv(path) -> Kernel:
     with open(path) as f:
-        lines = f.read().splitlines()
+        lines = [f.readline().rstrip("\n") for _ in range(4)]
     try:
         head_diag = lines[0].removeprefix("# c_diag_re,c_diag_im,").split(",")
         head_anti = lines[1].removeprefix("# c_anti_re,c_anti_im,").split(",")
@@ -292,7 +296,7 @@ def kernel_from_csv(path) -> Kernel:
         grid = Grid(half_width=float(head_grid[0]), n=int(head_grid[1]))
         if lines[3] != "x,y,re,im":
             raise ValueError(f"unexpected column header {lines[3]!r}")
-        data = np.loadtxt(lines[4:], delimiter=",")
+        data = np.loadtxt(path, delimiter=",", skiprows=4, ndmin=2)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed kernel CSV: {exc}") from exc
     if data.shape != (grid.n * grid.n, 4):

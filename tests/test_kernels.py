@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmetric.kernels import (
+    FLOAT_FMT,
     Grid,
     Kernel,
     SeedPair,
@@ -239,6 +240,49 @@ def test_csv_rejects_malformed(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:100]) + "\n")
     with pytest.raises(ValueError):
+        kernel_from_csv(path)
+
+
+def _savetxt_reference(kernel, path):
+    """The original writer: meshgrid x,y columns through np.savetxt."""
+    g = kernel.grid
+    X, Y = g.mesh()
+    with open(path, "w") as f:
+        f.write("# c_diag_re,c_diag_im," + FLOAT_FMT % kernel.c_diag.real + ","
+                + FLOAT_FMT % kernel.c_diag.imag + "\n")
+        f.write("# c_anti_re,c_anti_im," + FLOAT_FMT % kernel.c_anti.real + ","
+                + FLOAT_FMT % kernel.c_anti.imag + "\n")
+        f.write("# half_width,n," + FLOAT_FMT % g.half_width + ",%d\n" % g.n)
+        f.write("x,y,re,im\n")
+        cols = np.column_stack([X.ravel(), Y.ravel(),
+                                kernel.smooth.real.ravel(), kernel.smooth.imag.ravel()])
+        np.savetxt(f, cols, fmt=FLOAT_FMT, delimiter=",")
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed", "fortran"])
+def test_csv_bytes_match_savetxt_reference(tmp_path, layout):
+    g = Grid(half_width=1.3, n=35)
+    rng = np.random.default_rng(11)
+    s = rng.standard_normal((35, 35)) + 1j * rng.standard_normal((35, 35))
+    s[0, :6] = [0.0, -0.0 - 0.0j, complex(5e-324, -2.5e-310),
+                complex(1e300, -1e300), complex(1e-300, -1e-300), complex(np.nan, -np.inf)]
+    s[1, :2] = [complex(np.inf, np.nan), complex(-0.0, 0.0)]
+    smooth = {"C": s, "transposed": s.T, "fortran": np.asfortranarray(s)}[layout]
+    k = Kernel(grid=g, c_diag=1.0, c_anti=complex(-0.0, 2.5e-7), smooth=smooth)
+    assert k.smooth.flags.c_contiguous == (layout == "C")
+    kernel_to_csv(k, tmp_path / "new.csv")
+    _savetxt_reference(k, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns", [3, 5], ids=["three_columns", "five_columns"])
+def test_csv_rejects_ragged_row(tmp_path, columns):
+    path = tmp_path / "ragged.csv"
+    kernel_to_csv(identity_kernel(Grid(half_width=1.0, n=33)), path)
+    lines = path.read_text().splitlines()
+    lines[10] = ",".join((lines[10].split(",") + ["0.0"])[:columns])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="malformed"):
         kernel_from_csv(path)
 
 
