@@ -36,6 +36,7 @@ from .potentials import (
 from .series import KConfig, neumann_series
 from .spectral import (
     ExceptionalPointError,
+    _is_pt_symmetric,
     biorthonormalize,
     discretize,
     spectral_metric,
@@ -353,6 +354,7 @@ def cmd_oracle(args) -> int:
         "all_real": all_real,
         "n_modes": int(n_modes),
         "pairing_defect": float(system.defect),
+        "pt_real": _is_pt_symmetric(ham.matrix),
         "ground_energy_re": float(e[0].real),
         "ground_energy_im": float(e[0].imag),
     }

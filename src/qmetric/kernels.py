@@ -301,7 +301,7 @@ def kernel_from_csv(path) -> Kernel:
         raise ValueError(f"malformed kernel CSV: {exc}") from exc
     if data.shape != (grid.n * grid.n, 4):
         raise ValueError(f"kernel CSV has {data.shape[0]} rows, expected {grid.n * grid.n}")
-    smooth = (data[:, 2] + 1j * data[:, 3]).reshape(grid.n, grid.n)
+    smooth = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(grid.n, grid.n)
     return Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=smooth)
 
 

@@ -5,8 +5,11 @@ nodes of a grid with walls held at zero (exact for box domains, a
 truncated approximation on the line).  One dense eigen-solve gives the
 right eigenvectors; the left eigenvectors are their dual basis, which
 makes the pair a biorthonormal system under the grid inner product
-h * sum(conj(a) * b) by construction.  The metric kernel is then the
-resolved sum of left projectors
+h * sum(conj(a) * b) by construction.  A matrix with exact PT symmetry,
+P conj(H) P = H with P the reversal of the node order, is similar to a
+real matrix (Mostafazadeh, J. Math. Phys. 43, 3944 (2002)), so that
+solve is a real one; every other matrix gets a complex one.  The metric
+kernel is then the resolved sum of left projectors
 
     M(x, y) = sum_n phi_n(x) * conj(phi_n(y))
 
@@ -83,8 +86,9 @@ def discretize(pot: PotentialSpec, grid: Grid, bc: str = "auto") -> DiscretizedH
     """Build the interior-node matrix with second central differences.
 
     Point couplings i*zeta*delta(x - a) enter as diagonal spikes
-    i*zeta/h at the interior node nearest a; if that node is further
-    than h/2 away a placement warning is emitted.
+    i*zeta/h at the interior node nearest a, the lower one when a lies
+    exactly midway; if that node is further than h/2 away a placement
+    warning is emitted.
     """
     if pot.domain.is_box:
         half = pot.domain.half_width
@@ -131,9 +135,50 @@ def free_box_levels(grid: Grid, constants: PhysConstants, count: int | None = No
     return (2.0 * kappa / grid.h**2) * (1.0 - np.cos(k * np.pi * grid.h / L))
 
 
+def _is_pt_symmetric(matrix: np.ndarray) -> bool:
+    """Exact PT symmetry P conj(H) P = H, with P the reversal of the node order."""
+    return bool(np.array_equal(matrix[::-1, ::-1].conj(), matrix))
+
+
+def _pt_real_eig(matrix: np.ndarray):
+    """Eigenpairs of an exactly PT-symmetric matrix from one real eigen-solve.
+
+    The unitary U with PT-invariant columns (e_k + e_{m-1-k})/sqrt(2),
+    i (e_k - e_{m-1-k})/sqrt(2) and, for odd m, e_mid makes U^dag H U real.
+    With A = H[top, top] and B = H[top, reversed bottom] its blocks are
+    Re(A + B), Im(B - A), Im(A + B), Re(A - B), plus the middle row and
+    column; both U maps are done by slicing.
+    """
+    m = matrix.shape[0]
+    p = m // 2
+    top, bottom = slice(0, p), slice(m - 1, m - 1 - p, -1)
+    A, B = matrix[top, top], matrix[top, bottom]
+    real = np.empty((m, m))
+    real[:p, :p] = (A + B).real
+    real[:p, p:2 * p] = (B - A).imag
+    real[p:2 * p, :p] = (A + B).imag
+    real[p:2 * p, p:2 * p] = (A - B).real
+    if m % 2:
+        col, row = np.sqrt(2.0) * matrix[top, p], np.sqrt(2.0) * matrix[p, top]
+        real[:p, -1], real[p:2 * p, -1] = col.real, col.imag
+        real[-1, :p], real[-1, p:2 * p] = row.real, -row.imag
+        real[-1, -1] = matrix[p, p].real
+    wr, vr = np.linalg.eig(real)
+    vectors = np.empty((m, m), dtype=complex)
+    even, odd = vr[:p] / np.sqrt(2.0), 1j * vr[p:2 * p] / np.sqrt(2.0)
+    vectors[top], vectors[bottom] = even + odd, even - odd
+    if m % 2:
+        vectors[p] = vr[-1]
+    return wr.astype(complex), vectors
+
+
 def pair_eigensystem(matrix: np.ndarray, h: float):
     """Diagonalize a matrix once and take the dual basis as left eigenvectors.
 
+    The one eigen-solve is a complex eig, or, for an exactly PT-symmetric
+    matrix (P conj(H) P = H, P the index reversal), a real eig of U^dag H U
+    with U unitary and PT-invariant columns (Mostafazadeh 2002), whose
+    eigenvectors are mapped back by U.
     The right eigenvectors are sorted and scaled to sqrt(h) * ||psi_n|| = 1;
     the left ones are then fixed by them, L = R^{-dag} / h, so that
     h * R^dag L = I by construction.  Returns (energies, right, left,
@@ -144,7 +189,7 @@ def pair_eigensystem(matrix: np.ndarray, h: float):
     """
     matrix = np.asarray(matrix, dtype=complex)
     m = matrix.shape[0]
-    wr, vr = np.linalg.eig(matrix)
+    wr, vr = _pt_real_eig(matrix) if _is_pt_symmetric(matrix) else np.linalg.eig(matrix)
     scale = max(1.0, float(np.abs(wr).max()))
     if m > 1:
         dist = np.abs(wr[:, None] - wr[None, :]) + np.diag(np.full(m, np.inf))

@@ -1,0 +1,32 @@
+"""Session fixtures shared by the test modules."""
+
+import time
+
+import pytest
+
+from test_properties import PROPERTY_SUITES
+
+
+@pytest.fixture(scope="session")
+def property_suite():
+    """run(name) -> (result, seconds): each property suite runs at most once per session.
+
+    seconds is the suite's own run time.  A failing suite's AssertionError is
+    kept and raised again to every test that asks for that suite.
+    """
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            t0 = time.perf_counter()
+            try:
+                outcome = PROPERTY_SUITES[name]()
+            except AssertionError as exc:
+                outcome = exc
+            runs[name] = (outcome, time.perf_counter() - t0)
+        outcome, seconds = runs[name]
+        if isinstance(outcome, AssertionError):
+            raise outcome
+        return outcome, seconds
+
+    return run

@@ -43,13 +43,7 @@ from qmetric.series import KConfig, apply_K_to_identity, neumann_series
 from qmetric.spectral import biorthonormalize, discretize, spectral_metric
 from qmetric.verify import kg_residual, positivity_check, pseudo_hermiticity_residual
 
-from test_properties import (
-    run_hermiticity_suite,
-    run_linearity_suite,
-    run_operator_form_suite,
-    run_scaling_suite,
-    run_seed_constraint_suite,
-)
+from test_properties import PROPERTY_SUITES
 
 BT = constants_preset("bender-tan")
 NAT = constants_preset("natural")
@@ -291,17 +285,11 @@ def test_criterion_8_difference_grid_exponent():
     assert ok, detail
 
 
-def test_criterion_9_property_suites():
-    t0 = time.perf_counter()
-    results = [
-        ("hermiticity", run_hermiticity_suite()),
-        ("linearity", run_linearity_suite()),
-        ("scaling", run_scaling_suite()),
-        ("seed constraints", run_seed_constraint_suite()),
-        ("operator form", run_operator_form_suite()),
-    ]
-    elapsed = time.perf_counter() - t0
-    cases = sum(r["cases"] for _, r in results)
+def test_criterion_9_property_suites(property_suite):
+    # each suite runs once per session; elapsed is the suites' own run time
+    runs = [property_suite(name) for name in PROPERTY_SUITES]
+    elapsed = sum(seconds for _, seconds in runs)
+    cases = sum(result["cases"] for result, _ in runs)
     ok = elapsed < 120.0
     detail = report("criterion 9", ok,
                     f"five property suites, {cases} randomized cases, {elapsed:.1f} s")

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through the in-process entry point."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,7 @@ class TestOracle:
         assert code == 0
         summary = json.loads((out / "oracle.json").read_text())
         assert summary["all_real"] is True
+        assert summary["pt_real"] is True
         assert summary["n_modes"] == 40
         assert abs(summary["ground_energy_re"] - 1.0) < 5e-2
         spectrum = (out / "spectrum.csv").read_text().splitlines()
@@ -222,6 +224,20 @@ class TestOracle:
         assert len(spectrum) == 64
         metric = kernel_from_csv(out / "metric.csv")
         assert metric.grid.n == 65
+
+    @pytest.mark.parametrize("cells, pt_real", [(0.5, False), (1.5, False), (1.0, True)],
+                             ids=["half_cell", "three_half_cells", "on_node"])
+    def test_midpoint_tie_breaks_pt_pair(self, tmp_path, cells, pt_real):
+        # a PT pair at +-a midway between two nodes: nearest-node placement
+        # breaks the exact tie toward the lower node on both sides, so the
+        # discretised pair is not mirrored and the general solve runs, without
+        # a placement warning; on a node the pair stays mirrored
+        a = cells * 4.0 / 128
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("oracle", "--model", "deltas", "--deltas", f"1:{a!r},-1:{-a!r}",
+                       "--extent", "2", "--n", "129", "--out", str(tmp_path / "orc")) == 0
+        assert json.loads((tmp_path / "orc" / "oracle.json").read_text())["pt_real"] is pt_real
 
     def test_cross_check_report(self, tmp_path):
         run_dir = tmp_path / "run"

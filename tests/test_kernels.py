@@ -212,6 +212,23 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.smooth, k.smooth, rtol=1e-11, atol=1e-13)
 
 
+def test_csv_round_trip_special_values(tmp_path):
+    # re and im are read back as the two halves of one complex value, so inf,
+    # nan and signed zeros survive in either part (re + 1j*im would turn
+    # complex(1, inf) into nan+infj and complex(-0.0, 1) into 0.0+1j)
+    specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0]
+    values = [complex(re, im) for re in specials for im in specials]
+    g = Grid(half_width=1.0, n=33)
+    s = np.ones(g.n * g.n, dtype=complex)
+    s[:len(values)] = values
+    path = tmp_path / "kernel.csv"
+    kernel_to_csv(Kernel(grid=g, smooth=s.reshape(g.n, g.n)), path)
+    back = kernel_from_csv(path).smooth.ravel().view(np.float64)
+    sent = s.view(np.float64)
+    assert np.array_equal(back, sent, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(sent))
+
+
 def test_csv_header_and_layout(tmp_path):
     g = Grid(half_width=1.0, n=33)
     k = identity_kernel(g)

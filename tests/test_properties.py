@@ -1,8 +1,9 @@
 """Randomized property suites for the kernel engine.
 
 Each suite runs a fixed number of seeded cases and asserts its invariant
-on every one; the run_* functions are importable so the acceptance
-harness can time them as a block.
+on every one.  The tests ask the session fixture `property_suite`
+(conftest.py) for the suites by their PROPERTY_SUITES name, so each suite
+runs once per session and the acceptance harness times the same runs.
 """
 
 import numpy as np
@@ -182,21 +183,30 @@ def run_operator_form_suite(n_cases=200, rng_seed=505):
     return {"cases": n_cases, "max_rel_defect": worst}
 
 
-def test_hermiticity_preservation_suite():
-    run_hermiticity_suite()
+PROPERTY_SUITES = {
+    "hermiticity": run_hermiticity_suite,
+    "linearity": run_linearity_suite,
+    "scaling": run_scaling_suite,
+    "seed constraints": run_seed_constraint_suite,
+    "operator form": run_operator_form_suite,
+}
 
 
-def test_linearity_suite():
-    run_linearity_suite()
+def test_hermiticity_preservation_suite(property_suite):
+    property_suite("hermiticity")
 
 
-def test_coupling_scaling_suite():
-    run_scaling_suite()
+def test_linearity_suite(property_suite):
+    property_suite("linearity")
 
 
-def test_seed_constraint_suite():
-    run_seed_constraint_suite()
+def test_coupling_scaling_suite(property_suite):
+    property_suite("scaling")
 
 
-def test_operator_form_suite():
-    run_operator_form_suite()
+def test_seed_constraint_suite(property_suite):
+    property_suite("seed constraints")
+
+
+def test_operator_form_suite(property_suite):
+    property_suite("operator form")

@@ -11,10 +11,13 @@ from qmetric.potentials import (
     PotentialSpec,
     constants_preset,
     delta_potential,
+    pt_delta_pairs,
+    scattering_potential,
     square_well,
 )
 from qmetric.spectral import (
     ExceptionalPointError,
+    _is_pt_symmetric,
     biorthonormalize,
     discretize,
     free_box_levels,
@@ -187,6 +190,100 @@ class TestBiorthonormalize:
         grid = Grid.for_box(np.pi, 257)
         sys = biorthonormalize(discretize(square_well(0.9, np.pi, BT), grid))
         assert sys.defect < 1e-13
+
+
+def _direct_eig(matrix, h):
+    """Reference from one complex np.linalg.eig, sorted and scaled as pair_eigensystem does."""
+    w, v = np.linalg.eig(matrix)
+    order = np.lexsort((w.imag, w.real))
+    right = v[:, order] / (np.sqrt(h) * np.linalg.norm(v[:, order], axis=0))
+    return w[order], right, np.linalg.inv(right).conj().T / h
+
+
+def _reversal_commuting_rotation(rng, m):
+    """Random real orthogonal Q with Q P = P Q, P the reversal of the index order."""
+    p = m // 2
+    k = np.arange(p)
+    basis = np.zeros((m, m))  # even columns 0..p-1 and m-1, odd columns p..2p-1
+    basis[k, k] = basis[m - 1 - k, k] = basis[k, p + k] = 1.0 / np.sqrt(2.0)
+    basis[m - 1 - k, p + k] = -1.0 / np.sqrt(2.0)
+    if m % 2:
+        basis[p, -1] = 1.0
+    even = np.r_[k, np.arange(2 * p, m)]
+    block = np.zeros((m, m))
+    block[np.ix_(even, even)] = np.linalg.qr(rng.standard_normal((even.size, even.size)))[0]
+    block[p:2 * p, p:2 * p] = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return basis @ block @ basis.T
+
+
+PT_INPUTS = {
+    "well-unbroken": (square_well(0.9, np.pi, BT), Grid.for_box(np.pi, 257)),
+    "well-broken": (square_well(3.0, np.pi, BT), Grid.for_box(np.pi, 257)),
+    "scattering": (scattering_potential(0.7, 1.0, NAT), Grid(half_width=3.0, n=129)),
+    "pt-deltas": (pt_delta_pairs([(0.37, 0.5)], NAT), Grid(half_width=2.0, n=129)),
+}
+
+
+class TestPTRealPath:
+    @pytest.mark.parametrize("name", PT_INPUTS)
+    def test_matches_complex_solve(self, name):
+        pot, grid = PT_INPUTS[name]
+        ham = discretize(pot, grid)
+        assert _is_pt_symmetric(ham.matrix)
+        sys = biorthonormalize(ham)
+        energies, _, left = _direct_eig(ham.matrix, grid.h)
+        assert np.max(np.abs(sys.energies - energies)) <= 1e-13 * np.max(np.abs(energies))
+        reference = left @ left.conj().T
+        reference = 0.5 * (reference + reference.conj().T)
+        metric = spectral_metric(sys, ham.dim).smooth[1:-1, 1:-1]
+        assert np.max(np.abs(metric - reference)) <= 1e-11 * np.max(np.abs(reference))
+        # the real solve returns real levels with an exact zero imaginary part
+        # and complex levels as exact conjugate pairs
+        e = sys.energies
+        pairs = e[e.imag != 0.0]
+        assert (pairs.size > 0) == (name == "well-broken")
+        np.testing.assert_array_equal(np.sort_complex(pairs), np.sort_complex(pairs.conj()))
+
+    def test_general_input_keeps_complex_solve(self):
+        grid = Grid(half_width=2.0, n=129)
+        ham = discretize(delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT), grid)
+        assert not _is_pt_symmetric(ham.matrix)
+        energies, right, left, _ = pair_eigensystem(ham.matrix, grid.h)
+        ref_energies, ref_right, ref_left = _direct_eig(ham.matrix, grid.h)
+        np.testing.assert_array_equal(energies, ref_energies)
+        np.testing.assert_array_equal(right, ref_right)
+        np.testing.assert_array_equal(left, ref_left)
+
+    def test_pt_symmetric_exceptional_points_raise(self):
+        # [[a + ib, c], [c, a - ib]] on the mirror pair (k, m-1-k) has levels
+        # a +- sqrt(c^2 - b^2): a Jordan block at b = c.  The other pairs are
+        # PT-unbroken (c > b); a real rotation commuting with the reversal and
+        # the mirror average keep P conj(H) P = H exact, so the real path runs.
+        # Each case raises at b = c and passes with c = 2b in the same slot.
+        rng = np.random.default_rng(1)
+        for m in (2, 3, 10, 11, 50, 51):
+            p = m // 2
+            k = np.arange(p)
+            for _ in range(10):
+                a, b = rng.uniform(-2.0, 2.0, p), rng.uniform(0.1, 1.0, p)
+                c = b * rng.uniform(1.5, 3.0, p)
+                q = _reversal_commuting_rotation(rng, m)
+                mid = rng.uniform(-2.0, 2.0)
+                for c0, defective in ((b[0], True), (2.0 * b[0], False)):
+                    c[0] = c0
+                    h = np.zeros((m, m), dtype=complex)
+                    h[k, k], h[m - 1 - k, m - 1 - k] = a + 1j * b, a - 1j * b
+                    h[k, m - 1 - k] = h[m - 1 - k, k] = c
+                    if m % 2:
+                        h[p, p] = mid
+                    h = q @ h @ q.T
+                    h = 0.5 * (h + h[::-1, ::-1].conj())
+                    assert _is_pt_symmetric(h)
+                    if defective:
+                        with pytest.raises(ExceptionalPointError):
+                            pair_eigensystem(h, 1.0)
+                    else:
+                        pair_eigensystem(h, 1.0)
 
 
 class TestSpectralMetric:
