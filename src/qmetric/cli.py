@@ -100,6 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_shared(pv, with_order=False)
     pv.add_argument("--checks", default=",".join(CHECK_NAMES),
                     help="comma list out of: " + ", ".join(CHECK_NAMES))
+    pv.add_argument("--kernel", metavar="FILE", default=None,
+                    help="kernel CSV to check, e.g. an oracle metric.csv "
+                         "(default <out>/kernel.csv)")
     pv.set_defaults(func=cmd_verify)
 
     po = sub.add_parser("oracle", help="biorthonormal spectrum and spectral metric")
@@ -315,7 +318,7 @@ def _run_checks(names, kernel: Kernel, pot, grid: Grid):
 def cmd_verify(args) -> int:
     pot, doc = _build_potential(args)
     out = Path(args.out)
-    kernel = kernel_from_csv(out / "kernel.csv")
+    kernel = kernel_from_csv(out / "kernel.csv" if args.kernel is None else Path(args.kernel))
     grid = kernel.grid
     if args.n is not None and args.n != grid.n:
         raise ValueError(f"--n {args.n} does not match the stored kernel grid n={grid.n}")
@@ -326,6 +329,7 @@ def cmd_verify(args) -> int:
     if not names:
         raise ValueError("empty --checks list")
     reports = _run_checks(names, kernel, pot, grid)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "checks.jsonl", "w") as f:
         for rep in reports:
             line = rep.to_json_line()

@@ -13,7 +13,10 @@ cubic in r, integrated exactly by one Simpson pair, and a cell holding a
 segment breakpoint is split there (only v jumps).  Point couplings use the
 slice rule: each delta at x = a contributes line integrals of the
 kernel slices at y = a and x = a, with one-sided limits recovered at
-jump positions by two-node extrapolation.
+jump positions by two-node extrapolation.  The integration limits
+x + y - a and +-(x - y) + a depend on i + j or i - j alone, so each slice
+antiderivative is evaluated once on the 2n - 1 difference-grid nodes
+and read back over the square as a Hankel or Toeplitz view.
 
 Evaluations outside the grid square treat the kernel as zero.  For a
 box domain that is exact (the kernel vanishes at and beyond the walls);
@@ -242,34 +245,27 @@ class _SliceModel:
 
     def __init__(self, nodes: np.ndarray, vals: np.ndarray, cuts):
         atol = 1e-9 * max(1.0, abs(float(nodes[-1])))
-        cuts = sorted(c for c in cuts if nodes[0] - atol < c < nodes[-1] + atol)
-        keep = np.ones(len(nodes), dtype=bool)
-        for c in cuts:
-            keep &= np.abs(nodes - c) > atol
+        cuts = np.sort(np.fromiter(cuts, dtype=float))
+        cuts = cuts[(nodes[0] - atol < cuts) & (cuts < nodes[-1] + atol)]
+        keep = np.all(np.abs(nodes[:, None] - cuts) > atol, axis=1)
         kn, kv = nodes[keep], vals[keep]
-
-        def one_sided(c, side):
-            if side == "left":
-                sel = np.nonzero(kn < c - atol)[0]
-                pick = sel[-2:]
-            else:
-                sel = np.nonzero(kn > c + atol)[0]
-                pick = sel[:2]
-            if len(pick) == 0:
-                return 0.0 + 0.0j
-            if len(pick) == 1:
-                return kv[pick[0]]
-            (xa, xb), (va, vb) = kn[pick], kv[pick]
-            return va + (vb - va) * (c - xa) / (xb - xa)
-
-        t_list = list(kn)
-        w_list = list(kv)
-        for c in cuts:
-            pos = np.searchsorted(np.asarray(t_list), c)
-            t_list[pos:pos] = [c, c]
-            w_list[pos:pos] = [one_sided(c, "left"), one_sided(c, "right")]
-        self.t = np.asarray(t_list, dtype=float)
-        self.w = np.asarray(w_list, dtype=complex)
+        m = len(kn)
+        # the two nearest kept nodes below (row 0) and above (row 1) each cut,
+        # as ascending index pairs (lo, lo + 1) with indices outside [0, m)
+        # missing; a lone node gives its own value, none gives 0
+        lo = np.stack([np.searchsorted(kn, cuts - atol) - 2,
+                       np.searchsorted(kn, cuts + atol, side="right")])
+        hi = lo + 1
+        has_lo, has_hi = (lo >= 0) & (lo < m), (hi >= 0) & (hi < m)
+        limits = np.zeros(lo.shape, dtype=complex)
+        limits[has_hi] = kv[hi[has_hi]]
+        limits[has_lo] = kv[lo[has_lo]]
+        both = has_lo & has_hi
+        a, b, c = lo[both], hi[both], np.broadcast_to(cuts, lo.shape)[both]
+        limits[both] = kv[a] + (kv[b] - kv[a]) * (c - kn[a]) / (kn[b] - kn[a])
+        at = np.repeat(np.searchsorted(kn, cuts), 2)
+        self.t = np.insert(kn, at, np.repeat(cuts, 2))
+        self.w = np.insert(kv.astype(complex), at, limits.T.ravel())
         widths = np.diff(self.t)
         self.cum = np.zeros(len(self.t), dtype=complex)
         self.cum[1:] = np.cumsum(0.5 * (self.w[:-1] + self.w[1:]) * widths)
@@ -299,17 +295,33 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     applied to identity, parity and smooth input parts: the first two
     analytically, the smooth part by exact integration of its slice
     models at y = a_n and x = a_n.
+
+    The smooth part evaluates each slice antiderivative on the 2n - 1
+    points diff_nodes -+ a_n only (four 1-D calls per coupling): node
+    (i, j) reads x + y - a_n at index i + j and x - y + a_n (y - x + a_n)
+    at index i - j + n - 1 (j - i + n - 1).  Clamped limits are counted on
+    the same points, weighted by the number of grid nodes on each
+    diagonal.  The antiderivatives are continuous, so where h is not
+    dyadic and diff_nodes[i + j] differs from x_i + y_j by round-off the
+    result moves by round-off only.  The singular-part steps are not
+    continuous: a round-off shift flips their theta(0) = 1/2 ties on lines
+    such as x + y = 2 a_n, so they stay on the x_i + y_j mesh, which is
+    built only when a singular part is present.
     """
     _check_grid_domain(pot, grid)
     n, h, half = grid.n, grid.h, grid.half_width
-    nodes = grid.nodes
-    X, Y = grid.mesh()
+    nodes, diff = grid.nodes, grid.diff_nodes
     out = np.zeros((n, n), dtype=complex)
     c0 = pot.constants.c0
     tol = 1e-9 * max(1.0, half)
     clamped = 0
     count = not pot.domain.is_box
     locations = [a for a, _ in pot.deltas]
+    smooth = kernel.sup_smooth > 0.0
+    if kernel.c_diag != 0.0 or kernel.c_anti != 0.0:
+        X, Y = grid.mesh()
+    # grid nodes on the diagonal u = i + j, and on u = i - j + n - 1
+    multiplicity = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
     for a, zeta in pot.deltas:
         if abs(a) > half + tol:
             raise ValueError(f"delta location {a} lies outside the grid")
@@ -320,7 +332,7 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
             out += kernel.c_anti * (0.5j * z) * (
                 unit_step(Y - a) * (unit_step(X + Y) - unit_step(X - Y + 2.0 * a))
                 - unit_step(X - a) * (unit_step(X + Y) - unit_step(Y - X + 2.0 * a)))
-        if kernel.sup_smooth > 0.0:
+        if smooth:
             pos = np.clip((a + half) / h, 0.0, n - 1.0)
             ja = int(min(int(pos), n - 2))
             lam = pos - ja
@@ -331,15 +343,18 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
             cuts = set(locations) | {2.0 * b - a for b in locations}
             col_model = _SliceModel(nodes, col, cuts)
             row_model = _SliceModel(nodes, row, cuts)
-            tA = X + Y - a
-            tB = X - Y + a
-            tC = Y - X + a
+            t_sum, t_dif = diff - a, diff + a
             if count:
-                for tq in (tA, tB, tC):
-                    clamped += int(np.count_nonzero(np.abs(tq) > half + tol))
-            I1 = col_model.antiderivative(tA) - col_model.antiderivative(tB)
-            I2 = row_model.antiderivative(tA) - row_model.antiderivative(tC)
-            out += (0.5j * z) * (unit_step(Y - a) * I1 - unit_step(X - a) * I2)
+                clamped += int(multiplicity @ (np.abs(t_sum) > half + tol))
+                clamped += 2 * int(multiplicity @ (np.abs(t_dif) > half + tol))
+            col_sum = col_model.antiderivative(t_sum)
+            col_dif = col_model.antiderivative(t_dif)
+            row_sum = row_model.antiderivative(t_sum)
+            row_dif = row_model.antiderivative(t_dif)
+            I1 = _skew(col_sum, 0, (n, n), (1, 1)) - _skew(col_dif, n - 1, (n, n), (1, -1))
+            I2 = _skew(row_sum, 0, (n, n), (1, 1)) - _skew(row_dif, n - 1, (n, n), (-1, 1))
+            step = unit_step(nodes - a)
+            out += (0.5j * z) * (step * I1 - step[:, None] * I2)
     if stats is not None:
         stats["truncated_evals"] = stats.get("truncated_evals", 0) + clamped
     return Kernel(grid=grid, smooth=out)

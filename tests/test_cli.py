@@ -192,6 +192,18 @@ class TestVerify:
         assert run("verify", "--model", "square-well",
                    "--out", str(tmp_path / "nowhere")) == 2
 
+    def test_kernel_option_checks_oracle_metric(self, tmp_path):
+        orc = tmp_path / "orc"
+        assert run("oracle", "--model", "square-well", "--n", "65", "--out", str(orc)) == 0
+        out = tmp_path / "checks"
+        assert run("verify", "--model", "square-well", "--kernel", str(orc / "metric.csv"),
+                   "--out", str(out)) == 0
+        recs = [json.loads(s) for s in (out / "checks.jsonl").read_text().splitlines()]
+        assert len(recs) == 4 and all(rec["pass"] for rec in recs)
+        assert not (orc / "checks.jsonl").exists()
+        assert run("verify", "--model", "square-well", "--kernel", str(orc / "kernel.csv"),
+                   "--out", str(out)) == 2
+
     def test_grid_flag_mismatch(self, tmp_path):
         out = tmp_path / "v"
         out.mkdir()

@@ -29,7 +29,9 @@ from qmetric.potentials import (
     pt_delta_pairs,
     scattering_potential,
     square_well,
+    unit_step,
 )
+from qmetric import series
 from qmetric.series import (
     KConfig,
     apply_K,
@@ -276,6 +278,77 @@ class TestSmoothQuadratureOracle:
                 assert abs(out.smooth[i, j] - ref) < 1e-3 * scale
 
 
+def mesh_delta_rule(kernel, pot, grid):
+    """Slice rule with every antiderivative evaluated on the n x n query meshes.
+
+    Reference copy of the plain O(n^2) evaluation for the difference-grid
+    gathers of apply_K_delta_rule; returns (smooth, truncated_evals).
+    """
+    n, h, half = grid.n, grid.h, grid.half_width
+    X, Y = grid.mesh()
+    out = np.zeros((n, n), dtype=complex)
+    tol = 1e-9 * max(1.0, half)
+    clamped = 0
+    locations = [a for a, _ in pot.deltas]
+    for a, zeta in pot.deltas:
+        z = pot.constants.c0 * zeta
+        if kernel.c_diag != 0.0:
+            out += kernel.c_diag * (0.5j * z) * unit_step(X + Y - 2.0 * a) * np.sign(Y - X)
+        if kernel.c_anti != 0.0:
+            out += kernel.c_anti * (0.5j * z) * (
+                unit_step(Y - a) * (unit_step(X + Y) - unit_step(X - Y + 2.0 * a))
+                - unit_step(X - a) * (unit_step(X + Y) - unit_step(Y - X + 2.0 * a)))
+        if kernel.sup_smooth > 0.0:
+            pos = np.clip((a + half) / h, 0.0, n - 1.0)
+            ja = int(min(int(pos), n - 2))
+            lam = pos - ja
+            col = (1.0 - lam) * kernel.smooth[:, ja] + lam * kernel.smooth[:, ja + 1]
+            row = (1.0 - lam) * kernel.smooth[ja, :] + lam * kernel.smooth[ja + 1, :]
+            cuts = set(locations) | {2.0 * b - a for b in locations}
+            col_model = series._SliceModel(grid.nodes, col, cuts)
+            row_model = series._SliceModel(grid.nodes, row, cuts)
+            tA, tB, tC = X + Y - a, X - Y + a, Y - X + a
+            for tq in (tA, tB, tC):
+                clamped += int(np.count_nonzero(np.abs(tq) > half + tol))
+            I1 = col_model.antiderivative(tA) - col_model.antiderivative(tB)
+            I2 = row_model.antiderivative(tA) - row_model.antiderivative(tC)
+            out += (0.5j * z) * (unit_step(Y - a) * I1 - unit_step(X - a) * I2)
+    return out, clamped
+
+
+def list_insert_slice(nodes, vals, cuts):
+    """Reference copy of the per-cut list-insert build of _SliceModel: (t, w, cum)."""
+    atol = 1e-9 * max(1.0, abs(float(nodes[-1])))
+    cuts = sorted(c for c in cuts if nodes[0] - atol < c < nodes[-1] + atol)
+    keep = np.ones(len(nodes), dtype=bool)
+    for c in cuts:
+        keep &= np.abs(nodes - c) > atol
+    kn, kv = nodes[keep], vals[keep]
+
+    def one_sided(c, side):
+        if side == "left":
+            pick = np.nonzero(kn < c - atol)[0][-2:]
+        else:
+            pick = np.nonzero(kn > c + atol)[0][:2]
+        if len(pick) == 0:
+            return 0.0 + 0.0j
+        if len(pick) == 1:
+            return kv[pick[0]]
+        (xa, xb), (va, vb) = kn[pick], kv[pick]
+        return va + (vb - va) * (c - xa) / (xb - xa)
+
+    t_list, w_list = list(kn), list(kv)
+    for c in cuts:
+        pos = np.searchsorted(np.asarray(t_list), c)
+        t_list[pos:pos] = [c, c]
+        w_list[pos:pos] = [one_sided(c, "left"), one_sided(c, "right")]
+    t = np.asarray(t_list, dtype=float)
+    w = np.asarray(w_list, dtype=complex)
+    cum = np.zeros(len(t), dtype=complex)
+    cum[1:] = np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(t))
+    return t, w, cum
+
+
 class TestDeltaRule:
     def test_identity_gives_first_iterate(self):
         grid = Grid(half_width=2.0, n=41)
@@ -381,6 +454,71 @@ class TestDeltaRule:
         pot = delta_potential([(1.5, 0.5)], NAT)
         with pytest.raises(ValueError, match="outside the grid"):
             apply_K_delta_rule(identity_kernel(grid), pot, grid)
+
+    @pytest.mark.parametrize("half_width, n, exact", [(2.0, 129, True), (1.7, 101, False)],
+                             ids=["dyadic", "non_dyadic"])
+    @pytest.mark.parametrize("channel", ["smooth", "parity"])
+    def test_difference_grid_matches_mesh_evaluation(self, half_width, n, exact, channel):
+        # x_i + y_j equals diff_nodes[i + j] bit for bit only when h is dyadic;
+        # elsewhere the antiderivatives see round-off-shifted query points
+        grid = Grid(half_width=half_width, n=n)
+        X, Y = grid.mesh()
+        pot = delta_potential([(0.5, 0.8), (-0.355, 0.6), (0.0, -0.3)], NAT)
+        smooth = np.exp(-(X**2 + Y**2)) * (1.0 + 0.3j * X * Y) + 0.2 * (X > 0.3)
+        kernel = Kernel(grid=grid, c_anti=1.0 if channel == "parity" else 0.0,
+                        smooth=smooth)
+        stats = {}
+        out = apply_K_delta_rule(kernel, pot, grid, stats=stats).smooth
+        ref, clamped = mesh_delta_rule(kernel, pot, grid)
+        if exact:
+            assert np.array_equal(out, ref)
+        else:
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert stats["truncated_evals"] == clamped > 0
+
+    def test_antiderivative_sees_difference_grid_only(self, monkeypatch):
+        grid = Grid(half_width=2.0, n=65)
+        X, Y = grid.mesh()
+        pot = delta_potential([(0.5, 0.8), (-0.355, 0.6)], NAT)
+        sizes = []
+        antiderivative = series._SliceModel.antiderivative
+
+        def recording(model, t):
+            sizes.append(np.size(t))
+            return antiderivative(model, t)
+
+        monkeypatch.setattr(series._SliceModel, "antiderivative", recording)
+        apply_K_delta_rule(smooth_kernel(grid, np.exp(-(X**2 + Y**2)) + 0j), pot, grid)
+        assert len(sizes) == 4 * len(pot.deltas)
+        assert max(sizes) <= 2 * grid.n - 1
+
+
+class TestSliceModel:
+    NODES = np.linspace(-1.7, 1.7, 33)
+
+    @pytest.mark.parametrize("cuts", [
+        [NODES[16]],
+        [0.5 * (NODES[10] + NODES[11])],
+        [NODES[0]],
+        [NODES[1]],
+        [0.5 * (NODES[0] + NODES[1])],
+        [NODES[2]],
+        [NODES[-1], NODES[-2]],
+        [0.5 * (NODES[-2] + NODES[-1])],
+        [2.5, -3.0],
+        [NODES[5], NODES[5], 0.3, 0.3],
+        [],
+    ], ids=["on_node", "between_nodes", "first_node", "one_kept_left",
+            "one_kept_left_between", "two_kept_left", "last_two_nodes",
+            "one_kept_right_between", "outside", "duplicates", "none"])
+    def test_vectorised_build_matches_list_inserts(self, cuts):
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=33) + 1j * rng.normal(size=33)
+        model = series._SliceModel(self.NODES, vals, cuts)
+        t, w, cum = list_insert_slice(self.NODES, vals, cuts)
+        assert np.array_equal(model.t, t)
+        assert np.array_equal(model.w, w)
+        assert np.array_equal(model.cum, cum)
 
 
 class TestDispatch:
