@@ -23,6 +23,7 @@ from .kernels import (
     kernel_to_csv,
     kernel_to_pgm,
     seed_reality_defect,
+    write_kernel_files,
 )
 from .potentials import (
     constants_preset,
@@ -275,14 +276,14 @@ def cmd_compute(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kernel_to_csv(state.partial_sum, out / "kernel.csv")
-    for k, it in enumerate(state.iterates):
-        kernel_to_csv(it, out / f"iter_{k}.csv")
+    write_kernel_files([(kernel_to_csv, state.partial_sum, out / "kernel.csv")]
+                       + [(kernel_to_csv, it, out / f"iter_{k}.csv")
+                          for k, it in enumerate(state.iterates)]
+                       + [(kernel_to_pgm, state.partial_sum, out / "kernel.pgm")])
     with open(out / "supnorms.csv", "w") as f:
         f.write("order,sup_norm\n")
         for k, s in enumerate(state.sup_norms):
             f.write(("%d," + FLOAT_FMT) % (k, s) + "\n")
-    kernel_to_pgm(state.partial_sum, out / "kernel.pgm")
     _write_manifest(out, _config_dict(pot, grid, cfg, seed.label),
                     _tolerances(pot, grid, state.partial_sum),
                     {"sup_norms": [float(s) for s in state.sup_norms],

@@ -10,10 +10,15 @@ y.  Seeds are pairs of one-argument profiles u_plus, u_minus combined as
 u(x, y) = u_plus(x - y) + u_minus(x + y), subject to the reality
 constraints u_plus(x)* = u_plus(-x) and u_minus(x)* = u_minus(x) that
 make the seed Hermitian.
+
+Kernel artifacts are written by kernel_to_csv and kernel_to_pgm; a batch
+of them goes through write_kernel_files, which runs the writers in forked
+worker processes, one per available CPU, and writes the same bytes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +41,7 @@ __all__ = [
     "kernel_to_csv",
     "kernel_from_csv",
     "kernel_to_pgm",
+    "write_kernel_files",
 ]
 
 FLOAT_FMT = "%.12e"
@@ -320,3 +326,40 @@ def kernel_to_pgm(kernel: Kernel, path) -> None:
         f.write(f"{n} {n}\n255\n")
         for row in img:
             f.write(" ".join(str(v) for v in row) + "\n")
+
+
+# The jobs of the running write_kernel_files call, set in each forked worker
+# by its initializer; the parent never assigns it.
+_WORKER_JOBS: list = []
+
+
+def _adopt_jobs(jobs: list) -> None:
+    global _WORKER_JOBS
+    _WORKER_JOBS = jobs
+
+
+def _run_job(index: int) -> None:
+    writer, kernel, path = _WORKER_JOBS[index]
+    writer(kernel, path)
+
+
+def write_kernel_files(jobs) -> None:
+    """Run (writer, kernel, path) jobs, e.g. (kernel_to_csv, k, "k.csv").
+
+    The jobs run on min(len(jobs), available CPUs) worker processes made
+    by POSIX fork, so the workers read the kernels from the memory they
+    share with this process: only job indices and exceptions are pickled.
+    Each file gets the bytes the writer alone would give it.  The first
+    exception of a job, in job order, is raised here once every job has
+    ended.
+    """
+    # imported here: at module level the pool modules slow every CLI start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    jobs = list(jobs)
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt_jobs, initargs=(jobs,)) as pool:
+        for _ in pool.map(_run_job, range(len(jobs))):
+            pass

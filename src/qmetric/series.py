@@ -305,8 +305,9 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     dyadic and diff_nodes[i + j] differs from x_i + y_j by round-off the
     result moves by round-off only.  The singular-part steps are not
     continuous: a round-off shift flips their theta(0) = 1/2 ties on lines
-    such as x + y = 2 a_n, so they stay on the x_i + y_j mesh, which is
-    built only when a singular part is present.
+    such as x + y = 2 a_n, so they stay on the x_i + y_j mesh.  That mesh,
+    x + y, x - y, y - x and their coupling-independent steps are built
+    once per call, and only when a singular part is present.
     """
     _check_grid_domain(pot, grid)
     n, h, half = grid.n, grid.h, grid.half_width
@@ -320,6 +321,9 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     smooth = kernel.sup_smooth > 0.0
     if kernel.c_diag != 0.0 or kernel.c_anti != 0.0:
         X, Y = grid.mesh()
+        # the coupling-independent meshes of the singular-part steps
+        x_plus_y, x_minus_y, y_minus_x = X + Y, X - Y, Y - X
+        sign_y_minus_x, step_x_plus_y = np.sign(y_minus_x), unit_step(x_plus_y)
     # grid nodes on the diagonal u = i + j, and on u = i - j + n - 1
     multiplicity = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
     for a, zeta in pot.deltas:
@@ -327,11 +331,11 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
             raise ValueError(f"delta location {a} lies outside the grid")
         z = c0 * zeta
         if kernel.c_diag != 0.0:
-            out += kernel.c_diag * (0.5j * z) * unit_step(X + Y - 2.0 * a) * np.sign(Y - X)
+            out += kernel.c_diag * (0.5j * z) * unit_step(x_plus_y - 2.0 * a) * sign_y_minus_x
         if kernel.c_anti != 0.0:
             out += kernel.c_anti * (0.5j * z) * (
-                unit_step(Y - a) * (unit_step(X + Y) - unit_step(X - Y + 2.0 * a))
-                - unit_step(X - a) * (unit_step(X + Y) - unit_step(Y - X + 2.0 * a)))
+                unit_step(Y - a) * (step_x_plus_y - unit_step(x_minus_y + 2.0 * a))
+                - unit_step(X - a) * (step_x_plus_y - unit_step(y_minus_x + 2.0 * a)))
         if smooth:
             pos = np.clip((a + half) / h, 0.0, n - 1.0)
             ja = int(min(int(pos), n - 2))

@@ -1,15 +1,28 @@
 """End-to-end command tests driven through the in-process entry point."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qmetric.cli as cli
 from qmetric.closed_forms import delta_second_iterate, square_well_eta1
-from qmetric.kernels import Grid, identity_kernel, kernel_from_csv, kernel_to_csv, parity_kernel
+from qmetric.kernels import (
+    Grid,
+    identity_kernel,
+    kernel_from_csv,
+    kernel_to_csv,
+    kernel_to_pgm,
+    parity_kernel,
+)
 from qmetric.potentials import constants_preset
+from qmetric.series import neumann_series
 from qmetric.spectral import ExceptionalPointError
 
 BT = constants_preset("bender-tan")
@@ -148,6 +161,75 @@ class TestCompute:
     def test_bad_order(self, tmp_path):
         assert run("compute", "--model", "square-well", "--order", "0",
                    "--out", str(tmp_path / "x")) == 2
+
+
+# compute arguments at n=65 for the well and for three point couplings
+ARTIFACT_MODELS = {
+    "well": ("--model", "square-well", "--zeta", "0.1", "--order", "4", "--n", "65"),
+    "deltas": ("--model", "deltas", "--deltas", "0.4:-0.5,0.6:0.25,0.9:0.75",
+               "--extent", "2", "--order", "6", "--n", "65"),
+}
+
+
+def serial_artifacts(model_args, out):
+    """Write the kernel artifacts of `compute model_args` one after another in
+    this process; return their file names."""
+    args = cli.build_parser().parse_args(["compute", *model_args, "--out", str(out)])
+    pot, doc = cli._build_potential(args)
+    grid = cli._build_grid(args, pot, doc)
+    state = neumann_series(cli._build_seed(args, pot), pot,
+                           cli._build_series_config(args, doc), grid)
+    out.mkdir()
+    kernel_to_csv(state.partial_sum, out / "kernel.csv")
+    for k, it in enumerate(state.iterates):
+        kernel_to_csv(it, out / f"iter_{k}.csv")
+    kernel_to_pgm(state.partial_sum, out / "kernel.pgm")
+    return ["kernel.csv", "kernel.pgm"] + [f"iter_{k}.csv" for k in range(len(state.iterates))]
+
+
+@pytest.mark.parametrize("model", sorted(ARTIFACT_MODELS))
+class TestParallelArtifacts:
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["all_cpus", "one_cpu"])
+    def test_same_bytes_as_serial_writes(self, tmp_path, monkeypatch, model, cpus):
+        workers = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        names = serial_artifacts(ARTIFACT_MODELS[model], tmp_path / "serial")
+        expected = min(len(names), cpus or len(os.sched_getaffinity(0)))
+        if cpus:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert run("compute", *ARTIFACT_MODELS[model], "--out", str(tmp_path / "pool")) == 0
+        assert workers == [expected]
+        for name in names:
+            assert (tmp_path / "pool" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), name
+
+    def test_unwritable_iterate_exits_2(self, tmp_path, capfd, model):
+        out = tmp_path / "run"
+        (out / "iter_2.csv").mkdir(parents=True)
+        assert run("compute", *ARTIFACT_MODELS[model], "--out", str(out)) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and str(out / "iter_2.csv") in err
+        assert "Traceback" not in err
+        assert (out / "iter_1.csv").is_file() and (out / "iter_3.csv").is_file()
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool modules cost every `qmetric` start; they load on the first write
+    code = ("import sys, qmetric.cli; "
+            "print(sorted(m for m in sys.modules if m == 'multiprocessing' "
+            "or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestVerify:

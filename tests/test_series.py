@@ -476,6 +476,20 @@ class TestDeltaRule:
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert stats["truncated_evals"] == clamped > 0
 
+    @pytest.mark.parametrize("half_width, n", [(2.0, 129), (1.7, 101)],
+                             ids=["dyadic", "non_dyadic"])
+    @pytest.mark.parametrize("make_kernel", [identity_kernel, parity_kernel],
+                             ids=["identity", "parity"])
+    def test_hoisted_singular_meshes_match_per_coupling(self, half_width, n, make_kernel):
+        # the singular steps see the same x + y, x - y, y - x values whether
+        # those meshes are built once per call or once per coupling
+        grid = Grid(half_width=half_width, n=n)
+        pot = delta_potential([(0.5, 0.8), (-0.355, 0.6), (0.0, -0.3)], NAT)
+        kernel = make_kernel(grid)
+        out = apply_K_delta_rule(kernel, pot, grid).smooth
+        ref, _ = mesh_delta_rule(kernel, pot, grid)
+        assert out.tobytes() == ref.tobytes()
+
     def test_antiderivative_sees_difference_grid_only(self, monkeypatch):
         grid = Grid(half_width=2.0, n=65)
         X, Y = grid.mesh()
