@@ -18,6 +18,7 @@ worker processes, one per available CPU, and writes the same bytes.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -266,28 +267,167 @@ def invert_operator_form(form: OperatorForm, grid: Grid) -> tuple[np.ndarray, np
     return t, up, um
 
 
+# The array formatter below gives the bytes of FLOAT_FMT % value for whole
+# arrays.  A value with |v| in [_ARRAY_MIN, _ARRAY_MAX] is scaled to
+# q = |v| 10^(12 - E), E its decimal exponent, with a double-double power of
+# ten and Dekker's exact two-product (Numer. Math. 18, 224 (1971)); its 13
+# digits are q rounded to an integer.  The fraction r that the rounding drops
+# is known to about 3e-16, so only |r - 1/2| <= _TIE_MARGIN can need the
+# round-half-even of correct rounding (Gay, "Correctly rounded binary-decimal
+# and decimal-binary conversions", 1990): those values, non-finite ones and
+# those outside the range are formatted by FLOAT_FMT % one at a time.
+_ARRAY_MIN, _ARRAY_MAX = 1e-280, 1e280
+_POW10_MIN, _POW10_COUNT = -270, 566  # the table holds 10^k, -270 <= k <= 295
+_TIE_MARGIN = 1e-9
+_SPLITTER = 134217729.0  # 2^27 + 1
+_FIELD = 20  # the widest FLOAT_FMT field, -d.dddddddddddde-ddd
+# columns: sign, leading digit, point, 12 digits, e, exponent sign, 3 digits
+_TEMPLATE = np.frombuffer(b"-0.000000000000e+000", dtype=np.uint8)
+_BLOCK_ROWS = 32  # grid rows per written block: a 1.4 MB line buffer at n = 513
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split x = hi + lo into two halves of 26 significant bits."""
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.lru_cache(maxsize=None)
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pow10, digits, exponents), built on first use, not at import.
+
+    pow10 has the rows hi, lo and Dekker's split of hi, with hi + lo equal
+    to 10^k to double-double accuracy: both parts are correctly rounded from
+    exact integer arithmetic (int / int true division rounds correctly).
+    digits[i] holds the 4 characters of "%04d" % i and exponents[e + 999]
+    those of "%+04d" % e, each as one uint32.
+    """
+    pow10 = np.empty((4, _POW10_COUNT))
+    for i, k in enumerate(range(_POW10_MIN, _POW10_MIN + _POW10_COUNT)):
+        if k >= 0:
+            hi = float(10 ** k)
+            lo = float(10 ** k - int(hi))
+        else:
+            hi = 1 / 10 ** -k
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10 ** -k) / (den * 10 ** -k)
+        pow10[:2, i] = hi, lo
+    pow10[2], pow10[3] = _split(pow10[0])
+    pow10.setflags(write=False)  # shared by every caller of the cache
+    digits = np.frombuffer("".join("%04d" % i for i in range(10000)).encode(), np.uint32)
+    exponents = np.frombuffer("".join("%+04d" % e for e in range(-999, 1000)).encode(),
+                              np.uint32)
+    return pow10, digits, exponents
+
+
+def _scale(a: np.ndarray, E: np.ndarray, pow10: np.ndarray):
+    """(floor, fraction) of q = a 10^(12 - E); the fraction lies in (-0.001, 1.001).
+
+    q = p + tail with p + e = a hi exactly (Dekker's two-product) and
+    tail = e + a lo; the fraction of p is exact since p < 2^53.
+    """
+    hi, lo, hi_h, hi_l = (row.take(12 - E - _POW10_MIN) for row in pow10)
+    a_h, a_l = _split(a)
+    p = a * hi
+    tail = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l + a * lo
+    whole = np.floor(p)
+    return whole, (p - whole) + tail
+
+
+def _format_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FLOAT_FMT of every value, as (chars, present) of shape values.shape + (_FIELD,).
+
+    chars[..., present] along the last axis spells FLOAT_FMT % float(value).
+    An array-path field is laid out as _TEMPLATE, sign, 13 digits and a
+    signed 3-digit exponent, with the sign and the exponent's hundreds digit
+    present only when needed; any other field is written left-aligned.
+    """
+    pow10, digits, exponents = _format_tables()
+    v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    a = np.abs(v)
+    zero = a == 0.0
+    array_path = (a >= _ARRAY_MIN) & (a <= _ARRAY_MAX)
+    a = np.where(array_path, a, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    whole, r = _scale(a, E, pow10)
+    # log10 may miss E by one, so E is redone where p leaves [10^12, 10^13).
+    # A p rounded up onto 10^12 or 10^13 leaves q within 1/2 of it, which is
+    # printed as 1.000000000000 with the right exponent either way.
+    fix = np.flatnonzero((whole < 1e12) | (whole >= 1e13))
+    E[fix] += np.where(whole[fix] < 1e12, -1, 1)
+    whole[fix], r[fix] = _scale(a[fix], E[fix], pow10)
+    D = whole + (r > 0.5)
+    slow = np.flatnonzero(~(array_path | zero) | (np.abs(r - 0.5) <= _TIE_MARGIN)
+                          | (D < 1e12) | (D > 1e13))
+    carry = D == 1e13
+    E += carry
+    D[carry] = 1e12
+    D[zero] = 0.0  # zeros were scaled as a = 1, so E is 0 already
+    # floor(D / 10^k) is exact: D < 2^53 is an integer, so the quotient lies
+    # at least 10^-12 from the next integer
+    lead, q8, q4 = (np.floor(D / s) for s in (1e12, 1e8, 1e4))
+    groups = np.empty((v.size, 3), dtype=np.intp)
+    groups[:, 0] = q8 - 1e4 * lead
+    groups[:, 1] = q4 - 1e4 * q8
+    groups[:, 2] = D - 1e4 * q4
+    chars = np.empty((v.size, _FIELD), dtype=np.uint8)
+    chars[:] = _TEMPLATE
+    chars[:, 1] += lead.astype(np.uint8)
+    chars[:, 3:15] = digits.take(groups).view(np.uint8)
+    chars[:, 16:] = exponents.take(E + 999)[:, None].view(np.uint8)
+    present = np.ones((v.size, _FIELD), dtype=bool)
+    present[:, 0] = np.signbit(v)
+    present[:, 17] = np.abs(E) >= 100
+    for i in slow:
+        text = (FLOAT_FMT % float(v[i])).encode()
+        chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        present[i] = np.arange(_FIELD) < len(text)
+    shape = np.shape(values) + (_FIELD,)
+    return chars.reshape(shape), present.reshape(shape)
+
+
+def _write_rows(f, nodes: np.ndarray, values: np.ndarray) -> None:
+    """Write the lines x,y,re,im of a square grid to the binary file f, x outer.
+
+    values[i] holds re, im of every (nodes[i], y) in turn.  Each line is
+    laid out in four fixed columns of a field and its separator, with a
+    presence mask beside it; a block of _BLOCK_ROWS grid rows is written
+    as buf[mask].
+    """
+    n = len(nodes)
+    node_chars, node_present = _format_values(nodes)
+    buf = np.empty((min(_BLOCK_ROWS, n), n, 4, _FIELD + 1), dtype=np.uint8)
+    mask = np.ones(buf.shape, dtype=bool)
+    fields, present = buf[..., :_FIELD], mask[..., :_FIELD]
+    buf[..., _FIELD] = np.frombuffer(b",,,\n", dtype=np.uint8)
+    fields[:, :, 1], present[:, :, 1] = node_chars, node_present
+    for i in range(0, n, _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        m = len(nodes[rows])
+        fields[:m, :, 0], present[:m, :, 0] = node_chars[rows, None], node_present[rows, None]
+        fields[:m, :, 2:], present[:m, :, 2:] = _format_values(values[rows].reshape(m, n, 2))
+        f.write(buf[:m][mask[:m]].tobytes())
+
+
 def kernel_to_csv(kernel: Kernel, path) -> None:
     """Write the kernel in the tabular format.
 
     Three comment headers carry the singular coefficients and the grid
     metadata, followed by a column header and row-major x,y,re,im rows
-    (x outer, every number as FLOAT_FMT).  Each grid row is formatted by
-    one template whose x,y fields are filled in once, applied to the
-    interleaved re,im values of that row.
+    (x outer, every number as FLOAT_FMT).  The rows are formatted in
+    numpy, a block of grid rows at a time, with the bytes of FLOAT_FMT %.
     """
     g = kernel.grid
-    nodes = [FLOAT_FMT % v for v in g.nodes]
-    cells = ["," + y + "," + FLOAT_FMT + "," + FLOAT_FMT + "\n" for y in nodes]
     values = np.ascontiguousarray(kernel.smooth).view(np.float64)
-    with open(path, "w") as f:
-        f.write("# c_diag_re,c_diag_im," + FLOAT_FMT % kernel.c_diag.real + ","
-                + FLOAT_FMT % kernel.c_diag.imag + "\n")
-        f.write("# c_anti_re,c_anti_im," + FLOAT_FMT % kernel.c_anti.real + ","
-                + FLOAT_FMT % kernel.c_anti.imag + "\n")
-        f.write("# half_width,n," + FLOAT_FMT % g.half_width + ",%d\n" % g.n)
-        f.write("x,y,re,im\n")
-        for x, row in zip(nodes, values):
-            f.write((x + x.join(cells)) % tuple(row))
+    with open(path, "wb") as f:
+        f.write(("# c_diag_re,c_diag_im," + FLOAT_FMT % kernel.c_diag.real + ","
+                 + FLOAT_FMT % kernel.c_diag.imag + "\n"
+                 + "# c_anti_re,c_anti_im," + FLOAT_FMT % kernel.c_anti.real + ","
+                 + FLOAT_FMT % kernel.c_anti.imag + "\n"
+                 + "# half_width,n," + FLOAT_FMT % g.half_width + ",%d\n" % g.n
+                 + "x,y,re,im\n").encode())
+        _write_rows(f, g.nodes, values)
 
 
 def kernel_from_csv(path) -> Kernel:

@@ -207,17 +207,31 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
     return out
 
 
+def _hermitian_image(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> np.ndarray:
+    """Both characteristic terms of K on a Hermitian S, as T + T^dag.
+
+    The second term is the first one evaluated on S^T = conj(S) with the
+    conjugate weights, then transposed; the term is built from real
+    operations, so that is conj(T)^T = T^dag bit for bit.
+    """
+    term = _characteristic_term(S, w, grid, j0)
+    term += term.conj().T
+    return term
+
+
 def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
                    grid: Grid, stats: dict | None = None) -> Kernel:
     """Quadrature action of K on the smooth kernel part (segment potential).
 
     Singular parts of the input are ignored here; the dispatcher
-    apply_K adds their closed-form images.  The second term of K is
-    evaluated by running the first-term machinery on the transposed
-    array with the conjugate potential, which makes Hermiticity
-    preservation exact for Hermitian inputs.  On the line, n of the
-    2n-1 characteristics of each family leave the grid square inside
-    each of the n-1 cells; every such pair counts once per term.
+    apply_K adds their closed-form images.  On a Hermitian input the
+    second term of K is the adjoint of the first, so one characteristic
+    term is computed and Hermiticity is preserved exactly.  Any other
+    input is split as S = S_h + i S_a into the Hermitian parts
+    S_h = (S + S^dag)/2 and S_a = (S - S^dag)/(2i), and K, being linear,
+    gives K(S_h) + i K(S_a).  On the line, n of the 2n-1 characteristics
+    of each family leave the grid square inside each of the n-1 cells;
+    every such pair counts once per term.
     """
     _check_grid_domain(pot, grid)
     n, X, count = grid.n, grid.half_width, not pot.domain.is_box
@@ -225,8 +239,12 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     if len(j0_hits) == 0:
         raise ValueError(f"series base point r0={cfg.r0} must coincide with a grid node")
     j0, w, S = int(j0_hits[0]), _cell_weights(pot, grid), kernel.smooth
-    out = _characteristic_term(S, w, grid, j0)
-    out += _characteristic_term(S.T, np.conj(w), grid, j0).T
+    adjoint = S.conj().T
+    if np.array_equal(S, adjoint):
+        out = _hermitian_image(S, w, grid, j0)
+    else:
+        out = _hermitian_image(0.5 * (S + adjoint), w, grid, j0)
+        out += 1j * _hermitian_image(-0.5j * (S - adjoint), w, grid, j0)
     out *= pot.constants.mass / pot.constants.hbar**2
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite value in characteristic quadrature")

@@ -232,6 +232,18 @@ def test_cli_import_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+
+def test_cli_import_builds_no_format_tables():
+    # the CSV formatter's tables are built on the first write, not at start-up
+    code = ("import sys, qmetric.cli, qmetric.kernels as k; "
+            "print('fractions' in sys.modules, k._format_tables.cache_info().currsize)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False 0"
+
 class TestVerify:
     def test_identity_kernel_real_well_all_pass(self, tmp_path):
         write_real_well_doc(tmp_path / "well.json")

@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from qmetric import kernels
 from qmetric.kernels import (
     FLOAT_FMT,
     Grid,
@@ -290,6 +293,66 @@ def test_csv_bytes_match_savetxt_reference(tmp_path, layout):
     kernel_to_csv(k, tmp_path / "new.csv")
     _savetxt_reference(k, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def adversarial_values():
+    """Values that stress FLOAT_FMT's correct rounding, ranges and special cases."""
+    rng = np.random.default_rng(2718)
+    sets = [
+        # random bit patterns: subnormals, nan and inf included
+        rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+        # log-uniform magnitudes with random signs
+        rng.choice([-1.0, 1.0], 60_000) * 10.0 ** rng.uniform(-300, 300, 60_000),
+    ]
+    # decimal 13-digit ties, as the nearest double, and both of its neighbours
+    near = [float(f"{m}5e{k}") for m, k in zip(rng.integers(10**12, 10**13, 12_000),
+                                               rng.integers(-250, 251, 12_000))]
+    sets += [near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)]
+    # exact ties: 14-digit integers ending in 5, scaled by powers of two
+    odd = (rng.integers(10**12, 10**13, 4_000) * 10 + 5).astype(float)
+    sets += [odd * s for s in (1.0, 0.5, 2.0**-20, -(2.0**3))]
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    sets += [powers, -powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    # mantissas that carry into the next decade, and their neighbours
+    carries = np.array([float(f"9.9999999999995e{k}") for k in range(-290, 291)]
+                       + [float(f"9.99999999999949e{k}") for k in range(-290, 291)])
+    sets += [carries, np.nextafter(carries, 0.0), np.nextafter(carries, np.inf)]
+    sets.append([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1.7976931348623157e308,
+                 kernels._ARRAY_MIN, kernels._ARRAY_MAX,
+                 np.nextafter(kernels._ARRAY_MIN, 0.0), np.nextafter(kernels._ARRAY_MAX, np.inf)])
+    return np.concatenate([np.asarray(v, dtype=np.float64) for v in sets])
+
+
+def test_array_formatter_matches_percent_format():
+    values = adversarial_values()
+    assert values.size >= 200_000
+    chars, present = kernels._format_values(values)
+    # one newline-terminated field per value, compared as one byte string
+    lines = np.concatenate([chars, np.full((values.size, 1), ord("\n"), np.uint8)], axis=1)
+    mask = np.concatenate([present, np.ones((values.size, 1), bool)], axis=1)
+    got = lines[mask].tobytes().decode().splitlines()
+    want = [FLOAT_FMT % float(v) for v in values]
+    bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+@pytest.mark.parametrize("n", [3, kernels._BLOCK_ROWS - 1, kernels._BLOCK_ROWS,
+                               kernels._BLOCK_ROWS + 1],
+                         ids=["n3", "below_block", "block", "above_block"])
+def test_row_blocks_match_savetxt(n):
+    rng = np.random.default_rng(n)
+    nodes = np.linspace(-1.3, 1.3, n)
+    values = rng.standard_normal((n, 2 * n)) * 10.0 ** rng.integers(-120, 120, (n, 1))
+    values[0, :4] = [0.0, -0.0, np.nan, -np.inf]
+    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+    pairs = values.reshape(n, n, 2)
+    ref = io.BytesIO()
+    np.savetxt(ref, np.column_stack([X.ravel(), Y.ravel(), pairs[..., 0].ravel(),
+                                     pairs[..., 1].ravel()]), fmt=FLOAT_FMT, delimiter=",")
+    out = io.BytesIO()
+    kernels._write_rows(out, nodes, values)
+    assert out.getvalue() == ref.getvalue()
 
 
 @pytest.mark.parametrize("columns", [3, 5], ids=["three_columns", "five_columns"])

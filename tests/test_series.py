@@ -229,6 +229,45 @@ class TestSmoothQuadratureExact:
                            pot, CFG, Grid(half_width=2.0, n=41))
 
 
+def two_term_reference(S, pot, grid):
+    """K on a smooth part as two characteristic terms, the second on S^T with conj weights."""
+    w = series._cell_weights(pot, grid)
+    j0 = int(np.argmin(np.abs(grid.nodes - CFG.r0)))
+    out = series._characteristic_term(S, w, grid, j0)
+    out += series._characteristic_term(S.T, np.conj(w), grid, j0).T
+    out *= pot.constants.mass / pot.constants.hbar**2
+    return out
+
+
+class TestOneTermPerApplication:
+    """apply_K_smooth computes one characteristic term per Hermitian part."""
+
+    CASES = [
+        (square_well(0.6, np.pi, BT), Grid.for_box(np.pi, 49)),
+        (scattering_potential(0.4, 1.01, NAT), Grid(half_width=2.0, n=41)),
+    ]
+
+    @pytest.mark.parametrize("pot,grid", CASES, ids=["well", "scattering_off_node"])
+    def test_hermitian_input_bit_identical(self, pot, grid):
+        rng = np.random.default_rng(31)
+        raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+        inputs = [0.5 * (raw + raw.conj().T),
+                  apply_K_to_identity(pot, grid, CFG).smooth,
+                  neumann_series(SeedPair.zero(), pot, KConfig(max_order=2), grid).iterates[2].smooth]
+        for S in inputs:
+            assert np.array_equal(S, S.conj().T)
+            out = apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid).smooth
+            assert out.tobytes() == two_term_reference(S, pot, grid).tobytes()
+
+    @pytest.mark.parametrize("pot,grid", CASES, ids=["well", "scattering_off_node"])
+    def test_general_input_matches_two_terms(self, pot, grid):
+        rng = np.random.default_rng(32)
+        S = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+        out = apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid).smooth
+        ref = two_term_reference(S, pot, grid)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def brute_force_K(eta_fun, pot, x, y, r0, nr=1601, ns=1201):
     """Dense trapezoid evaluation of the operator on a callable kernel.
 

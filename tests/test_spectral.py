@@ -191,6 +191,12 @@ class TestBiorthonormalize:
         sys = biorthonormalize(discretize(square_well(0.9, np.pi, BT), grid))
         assert sys.defect < 1e-13
 
+    def test_banded_residual_rejects_entries_off_the_three_diagonals(self):
+        ham = discretize(square_well(0.3, np.pi, BT), Grid.for_box(np.pi, 33))
+        ham.matrix[0, 2] = 1e-3
+        with pytest.raises(ValueError, match="not tridiagonal"):
+            biorthonormalize(ham)
+
 
 def _direct_eig(matrix, h):
     """Reference from one complex np.linalg.eig, sorted and scaled as pair_eigensystem does."""
