@@ -44,6 +44,7 @@ from .spectral import (
     spectrum_to_csv,
 )
 from .verify import (
+    hermitian_eigenvalues,
     invertibility_check,
     kg_residual,
     positivity_check,
@@ -222,8 +223,8 @@ def _build_seed(args, pot) -> SeedPair:
 
 
 def _kg_tolerance(pot, grid: Grid, kernel: Kernel) -> float:
-    X, Y = grid.mesh()
-    mu_sup = float(np.max(np.abs(eval_mass_term(pot, X, Y))))
+    nodes = grid.nodes
+    mu_sup = float(np.max(np.abs(eval_mass_term(pot, nodes[:, None], nodes[None, :]))))
     return max(1e-8, KG_HEADROOM * mu_sup * kernel.sup_smooth)
 
 
@@ -297,16 +298,19 @@ def cmd_compute(args) -> int:
 
 
 def _run_checks(names, kernel: Kernel, pot, grid: Grid):
+    # one eigvalsh serves positivity and invertibility on an exactly Hermitian kernel
+    eigenvalues = (hermitian_eigenvalues(kernel)
+                   if {"positivity", "invertibility"} & set(names) else None)
     reports = []
     for name in names:
         if name == "kg":
             reports.append(kg_residual(kernel, pot, grid,
                                        tolerance=_kg_tolerance(pot, grid, kernel)))
         elif name == "positivity":
-            reports.append(positivity_check(kernel, grid))
+            reports.append(positivity_check(kernel, grid, eigenvalues=eigenvalues))
         elif name == "invertibility":
-            reports.append(invertibility_check(kernel, grid,
-                                               tolerance=INVERTIBILITY_TOL))
+            reports.append(invertibility_check(kernel, grid, tolerance=INVERTIBILITY_TOL,
+                                               eigenvalues=eigenvalues))
         elif name == "pseudo-hermiticity":
             ham = discretize(pot, grid)
             reports.append(pseudo_hermiticity_residual(kernel, ham,

@@ -451,6 +451,10 @@ def kernel_from_csv(path) -> Kernel:
     return Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=smooth)
 
 
+# The decimal text of every gray level, looked up a row at a time.
+_GRAY_TEXT = np.array([str(v).encode() for v in range(256)], dtype=object)
+
+
 def kernel_to_pgm(kernel: Kernel, path) -> None:
     """Write |smooth| as an ASCII portable graymap with min/max in the header."""
     mag = np.abs(kernel.smooth)
@@ -459,13 +463,19 @@ def kernel_to_pgm(kernel: Kernel, path) -> None:
         img = np.rint(255.0 * (mag - lo) / (hi - lo)).astype(int)
     else:
         img = np.zeros_like(mag, dtype=int)
+    text = _GRAY_TEXT
+    if img.min() < 0 or img.max() > 255:
+        # an infinite |smooth| beside finite ones casts nan to an arbitrary int
+        levels, img = np.unique(img, return_inverse=True)
+        text = np.array([str(v).encode() for v in levels], dtype=object)
+        img = img.reshape(mag.shape)
     n = kernel.grid.n
-    with open(path, "w") as f:
-        f.write("P2\n")
-        f.write("# |smooth| min=" + FLOAT_FMT % lo + " max=" + FLOAT_FMT % hi + "\n")
-        f.write(f"{n} {n}\n255\n")
+    with open(path, "wb") as f:
+        f.write(b"P2\n")
+        f.write(("# |smooth| min=" + FLOAT_FMT % lo + " max=" + FLOAT_FMT % hi + "\n").encode())
+        f.write(f"{n} {n}\n255\n".encode())
         for row in img:
-            f.write(" ".join(str(v) for v in row) + "\n")
+            f.write(b" ".join(text[row]) + b"\n")
 
 
 # The jobs of the running write_kernel_files call, set in each forked worker

@@ -224,6 +224,14 @@ def _tridiagonal_product(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
     return out
 
 
+def _tridiagonals(H: np.ndarray):
+    """(main, upper, lower) diagonals of H; ValueError if H has a nonzero entry off them."""
+    diag, upper, lower = np.diagonal(H), np.diagonal(H, 1), np.diagonal(H, -1)
+    if np.count_nonzero(H) != sum(np.count_nonzero(d) for d in (diag, upper, lower)):
+        raise ValueError("discretized Hamiltonian is not tridiagonal")
+    return diag, upper, lower
+
+
 def biorthonormalize(ham: DiscretizedHamiltonian) -> BiorthonormalSystem:
     """Biorthonormal eigensystem of a discretized Hamiltonian.
 
@@ -232,9 +240,7 @@ def biorthonormalize(ham: DiscretizedHamiltonian) -> BiorthonormalSystem:
     diagonals of H.  Raises ValueError if H has a nonzero entry off them.
     """
     H = ham.matrix
-    diag, upper, lower = np.diagonal(H), np.diagonal(H, 1), np.diagonal(H, -1)
-    if np.count_nonzero(H) != sum(np.count_nonzero(d) for d in (diag, upper, lower)):
-        raise ValueError("discretized Hamiltonian is not tridiagonal")
+    diag, upper, lower = _tridiagonals(H)
     energies, right, left, defect = pair_eigensystem(H, ham.grid.h)
     hnorm = max(1.0, float(np.max(np.abs(H))))
     r_right = np.max(np.abs(_tridiagonal_product(diag, upper, lower, right)

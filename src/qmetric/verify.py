@@ -7,6 +7,15 @@ and free-form metadata; reports serialize to JSON lines.
 Singular kernel parts enter matrix-level checks through their exact grid
 representation: the identity line as I/h and the parity line as P/h on
 the interior nodes.
+
+Factorisations: when that interior matrix M is exactly Hermitian (the
+oracle Hermitizes its metric, and the series keeps the kernels of the
+built-in models Hermitian bit for bit), positivity and invertibility both
+read one eigvalsh of M, which hermitian_eigenvalues computes once for
+both; the singular values are then |lambda|.  Any other M takes an SVD for invertibility.  The intertwining
+commutator H^dag M - M H is formed with banded products on the three
+diagonals of the finite-difference H, and the mass term mu^2(x, y) is
+evaluated from the node vectors, never from n x n meshes.
 """
 
 from __future__ import annotations
@@ -17,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qmetric.kernels import Grid, Kernel, hermiticity_defect
-from qmetric.potentials import PotentialSpec, eval_mass_term, eval_potential
-from qmetric.spectral import DiscretizedHamiltonian
+from qmetric.potentials import PotentialSpec, eval_mass_term
+from qmetric.spectral import DiscretizedHamiltonian, _tridiagonal_product, _tridiagonals
 
 __all__ = [
     "CheckReport",
     "kernel_matrix",
+    "hermitian_eigenvalues",
     "kg_residual",
     "pseudo_hermiticity_residual",
     "positivity_check",
@@ -70,6 +80,16 @@ def kernel_matrix(k: Kernel) -> np.ndarray:
     return M
 
 
+def hermitian_eigenvalues(k: Kernel) -> np.ndarray | None:
+    """Ascending eigenvalues of the interior matrix M, or None unless M == M^dag exactly.
+
+    positivity_check and invertibility_check both accept the result, so
+    one eigvalsh serves the two checks.
+    """
+    M = kernel_matrix(k)
+    return np.linalg.eigvalsh(M) if np.array_equal(M, M.conj().T) else None
+
+
 def _grids_match(a: Grid, b: Grid) -> bool:
     return a.n == b.n and abs(a.half_width - b.half_width) <= 1e-12 * max(1.0, a.half_width)
 
@@ -91,8 +111,8 @@ def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
         raise ValueError("kernel grid does not match the supplied grid")
     S = k.smooth
     h = grid.h
-    X, Y = grid.mesh()
-    mu2 = eval_mass_term(pot, X, Y)
+    nodes = grid.nodes
+    mu2 = eval_mass_term(pot, nodes[:, None], nodes[None, :])
     R = -(S[2:, 1:-1] - 2.0 * S[1:-1, 1:-1] + S[:-2, 1:-1]) / h**2 \
         + (S[1:-1, 2:] - 2.0 * S[1:-1, 1:-1] + S[1:-1, :-2]) / h**2 \
         + mu2[1:-1, 1:-1] * S[1:-1, 1:-1]
@@ -101,9 +121,9 @@ def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
     residual = float(np.max(np.abs(R[keep]))) if np.any(keep) else 0.0
     scale = max(k.sup_smooth, _TINY) * (4.0 / h**2 + float(np.max(np.abs(mu2))))
     diag_channel = float(np.abs(k.c_diag) * np.max(np.abs(eval_mass_term(
-        pot, grid.nodes, grid.nodes))))
+        pot, nodes, nodes))))
     anti_channel = float(np.abs(k.c_anti) * np.max(np.abs(eval_mass_term(
-        pot, grid.nodes, -grid.nodes))))
+        pot, nodes, -nodes))))
     return CheckReport(
         check="kg_residual",
         residual=residual,
@@ -115,12 +135,19 @@ def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
 
 def pseudo_hermiticity_residual(k: Kernel, ham: DiscretizedHamiltonian,
                                 tolerance: float = 1e-6) -> CheckReport:
-    """Sup norm of H^dag M - M H for the kernel's interior matrix M."""
+    """Sup norm of H^dag M - M H for the kernel's interior matrix M.
+
+    Both products are banded, on the three diagonals of H; raises
+    ValueError if H has a nonzero entry off them.
+    """
     if not _grids_match(k.grid, ham.grid):
         raise ValueError("kernel and Hamiltonian grids do not match")
     M = kernel_matrix(k)
     H = ham.matrix
-    comm = H.conj().T @ M - M @ H
+    diag, upper, lower = _tridiagonals(H)
+    # H^dag has diagonals (conj diag, conj lower, conj upper); M H = (H^T M^T)^T
+    comm = (_tridiagonal_product(diag.conj(), lower.conj(), upper.conj(), M)
+            - _tridiagonal_product(diag, lower, upper, M.T).T)
     residual = float(np.max(np.abs(comm)))
     denom = max(float(np.max(np.abs(M))), _TINY) * max(float(np.max(np.abs(H))), _TINY)
     relative = residual / denom
@@ -132,25 +159,28 @@ def pseudo_hermiticity_residual(k: Kernel, ham: DiscretizedHamiltonian,
         meta={"n": k.grid.n, "bc": ham.bc, "tolerance": tolerance})
 
 
-def positivity_check(k: Kernel, grid: Grid) -> CheckReport:
+def positivity_check(k: Kernel, grid: Grid,
+                     eigenvalues: np.ndarray | None = None) -> CheckReport:
     """Smallest eigenvalue of the Hermitized interior matrix.
 
     Passes when the spectrum is nonnegative within the eigensolver's
     rounding floor dim * eps * max_eigenvalue (rank-deficient but
     positive-semidefinite truncations are accepted; genuinely indefinite
     kernels fail).  The exact extreme eigenvalues are in the metadata.
+    eigenvalues, if given, is hermitian_eigenvalues(k); on an exactly
+    Hermitian M the Hermitized matrix is M itself.
     """
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
     defect = hermiticity_defect(k)
     if defect >= 1e-8:
         raise ValueError(f"kernel is not Hermitian (defect {defect:.3g})")
-    M = kernel_matrix(k)
-    M = 0.5 * (M + M.conj().T)
-    vals = np.linalg.eigvalsh(M)
-    lam_min = float(vals[0])
-    lam_max = float(vals[-1])
-    floor = M.shape[0] * np.finfo(float).eps * max(abs(lam_max), abs(lam_min))
+    if eigenvalues is None:
+        M = kernel_matrix(k)
+        eigenvalues = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    lam_min = float(eigenvalues[0])
+    lam_max = float(eigenvalues[-1])
+    floor = (k.grid.n - 2) * np.finfo(float).eps * max(abs(lam_max), abs(lam_min))
     residual = max(0.0, -lam_min)
     return CheckReport(
         check="positivity",
@@ -161,14 +191,24 @@ def positivity_check(k: Kernel, grid: Grid) -> CheckReport:
               "floor": floor})
 
 
-def invertibility_check(k: Kernel, grid: Grid,
-                        tolerance: float = 1e-10) -> CheckReport:
-    """Singular-value ratio sigma_min / sigma_max of the interior matrix."""
+def invertibility_check(k: Kernel, grid: Grid, tolerance: float = 1e-10,
+                        eigenvalues: np.ndarray | None = None) -> CheckReport:
+    """Singular-value ratio sigma_min / sigma_max of the interior matrix.
+
+    On an exactly Hermitian M the singular values are |lambda| for the
+    eigenvalues from hermitian_eigenvalues(k), passed in or computed here;
+    any other M takes an SVD.
+    """
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
-    s = np.linalg.svd(kernel_matrix(k), compute_uv=False)
-    sigma_max = float(s[0])
-    sigma_min = float(s[-1])
+    if eigenvalues is None:
+        eigenvalues = hermitian_eigenvalues(k)
+    if eigenvalues is None:
+        s = np.linalg.svd(kernel_matrix(k), compute_uv=False)
+        sigma_max, sigma_min = float(s[0]), float(s[-1])
+    else:
+        s = np.abs(eigenvalues)
+        sigma_max, sigma_min = float(s.max()), float(s.min())
     ratio = sigma_min / sigma_max if sigma_max > 0.0 else 0.0
     return CheckReport(
         check="invertibility",

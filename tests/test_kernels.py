@@ -385,3 +385,36 @@ def test_pgm_output(tmp_path):
     lines = path.read_text().splitlines()
     vals = np.array([int(v) for row in lines[4:] for v in row.split()])
     assert np.all(vals == 0)
+
+
+def _str_join_pgm(kernel, path):
+    """The per-pixel str() writer that kernel_to_pgm replaced."""
+    mag = np.abs(kernel.smooth)
+    lo, hi = float(mag.min()), float(mag.max())
+    if hi > lo:
+        img = np.rint(255.0 * (mag - lo) / (hi - lo)).astype(int)
+    else:
+        img = np.zeros_like(mag, dtype=int)
+    n = kernel.grid.n
+    with open(path, "w") as f:
+        f.write("P2\n")
+        f.write("# |smooth| min=" + FLOAT_FMT % lo + " max=" + FLOAT_FMT % hi + "\n")
+        f.write(f"{n} {n}\n255\n")
+        for row in img:
+            f.write(" ".join(str(v) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("case", ["random", "constant", "infinite"])
+def test_pgm_bytes_match_str_join_writer(tmp_path, case):
+    g = Grid(half_width=1.0, n=65)
+    rng = np.random.default_rng(41)
+    smooth = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+    if case == "constant":  # hi == lo: a black image
+        smooth = np.full((65, 65), 0.5 - 2.0j)
+    elif case == "infinite":  # inf pixels cast nan to an int outside 0..255
+        smooth[rng.random((65, 65)) < 0.02] = np.inf
+    k = smooth_kernel(g, smooth)
+    with np.errstate(invalid="ignore"):
+        kernel_to_pgm(k, tmp_path / "new.pgm")
+        _str_join_pgm(k, tmp_path / "old.pgm")
+    assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()

@@ -5,18 +5,29 @@ import json
 import numpy as np
 import pytest
 
+from qmetric.cli import KG_HEADROOM, _kg_tolerance, _run_checks
 from qmetric.closed_forms import square_well_eta1
 from qmetric.kernels import Grid, Kernel, identity_kernel, parity_kernel
 from qmetric.potentials import (
     Domain,
     PotentialSpec,
     constants_preset,
+    delta_potential,
     eval_mass_term,
+    scattering_potential,
     square_well,
 )
-from qmetric.spectral import DiscretizedHamiltonian, discretize, pair_eigensystem
+from qmetric.series import apply_K_to_identity
+from qmetric.spectral import (
+    DiscretizedHamiltonian,
+    biorthonormalize,
+    discretize,
+    pair_eigensystem,
+    spectral_metric,
+)
 from qmetric.verify import (
     CheckReport,
+    hermitian_eigenvalues,
     invertibility_check,
     kernel_matrix,
     kg_residual,
@@ -212,3 +223,161 @@ class TestInvertibility:
         rep = invertibility_check(square_well_eta1(0.1, grid, BT), grid)
         assert rep.passed
         assert rep.meta["sigma_max"] > 0.0
+
+
+def _hermitian_kernels():
+    """Kernels whose interior matrix is exactly Hermitian, by name."""
+    grid = Grid.for_box(np.pi, 65)
+    well = square_well(0.3, np.pi, BT)
+    rng = np.random.default_rng(37)
+    raw = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+    oracle = spectral_metric(biorthonormalize(discretize(well, grid)), 63)
+    return {
+        "identity": identity_kernel(grid),
+        "parity": Kernel(grid=grid, c_anti=2.0),
+        "k_delta": Kernel(grid=grid, c_diag=1.0,
+                          smooth=apply_K_to_identity(well, grid).smooth),
+        "random": Kernel(grid=grid, c_diag=1.0, smooth=0.002 * (raw + raw.conj().T)),
+        # spectrum across zero: the smallest |lambda| sits mid-spectrum
+        "indefinite": Kernel(grid=grid, c_diag=0.05, smooth=0.5 * (raw + raw.conj().T)),
+        "oracle": oracle,
+    }
+
+
+HERMITIAN_NAMES = ["identity", "parity", "k_delta", "random", "indefinite", "oracle"]
+
+
+def _svd_report(k, tolerance=1e-10):
+    """invertibility_check as it reads off a full SVD of the interior matrix."""
+    s = np.linalg.svd(kernel_matrix(k), compute_uv=False)
+    ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
+    return CheckReport(check="invertibility", residual=float(s[-1]), relative=float(ratio),
+                       passed=bool(ratio > tolerance),
+                       meta={"n": k.grid.n, "sigma_max": float(s[0]), "tolerance": tolerance})
+
+
+class TestSharedEigenSolve:
+    @pytest.mark.parametrize("name", HERMITIAN_NAMES)
+    def test_hermitian_singular_values_match_svd(self, name):
+        k = _hermitian_kernels()[name]
+        M = kernel_matrix(k)
+        assert np.array_equal(M, M.conj().T)
+        assert hermitian_eigenvalues(k) is not None
+        rep, ref = invertibility_check(k, k.grid), _svd_report(k)
+        assert rep.passed == ref.passed
+        for got, want in ((rep.residual, ref.residual), (rep.relative, ref.relative),
+                          (rep.meta["sigma_max"], ref.meta["sigma_max"])):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("name", HERMITIAN_NAMES)
+    def test_shared_eigenvalues_give_the_same_reports(self, name):
+        k = _hermitian_kernels()[name]
+        ev = hermitian_eigenvalues(k)
+        assert invertibility_check(k, k.grid, eigenvalues=ev) == invertibility_check(k, k.grid)
+        assert positivity_check(k, k.grid, eigenvalues=ev) == positivity_check(k, k.grid)
+
+    def test_non_hermitian_kernels_take_the_svd_path_bit_for_bit(self):
+        grid = Grid.for_box(np.pi, 65)
+        rng = np.random.default_rng(29)
+        raw = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+        kernels = [Kernel(grid=grid, c_diag=1.0 + 0.5j),
+                   Kernel(grid=grid, c_diag=1.0, smooth=0.01 * raw)]
+        for k in kernels:
+            assert hermitian_eigenvalues(k) is None
+            rep, ref = invertibility_check(k, grid), _svd_report(k)
+            assert rep.to_json_line() == ref.to_json_line()
+
+    def test_run_checks_makes_one_eigen_solve_and_no_svd(self, monkeypatch):
+        k = _hermitian_kernels()["k_delta"]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called on a Hermitian kernel")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        reports = _run_checks(["positivity", "invertibility"], k,
+                              square_well(0.3, np.pi, BT), k.grid)
+        assert [r.check for r in reports] == ["positivity", "invertibility"]
+        assert calls == [(63, 63)]
+
+
+class TestBandedCommutator:
+    def _dense(self, k, H):
+        M = kernel_matrix(k)
+        return float(np.max(np.abs(H.conj().T @ M - M @ H))), M
+
+    def test_matches_dense_products(self):
+        grid = Grid.for_box(np.pi, 65)
+        rng = np.random.default_rng(31)
+        m = grid.n - 2
+        tri = (np.diag(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+               + np.diag(rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1), 1)
+               + np.diag(rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1), -1))
+        hams = [discretize(square_well(0.3, np.pi, BT), grid),
+                discretize(delta_potential([(-0.5, 0.7), (0.25, -0.4)], NAT), grid),
+                DiscretizedHamiltonian(grid=grid, matrix=tri, bc="dirichlet")]
+        raw = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+        kernels = list(_hermitian_kernels().values()) + [Kernel(grid=grid, c_diag=0.5j,
+                                                                smooth=raw)]
+        for ham in hams:
+            for k in kernels:
+                dense, M = self._dense(k, ham.matrix)
+                bound = (grid.n - 2) * np.finfo(float).eps \
+                    * np.max(np.abs(ham.matrix)) * np.max(np.abs(M))
+                rep = pseudo_hermiticity_residual(k, ham)
+                assert abs(rep.residual - dense) <= bound
+
+    def test_rejects_entries_off_the_three_diagonals(self):
+        grid = Grid.for_box(np.pi, 33)
+        ham = discretize(square_well(0.3, np.pi, BT), grid)
+        ham.matrix[2, 0] = 1e-3
+        with pytest.raises(ValueError, match="not tridiagonal"):
+            pseudo_hermiticity_residual(identity_kernel(grid), ham)
+
+
+class TestMassTermFromNodes:
+    @staticmethod
+    def _mesh_kg_residual(k, pot, grid, tolerance=1e-8, band_exclude=2):
+        """kg_residual with mu^2 evaluated on grid.mesh()."""
+        S, h = k.smooth, grid.h
+        X, Y = grid.mesh()
+        mu2 = eval_mass_term(pot, X, Y)
+        R = -(S[2:, 1:-1] - 2.0 * S[1:-1, 1:-1] + S[:-2, 1:-1]) / h**2 \
+            + (S[1:-1, 2:] - 2.0 * S[1:-1, 1:-1] + S[1:-1, :-2]) / h**2 \
+            + mu2[1:-1, 1:-1] * S[1:-1, 1:-1]
+        ii = np.arange(1, grid.n - 1)
+        keep = np.abs(ii[:, None] - ii[None, :]) > band_exclude
+        residual = float(np.max(np.abs(R[keep])))
+        scale = max(k.sup_smooth, 1e-300) * (4.0 / h**2 + float(np.max(np.abs(mu2))))
+        diag = float(np.abs(k.c_diag) * np.max(np.abs(eval_mass_term(pot, grid.nodes,
+                                                                      grid.nodes))))
+        anti = float(np.abs(k.c_anti) * np.max(np.abs(eval_mass_term(pot, grid.nodes,
+                                                                      -grid.nodes))))
+        return CheckReport(check="kg_residual", residual=residual, relative=residual / scale,
+                           passed=residual <= tolerance,
+                           meta={"n": grid.n, "band_exclude": band_exclude,
+                                 "tolerance": tolerance, "identity_channel": diag,
+                                 "parity_channel": anti})
+
+    def test_report_and_tolerance_equal_the_mesh_reference(self):
+        well_grid = Grid.for_box(np.pi, 65)
+        line_grid = Grid(half_width=2.0, n=65)
+        cases = [(square_well(0.1, np.pi, BT), well_grid,
+                  square_well_eta1(0.1, well_grid, BT)),
+                 (real_well(), well_grid, _hermitian_kernels()["random"]),
+                 (scattering_potential(0.2, 1.0, NAT), line_grid,
+                  Kernel(grid=line_grid, c_diag=1.0, c_anti=0.5,
+                         smooth=np.outer(np.cos(line_grid.nodes), np.sin(line_grid.nodes))))]
+        for pot, grid, k in cases:
+            X, Y = grid.mesh()
+            mu_sup = float(np.max(np.abs(eval_mass_term(pot, X, Y))))
+            tol = _kg_tolerance(pot, grid, k)
+            assert tol == max(1e-8, KG_HEADROOM * mu_sup * k.sup_smooth)
+            got = kg_residual(k, pot, grid, tolerance=tol)
+            assert got.to_json_line() == self._mesh_kg_residual(k, pot, grid, tol).to_json_line()
