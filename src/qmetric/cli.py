@@ -327,7 +327,9 @@ def cmd_verify(args) -> int:
     grid = kernel.grid
     if args.n is not None and args.n != grid.n:
         raise ValueError(f"--n {args.n} does not match the stored kernel grid n={grid.n}")
-    if args.extent is not None and abs(args.extent - grid.half_width) > 1e-12:
+    # the stored half-width is %.12e text, so it is compared relatively
+    if (args.extent is not None
+            and abs(args.extent - grid.half_width) > 1e-12 * max(1.0, grid.half_width)):
         raise ValueError(f"--extent {args.extent} does not match the stored kernel "
                          f"half-width {grid.half_width}")
     names = [p.strip() for p in args.checks.split(",") if p.strip()]

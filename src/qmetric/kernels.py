@@ -283,6 +283,9 @@ _SPLITTER = 134217729.0  # 2^27 + 1
 _FIELD = 20  # the widest FLOAT_FMT field, -d.dddddddddddde-ddd
 # columns: sign, leading digit, point, 12 digits, e, exponent sign, 3 digits
 _TEMPLATE = np.frombuffer(b"-0.000000000000e+000", dtype=np.uint8)
+# FLOAT_FMT % 0.0 is _TEMPLATE without the sign and the exponent's hundreds digit
+_ZERO_PRESENT = np.ones(_FIELD, dtype=bool)
+_ZERO_PRESENT[[0, 17]] = False
 _BLOCK_ROWS = 32  # grid rows per written block: a 1.4 MB line buffer at n = 513
 
 
@@ -393,7 +396,11 @@ def _write_rows(f, nodes: np.ndarray, values: np.ndarray) -> None:
     values[i] holds re, im of every (nodes[i], y) in turn.  Each line is
     laid out in four fixed columns of a field and its separator, with a
     presence mask beside it; a block of _BLOCK_ROWS grid rows is written
-    as buf[mask].
+    as buf[mask].  The re and im columns of a block are formatted apart.
+    A column that is +0.0 throughout the block, with no sign bit set, gets
+    the constant field of FLOAT_FMT % 0.0 without a formatter call: the
+    iterates of a real or imaginary potential are real or imaginary, so
+    one of their columns is zero everywhere.  The bytes are the same.
     """
     n = len(nodes)
     node_chars, node_present = _format_values(nodes)
@@ -406,7 +413,13 @@ def _write_rows(f, nodes: np.ndarray, values: np.ndarray) -> None:
         rows = slice(i, i + _BLOCK_ROWS)
         m = len(nodes[rows])
         fields[:m, :, 0], present[:m, :, 0] = node_chars[rows, None], node_present[rows, None]
-        fields[:m, :, 2:], present[:m, :, 2:] = _format_values(values[rows].reshape(m, n, 2))
+        block = values[rows].reshape(m, n, 2)
+        for c in (2, 3):
+            part = block[..., c - 2]
+            if part.view(np.uint64).any():
+                fields[:m, :, c], present[:m, :, c] = _format_values(part)
+            else:
+                fields[:m, :, c], present[:m, :, c] = _TEMPLATE, _ZERO_PRESENT
         f.write(buf[:m][mask[:m]].tobytes())
 
 
@@ -431,6 +444,13 @@ def kernel_to_csv(kernel: Kernel, path) -> None:
 
 
 def kernel_from_csv(path) -> Kernel:
+    """Read a kernel written by kernel_to_csv.
+
+    Raises:
+        ValueError: for a malformed header, a row that is not four numbers,
+            a wrong row count, or a row whose x,y lie more than h/4 from the
+            grid nodes of its place in the x-outer order.
+    """
     with open(path) as f:
         lines = [f.readline().rstrip("\n") for _ in range(4)]
     try:
@@ -447,6 +467,22 @@ def kernel_from_csv(path) -> Kernel:
         raise ValueError(f"malformed kernel CSV: {exc}") from exc
     if data.shape != (grid.n * grid.n, 4):
         raise ValueError(f"kernel CSV has {data.shape[0]} rows, expected {grid.n * grid.n}")
+    # row i n + j must sit at (x_i, y_j): a y-outer file would load transposed.
+    # The distances of a block of grid rows go through one buffer that stays
+    # in cache; fresh n x n arrays cost twice as much in a new process.
+    nodes, tol = grid.nodes, 0.25 * grid.h
+    xy = data[:, :2].reshape(grid.n, grid.n, 2)
+    buf = np.empty((_BLOCK_ROWS, grid.n))
+    for i in range(0, grid.n, _BLOCK_ROWS):
+        block = xy[i:i + _BLOCK_ROWS]
+        off = buf[:len(block)]
+        for axis, expected in enumerate((nodes[i:i + _BLOCK_ROWS, None], nodes)):
+            np.abs(np.subtract(block[..., axis], expected, out=off), out=off)
+            if not off.max() <= tol:  # a nan fails too
+                k = i * grid.n + int(np.argmin(off <= tol))
+                raise ValueError(f"malformed kernel CSV: row {k + 1} has x,y = "
+                                 f"{data[k, 0]!r},{data[k, 1]!r}, expected the x-outer "
+                                 f"node {nodes[k // grid.n]!r},{nodes[k % grid.n]!r}")
     smooth = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(grid.n, grid.n)
     return Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=smooth)
 

@@ -18,6 +18,18 @@ x + y - a and +-(x - y) + a depend on i + j or i - j alone, so each slice
 antiderivative is evaluated once on the 2n - 1 difference-grid nodes
 and read back over the square as a Hankel or Toeplitz view.
 
+K weights eta by v(r) in its first term and by conj(v(s)) in the second,
+so an imaginary potential (the square well, the scattering barrier and
+imaginary point couplings) maps a real Hermitian kernel to an imaginary
+one and back, and a real potential keeps either: from the identity seed
+every iterate is purely real or purely imaginary.  When the component
+the input lacks is exactly zero, the characteristic quadrature and the
+slice rule run on the other one in float64 and write the result into the
+component the phase selects.  Every nonzero value is then the same
+rounded product or sum as in complex arithmetic, and every zero is +0.0
+as the complex accumulation leaves it, so the bytes do not change.  Any
+other input runs the same code in complex128.
+
 Evaluations outside the grid square treat the kernel as zero.  For a
 box domain that is exact (the kernel vanishes at and beyond the walls);
 on the full line it is a truncation, counted per evaluation (per
@@ -175,8 +187,9 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
     """
     n, h = grid.n, grid.h
     width = 2 * n - 1
-    prefix = np.empty((3 * n - 2, width), dtype=complex)
-    acc = np.empty((width, n), dtype=complex)
+    dtype = np.result_type(S, w)
+    prefix = np.empty((3 * n - 2, width), dtype=dtype)
+    acc = np.empty((width, n), dtype=dtype)
     node, mid = prefix[:, 0::2], prefix[:, 1::2]
     node[:n] = 0.0
     np.cumsum(0.5 * h * (S[:-1] + S[1:]), axis=0, out=node[n:width])
@@ -185,9 +198,9 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
     mid *= 0.5
     mid[n - 1:width - 1] += h / 16 * (3 * (S[:-1, :-1] + S[:-1, 1:]) + S[1:, :-1] + S[1:, 1:])
     c = np.flatnonzero(w[3])  # split cells, where g3 = (h/2) twist enters
-    twist = np.zeros((3 * n - 2, c.size), dtype=complex)
+    twist = np.zeros((3 * n - 2, c.size), dtype=S.dtype)
     twist[n - 1:width - 1] = S[1:, c + 1] - S[:-1, c + 1] - S[1:, c] + S[:-1, c]
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=dtype)
     cells = acc[:, 1:]
     # sgn = -1: t = x+y-r, the cell spans s-rows u-c-1 (lam = 1) to u-c; read at u = i+j.
     # sgn = +1: t = x-y+r, it spans u+c-n+1 (lam = 0) to u+c-n+2; read at u = i-j+n-1.
@@ -207,16 +220,46 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
     return out
 
 
+def _one_component(a: np.ndarray):
+    """(part, phase) with a = phase * part, part real and phase 1 or 1j, when
+    one component of a is zero throughout; (a, None) otherwise."""
+    if not a.imag.any():
+        return np.ascontiguousarray(a.real), 1
+    if not a.real.any():
+        return np.ascontiguousarray(a.imag), 1j
+    return a, None
+
+
 def _hermitian_image(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> np.ndarray:
     """Both characteristic terms of K on a Hermitian S, as T + T^dag.
 
     The second term is the first one evaluated on S^T = conj(S) with the
     conjugate weights, then transposed; the term is built from real
     operations, so that is conj(T)^T = T^dag bit for bit.
+
+    When S and the weights each have one component, S = s_phase s and
+    w = w_phase v with s, v real, the term is T = p t with p = s_phase
+    w_phase in {1, i, -1} and t the term of s and v, computed in float64.
+    The image is then t + t^T, i (t - t^T) or -(t + t^T), with the bits
+    the complex arithmetic gives: every nonzero value is the same
+    rounded product or sum, and every zero is +0.0.
     """
-    term = _characteristic_term(S, w, grid, j0)
-    term += term.conj().T
-    return term
+    s, s_phase = _one_component(S)
+    v, w_phase = _one_component(w)
+    if s_phase is None or w_phase is None:
+        term = _characteristic_term(S, w, grid, j0)
+        term += term.conj().T
+        return term
+    t = _characteristic_term(s, v, grid, j0)
+    out = np.zeros(S.shape, dtype=complex)
+    phase = s_phase * w_phase
+    if phase == 1j:
+        np.subtract(t, t.T, out=out.imag)
+    elif phase == 1:
+        np.add(t, t.T, out=out.real)
+    else:  # 0 - x, not -x, so that a zero sum stays +0.0
+        np.subtract(0.0, t + t.T, out=out.real)
+    return out
 
 
 def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
@@ -275,17 +318,19 @@ class _SliceModel:
                        np.searchsorted(kn, cuts + atol, side="right")])
         hi = lo + 1
         has_lo, has_hi = (lo >= 0) & (lo < m), (hi >= 0) & (hi < m)
-        limits = np.zeros(lo.shape, dtype=complex)
+        limits = np.zeros(lo.shape, dtype=np.result_type(vals, 1.0))
         limits[has_hi] = kv[hi[has_hi]]
         limits[has_lo] = kv[lo[has_lo]]
         both = has_lo & has_hi
         a, b, c = lo[both], hi[both], np.broadcast_to(cuts, lo.shape)[both]
-        limits[both] = kv[a] + (kv[b] - kv[a]) * (c - kn[a]) / (kn[b] - kn[a])
+        # numpy divides a complex array by a real one as a product with the
+        # reciprocal, so that product gives real and complex slices equal bits
+        limits[both] = kv[a] + (kv[b] - kv[a]) * (c - kn[a]) * (1.0 / (kn[b] - kn[a]))
         at = np.repeat(np.searchsorted(kn, cuts), 2)
         self.t = np.insert(kn, at, np.repeat(cuts, 2))
-        self.w = np.insert(kv.astype(complex), at, limits.T.ravel())
+        self.w = np.insert(kv.astype(limits.dtype), at, limits.T.ravel())
         widths = np.diff(self.t)
-        self.cum = np.zeros(len(self.t), dtype=complex)
+        self.cum = np.zeros(len(self.t), dtype=limits.dtype)
         self.cum[1:] = np.cumsum(0.5 * (self.w[:-1] + self.w[1:]) * widths)
 
     def antiderivative(self, t) -> np.ndarray:
@@ -326,6 +371,11 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     such as x + y = 2 a_n, so they stay on the x_i + y_j mesh.  That mesh,
     x + y, x - y, y - x and their coupling-independent steps are built
     once per call, and only when a singular part is present.
+
+    A finite smooth part that is exactly real or exactly imaginary is
+    sliced in float64.  The factor iz_n/2 is imaginary, so the image of a
+    real part is added to the imaginary half of the result and that of an
+    imaginary part, negated, to the real half.
     """
     _check_grid_domain(pot, grid)
     n, h, half = grid.n, grid.h, grid.half_width
@@ -336,7 +386,10 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     clamped = 0
     count = not pot.domain.is_box
     locations = [a for a, _ in pot.deltas]
-    smooth = kernel.sup_smooth > 0.0
+    sup = kernel.sup_smooth
+    S, phase = kernel.smooth, None
+    if sup > 0.0 and np.isfinite(sup):  # complex arithmetic turns inf into nan
+        S, phase = _one_component(S)
     if kernel.c_diag != 0.0 or kernel.c_anti != 0.0:
         X, Y = grid.mesh()
         # the coupling-independent meshes of the singular-part steps
@@ -354,12 +407,12 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
             out += kernel.c_anti * (0.5j * z) * (
                 unit_step(Y - a) * (step_x_plus_y - unit_step(x_minus_y + 2.0 * a))
                 - unit_step(X - a) * (step_x_plus_y - unit_step(y_minus_x + 2.0 * a)))
-        if smooth:
+        if sup > 0.0:
             pos = np.clip((a + half) / h, 0.0, n - 1.0)
             ja = int(min(int(pos), n - 2))
             lam = pos - ja
-            col = (1.0 - lam) * kernel.smooth[:, ja] + lam * kernel.smooth[:, ja + 1]
-            row = (1.0 - lam) * kernel.smooth[ja, :] + lam * kernel.smooth[ja + 1, :]
+            col = (1.0 - lam) * S[:, ja] + lam * S[:, ja + 1]
+            row = (1.0 - lam) * S[ja, :] + lam * S[ja + 1, :]
             # jump lines of earlier iterates cross this slice at the coupling
             # locations and at their reflections through x + y = 2 a_m
             cuts = set(locations) | {2.0 * b - a for b in locations}
@@ -376,7 +429,13 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
             I1 = _skew(col_sum, 0, (n, n), (1, 1)) - _skew(col_dif, n - 1, (n, n), (1, -1))
             I2 = _skew(row_sum, 0, (n, n), (1, 1)) - _skew(row_dif, n - 1, (n, n), (-1, 1))
             step = unit_step(nodes - a)
-            out += (0.5j * z) * (step * I1 - step[:, None] * I2)
+            image = step * I1 - step[:, None] * I2
+            if phase is None:
+                out += (0.5j * z) * image
+            elif phase == 1:  # (iz/2) s lands in the imaginary part
+                out.imag += (0.5 * z) * image
+            else:  # (iz/2) i s = -(z/2) s
+                out.real -= (0.5 * z) * image
     if stats is not None:
         stats["truncated_evals"] = stats.get("truncated_evals", 0) + clamped
     return Kernel(grid=grid, smooth=out)

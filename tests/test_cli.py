@@ -305,6 +305,31 @@ class TestVerify:
         assert run("verify", "--model", "square-well", "--n", "33",
                    "--out", str(out)) == 2
 
+    def test_extent_matches_its_own_stored_half_width(self, tmp_path, capsys):
+        # the header keeps 13 digits of the half-width, 1.234567890123e+01
+        out = tmp_path / "run"
+        model = ("--model", "deltas", "--deltas", "0.5:0", "--extent", "12.345678901234567")
+        assert run("compute", *model, "--n", "65", "--order", "1", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("verify", *model, "--checks", "invertibility", "--out", str(out)) == 0
+        assert "does not match" not in capsys.readouterr().err
+        assert run("verify", *model[:4], "--extent", "12.3456789013", "--checks",
+                   "invertibility", "--out", str(out)) == 2
+
+    def test_y_outer_kernel_csv_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        out.mkdir()
+        grid = Grid.for_box(np.pi, 33)
+        kernel_to_csv(square_well_eta1(0.3, grid, BT), out / "kernel.csv")
+        lines = (out / "kernel.csv").read_text().splitlines(keepends=True)
+        rows = lines[4:]
+        (out / "kernel.csv").write_text("".join(lines[:4]) + "".join(
+            rows[i * grid.n + j] for j in range(grid.n) for i in range(grid.n)))
+        capsys.readouterr()
+        assert run("verify", "--model", "square-well", "--zeta", "0.3", "--checks", "kg",
+                   "--out", str(out)) == 2
+        assert "malformed kernel CSV" in capsys.readouterr().err
+
     def test_unknown_check_name(self, tmp_path):
         out = tmp_path / "v"
         out.mkdir()

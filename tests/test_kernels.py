@@ -355,6 +355,111 @@ def test_row_blocks_match_savetxt(n):
     assert out.getvalue() == ref.getvalue()
 
 
+def one_component_kernels():
+    """Kernels with a column that is zero in all, some or none of their 32-row blocks."""
+    g = Grid(half_width=1.3, n=65)
+    rng = np.random.default_rng(13)
+    a, b = rng.standard_normal((2, g.n, g.n))
+    negative_zero = np.zeros((g.n, g.n), dtype=complex)
+    negative_zero[40, 7] = complex(0.0, -0.0)
+    one_block = a + 1j * b
+    one_block[kernels._BLOCK_ROWS:2 * kernels._BLOCK_ROWS].imag = 0.0
+    zero_re = np.zeros((g.n, g.n), dtype=complex)
+    zero_re.imag = b  # 1j * b would give -0.0 real parts where b < 0
+    return g, {
+        "zero_re": zero_re,
+        "zero_im": a + 0j,
+        "all_zero": np.zeros((g.n, g.n), dtype=complex),
+        "negative_zero": negative_zero,
+        "zero_in_one_block": one_block,
+    }
+
+
+@pytest.mark.parametrize("case", ["zero_re", "zero_im", "all_zero", "negative_zero",
+                                  "zero_in_one_block"])
+def test_csv_zero_columns_match_savetxt(tmp_path, case):
+    g, smooth = one_component_kernels()
+    k = Kernel(grid=g, c_diag=1.0, smooth=smooth[case])
+    kernel_to_csv(k, tmp_path / "new.csv")
+    _savetxt_reference(k, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_formats_only_nonzero_columns(tmp_path, monkeypatch):
+    # n = 65 is three blocks; the nodes take one call
+    g, smooth = one_component_kernels()
+    sizes = []
+    format_values = kernels._format_values
+
+    def recording(values):
+        sizes.append(np.size(values))
+        return format_values(values)
+
+    monkeypatch.setattr(kernels, "_format_values", recording)
+    expected = {"zero_re": 3, "all_zero": 0, "negative_zero": 1, "zero_in_one_block": 5}
+    for case, calls in expected.items():
+        sizes.clear()
+        kernel_to_csv(Kernel(grid=g, smooth=smooth[case]), tmp_path / "k.csv")
+        assert len(sizes) == 1 + calls, case
+        assert sizes[0] == g.n
+
+
+def _rewrite_rows(path, rows):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:4]) + "".join(rows(lines[4:])))
+
+
+def test_csv_rejects_y_outer_file(tmp_path):
+    g = Grid(half_width=1.5, n=33)
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n))
+    path = tmp_path / "kernel.csv"
+    kernel_to_csv(Kernel(grid=g, smooth=s), path)
+    # every row keeps its own x,y; only the loop order changes
+    _rewrite_rows(path, lambda rows: [rows[i * g.n + j] for j in range(g.n) for i in range(g.n)])
+    with pytest.raises(ValueError, match="malformed kernel CSV: .*x-outer"):
+        kernel_from_csv(path)
+
+
+@pytest.mark.parametrize("edit, row", [("swap", 41), ("swap", 33 * 33 - 1), ("nan", 41)],
+                         ids=["swapped_pair", "swapped_pair_last_block", "nan_node"])
+def test_csv_rejects_misplaced_row(tmp_path, edit, row):
+    # n = 33 spans two blocks of grid rows; the last pair sits in the second
+    g = Grid(half_width=1.5, n=33)
+    path = tmp_path / "kernel.csv"
+    kernel_to_csv(identity_kernel(g), path)
+
+    def misplace(rows):
+        if edit == "swap":
+            rows[row - 1], rows[row] = rows[row], rows[row - 1]
+        else:
+            rows[row - 1] = "nan," + rows[row - 1].split(",", 1)[1]
+        return rows
+
+    _rewrite_rows(path, misplace)
+    with pytest.raises(ValueError, match=f"malformed kernel CSV: row {row} "):
+        kernel_from_csv(path)
+
+
+def test_csv_accepts_rounded_nodes(tmp_path):
+    g = Grid.for_box(np.pi, 33)  # nodes that six decimals do not spell exactly
+    rng = np.random.default_rng(9)
+    s = rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n))
+    path = tmp_path / "kernel.csv"
+    kernel_to_csv(Kernel(grid=g, smooth=s), path)
+    exact = kernel_from_csv(path)
+
+    def six_decimals(rows):
+        out = []
+        for row in rows:
+            x, y, re, im = row.split(",")
+            out.append("%.6f,%.6f,%s,%s" % (float(x), float(y), re, im))
+        return out
+
+    _rewrite_rows(path, six_decimals)
+    assert kernel_from_csv(path).smooth.tobytes() == exact.smooth.tobytes()
+
+
 @pytest.mark.parametrize("columns", [3, 5], ids=["three_columns", "five_columns"])
 def test_csv_rejects_ragged_row(tmp_path, columns):
     path = tmp_path / "ragged.csv"

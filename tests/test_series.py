@@ -574,6 +574,157 @@ class TestSliceModel:
         assert np.array_equal(model.cum, cum)
 
 
+def complex_smooth_reference(S, pot, grid):
+    """apply_K_smooth with S and the cell weights held as complex128 throughout."""
+    j0 = int(np.argmin(np.abs(grid.nodes - CFG.r0)))
+    w = series._cell_weights(pot, grid).astype(complex)
+
+    def image(H):
+        term = series._characteristic_term(H.astype(complex), w, grid, j0)
+        term += term.conj().T
+        return term
+
+    adjoint = S.conj().T
+    if np.array_equal(S, adjoint):
+        out = image(S)
+    else:
+        out = image(0.5 * (S + adjoint))
+        out += 1j * image(-0.5j * (S - adjoint))
+    out *= pot.constants.mass / pot.constants.hbar**2
+    return out
+
+
+def complex_delta_reference(kernel, pot, grid):
+    """The difference-grid slice rule with every slice held as complex128."""
+    n, h, half = grid.n, grid.h, grid.half_width
+    nodes, diff = grid.nodes, grid.diff_nodes
+    X, Y = grid.mesh()
+    S = kernel.smooth.astype(complex)
+    out = np.zeros((n, n), dtype=complex)
+    locations = [a for a, _ in pot.deltas]
+    skew = series._skew
+    for a, zeta in pot.deltas:
+        z = pot.constants.c0 * zeta
+        if kernel.c_diag != 0.0:
+            out += kernel.c_diag * (0.5j * z) * unit_step(X + Y - 2.0 * a) * np.sign(Y - X)
+        if kernel.sup_smooth > 0.0:
+            pos = np.clip((a + half) / h, 0.0, n - 1.0)
+            ja = int(min(int(pos), n - 2))
+            lam = pos - ja
+            col = (1.0 - lam) * S[:, ja] + lam * S[:, ja + 1]
+            row = (1.0 - lam) * S[ja, :] + lam * S[ja + 1, :]
+            cuts = set(locations) | {2.0 * b - a for b in locations}
+            col_model = series._SliceModel(nodes, col, cuts)
+            row_model = series._SliceModel(nodes, row, cuts)
+            t_sum, t_dif = diff - a, diff + a
+            I1 = (skew(col_model.antiderivative(t_sum), 0, (n, n), (1, 1))
+                  - skew(col_model.antiderivative(t_dif), n - 1, (n, n), (1, -1)))
+            I2 = (skew(row_model.antiderivative(t_sum), 0, (n, n), (1, 1))
+                  - skew(row_model.antiderivative(t_dif), n - 1, (n, n), (-1, 1)))
+            step = unit_step(nodes - a)
+            out += (0.5j * z) * (step * I1 - step[:, None] * I2)
+    return out
+
+
+def record_dtypes(monkeypatch):
+    """Patch the characteristic term and the slice model to record the dtypes they get."""
+    seen = []
+    term, init = series._characteristic_term, series._SliceModel.__init__
+
+    def recording_term(S, w, grid, j0):
+        seen.append(np.result_type(S, w))
+        return term(S, w, grid, j0)
+
+    def recording_init(model, nodes, vals, cuts):
+        seen.append(vals.dtype)
+        init(model, nodes, vals, cuts)
+
+    monkeypatch.setattr(series, "_characteristic_term", recording_term)
+    monkeypatch.setattr(series._SliceModel, "__init__", recording_init)
+    return seen
+
+
+def real_well(half_width=0.5 * np.pi):
+    return PotentialSpec(constants=BT, domain=Domain.box(2.0 * half_width),
+                         segments=(((-half_width, 0.3), 1.0), ((0.3, half_width), -0.5)))
+
+
+def complex_well(half_width=0.5 * np.pi):
+    return PotentialSpec(constants=BT, domain=Domain.box(2.0 * half_width),
+                         segments=(((-half_width, 0.3), 0.4 - 0.7j),
+                                   ((0.3, half_width), -0.5 + 0.2j)))
+
+
+def smooth_inputs(n, seed):
+    """Real, imaginary and general inputs, Hermitian and not, some with exact zeros."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, n, n))
+    sym, anti = a + a.T, b - b.T
+    return {
+        "real_hermitian": sym + 0j,
+        "imaginary_hermitian": 1j * anti,
+        "general_hermitian": sym + 1j * anti,
+        "real_sparse": np.where(np.abs(sym) > 1.0, sym, 0.0) + 0j,
+        "imaginary_sparse": 1j * np.where(np.abs(anti) > 1.0, anti, 0.0),
+        "real_non_hermitian": a + 0j,
+        "imaginary_non_hermitian": 1j * b,
+        "general_non_hermitian": a + 1j * b,
+    }
+
+
+class TestOneComponentArithmetic:
+    """Real or imaginary inputs run in float64 with the bits of the complex path."""
+
+    @pytest.mark.parametrize("pot", [square_well(0.6, np.pi, BT), real_well(), complex_well()],
+                             ids=["imaginary_well", "real_well", "complex_well"])
+    def test_smooth_matches_complex_reference(self, pot):
+        grid = Grid.for_box(np.pi, 49)
+        inputs = smooth_inputs(grid.n, 41)
+        state = neumann_series(SeedPair.zero(), pot, KConfig(max_order=3), grid)
+        inputs.update({f"iterate_{k}": it.smooth for k, it in enumerate(state.iterates[1:], 1)})
+        for name, S in inputs.items():
+            out = apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid).smooth
+            assert out.tobytes() == complex_smooth_reference(S, pot, grid).tobytes(), name
+
+    @pytest.mark.parametrize("half_width, n", [(2.0, 129), (1.7, 101)],
+                             ids=["dyadic", "non_dyadic"])
+    @pytest.mark.parametrize("couplings", [
+        [(0.5, 0.8), (-0.355, 0.6), (0.0, -0.3)],
+        [(0.5, 0.4), (-0.5, -0.4)],
+    ], ids=["three", "pt_pair"])
+    def test_delta_rule_matches_complex_reference(self, half_width, n, couplings):
+        # an off-node coupling and negative strengths; the pt pair's slice
+        # limits interpolate between nodes, where a real division would round
+        # differently from numpy's complex one
+        grid = Grid(half_width=half_width, n=n)
+        pot = delta_potential(couplings, NAT)
+        inputs = smooth_inputs(n, 43)
+        state = neumann_series(SeedPair.zero(), pot, KConfig(max_order=3), grid)
+        inputs.update({f"iterate_{k}": it.smooth for k, it in enumerate(state.iterates[1:], 1)})
+        kernels = {name: smooth_kernel(grid, S) for name, S in inputs.items()}
+        kernels["identity_plus_real"] = Kernel(grid=grid, c_diag=1.0,
+                                               smooth=inputs["real_hermitian"])
+        infinite = inputs["imaginary_hermitian"].copy()
+        infinite.imag[n // 2, n // 3] = np.inf  # complex arithmetic makes nan of it
+        kernels["imaginary_with_inf"] = smooth_kernel(grid, infinite)
+        for name, kernel in kernels.items():
+            with np.errstate(invalid="ignore"):
+                out = apply_K_delta_rule(kernel, pot, grid).smooth
+                ref = complex_delta_reference(kernel, pot, grid)
+            assert out.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("pot, grid, dtype", [
+        (square_well(0.6, np.pi, BT), Grid.for_box(np.pi, 49), np.float64),
+        (delta_potential([(0.5, 0.8), (-0.355, 0.6)], NAT), Grid(half_width=2.0, n=65),
+         np.float64),
+        (complex_well(), Grid.for_box(np.pi, 49), np.complex128),
+    ], ids=["imaginary_well", "point_couplings", "complex_well"])
+    def test_iterates_reach_the_engine_as(self, monkeypatch, pot, grid, dtype):
+        seen = record_dtypes(monkeypatch)
+        neumann_series(SeedPair.zero(), pot, KConfig(max_order=4), grid)
+        assert seen and all(d == dtype for d in seen), seen
+
+
 class TestDispatch:
     def test_parity_under_segments_unsupported(self):
         grid = Grid.for_box(np.pi, 41)
