@@ -348,6 +348,13 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     pot, doc = _build_potential(args)
     grid = _build_grid(args, pot, doc)
+    series_kernel = None
+    if args.cross_check:  # read first: a bad kernel fails before anything is written
+        series_kernel = kernel_from_csv(args.cross_check)
+        if (series_kernel.grid.n != grid.n
+                or abs(series_kernel.grid.half_width - grid.half_width)
+                > 1e-9 * max(1.0, grid.half_width)):
+            raise ValueError("cross-check kernel grid does not match the oracle grid")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -371,12 +378,7 @@ def cmd_oracle(args) -> int:
     }
 
     failed = False
-    if args.cross_check:
-        series_kernel = kernel_from_csv(args.cross_check)
-        if (series_kernel.grid.n != grid.n
-                or abs(series_kernel.grid.half_width - grid.half_width)
-                > 1e-9 * max(1.0, grid.half_width)):
-            raise ValueError("cross-check kernel grid does not match the oracle grid")
+    if series_kernel is not None:
         diff = Kernel(grid=grid,
                       c_diag=series_kernel.c_diag - metric.c_diag,
                       c_anti=series_kernel.c_anti - metric.c_anti,

@@ -14,12 +14,18 @@ make the seed Hermitian.
 Kernel artifacts are written by kernel_to_csv and kernel_to_pgm; a batch
 of them goes through write_kernel_files, which runs the writers in forked
 worker processes, one per available CPU, and writes the same bytes.
+kernel_from_csv parses the data rows of a large file on every available
+CPU: each forked worker parses one row range with np.loadtxt into shared
+memory, so the array is the one a single np.loadtxt gives.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import mmap
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,8 +68,9 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        # 2 half_width is the box length, and h and the nodes come from it
+        if not (self.half_width > 0.0 and math.isfinite(2.0 * self.half_width)):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.n < _MIN_N:
             raise ValueError(f"n must be at least {_MIN_N}, got {self.n}")
         if self.n % 2 == 0:
@@ -443,8 +450,83 @@ def kernel_to_csv(kernel: Kernel, path) -> None:
         _write_rows(f, g.nodes, values)
 
 
+# A forked worker must parse at least this many rows to pay for its fork and
+# reap, about 3 ms, the parse time of some 4k rows.
+_MIN_WORKER_ROWS = 4096
+# np.loadtxt tokenizes the lines that skiprows skips at about this share of
+# their full parse time.
+_SKIP_COST = 0.18
+
+
+def _row_starts(rows: int, parts: int) -> list:
+    """The parts + 1 bounds of `parts` row ranges that take equal times to parse.
+
+    Range k costs its own rows plus _SKIP_COST times the rows it skips, so
+    with q = 1 - _SKIP_COST equal costs start range k at
+    rows (1 - q^k) / (1 - q^parts).  Two ranges split about 55 : 45.
+    """
+    q = 1.0 - _SKIP_COST
+    return [round(rows * (1.0 - q**k) / (1.0 - q**parts)) for k in range(parts + 1)]
+
+
+def _parse_rows(path, start: int, stop: int, to_end: bool) -> np.ndarray:
+    """np.loadtxt of data rows start to stop, or start to the end of the file.
+
+    Raises ValueError for a part of any other shape, and any warning as an
+    exception: np.loadtxt warns when a blank or comment line counts against
+    max_rows, so a bounded range that does not hold exactly its own lines
+    raises.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = np.loadtxt(path, delimiter=",", skiprows=4 + start,
+                          max_rows=None if to_end else stop - start, ndmin=2)
+    if part.shape != (stop - start, 4):
+        raise ValueError(f"rows {start} to {stop} parsed to shape {part.shape}")
+    return part
+
+
+def _parse_split(path, rows: int, parts: int):
+    """The (rows, 4) data parsed in `parts` row ranges, or None on any failure.
+
+    This process parses the first range; a forked worker parses each later
+    one into an anonymous shared mapping, which backs the returned array.
+    The last range reads to the end of the file, so extra rows fail too.
+    """
+    starts = _row_starts(rows, parts)
+    pids, data = [], None
+    try:
+        data = np.frombuffer(mmap.mmap(-1, rows * 4 * 8), dtype=np.float64).reshape(rows, 4)
+        for k in range(1, parts):
+            pid = os.fork()
+            if pid == 0:
+                try:  # the worker never returns: exit 0 after its part, else 1
+                    data[starts[k]:starts[k + 1]] = _parse_rows(
+                        path, starts[k], starts[k + 1], k == parts - 1)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        data[:starts[1]] = _parse_rows(path, 0, starts[1], False)
+    except (OSError, ValueError, Warning):  # a failed mapping, fork, open or parse
+        data = None
+    finally:
+        for pid in pids:
+            if os.waitpid(pid, 0)[1] != 0:
+                data = None
+    return data
+
+
 def kernel_from_csv(path) -> Kernel:
     """Read a kernel written by kernel_to_csv.
+
+    The n^2 data rows are parsed in row ranges, one per available CPU and
+    at most one per _MIN_WORKER_ROWS rows, by forked workers that write
+    into shared memory (see _parse_split).  Every range goes through the
+    same np.loadtxt as a whole-file parse, and a range that holds a blank
+    or comment line, a bad row, or too few or too many rows sends the read
+    back to one whole-file np.loadtxt, so the kernel and every error are
+    those of the whole-file parse.
 
     Raises:
         ValueError: for a malformed header, a row that is not four numbers,
@@ -462,7 +544,11 @@ def kernel_from_csv(path) -> Kernel:
         grid = Grid(half_width=float(head_grid[0]), n=int(head_grid[1]))
         if lines[3] != "x,y,re,im":
             raise ValueError(f"unexpected column header {lines[3]!r}")
-        data = np.loadtxt(path, delimiter=",", skiprows=4, ndmin=2)
+        rows = grid.n * grid.n
+        parts = min(len(os.sched_getaffinity(0)), rows // _MIN_WORKER_ROWS)
+        data = _parse_split(path, rows, parts) if parts > 1 else None
+        if data is None:
+            data = np.loadtxt(path, delimiter=",", skiprows=4, ndmin=2)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed kernel CSV: {exc}") from exc
     if data.shape != (grid.n * grid.n, 4):
@@ -481,8 +567,9 @@ def kernel_from_csv(path) -> Kernel:
             if not off.max() <= tol:  # a nan fails too
                 k = i * grid.n + int(np.argmin(off <= tol))
                 raise ValueError(f"malformed kernel CSV: row {k + 1} has x,y = "
-                                 f"{data[k, 0]!r},{data[k, 1]!r}, expected the x-outer "
-                                 f"node {nodes[k // grid.n]!r},{nodes[k % grid.n]!r}")
+                                 f"{float(data[k, 0])!r},{float(data[k, 1])!r}, expected "
+                                 f"the x-outer node {float(nodes[k // grid.n])!r},"
+                                 f"{float(nodes[k % grid.n])!r}")
     smooth = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(grid.n, grid.n)
     return Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=smooth)
 

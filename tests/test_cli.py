@@ -66,6 +66,14 @@ class TestCompute:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["tolerances"]["kg"] > 1e-8
 
+    @pytest.mark.parametrize("extent", ["inf", "1e308"], ids=["infinite", "overflowing_box"])
+    def test_non_finite_extent_exits_2(self, tmp_path, capsys, extent):
+        out = tmp_path / "run"
+        assert run("compute", "--model", "scattering", "--extent", extent, "--n", "33",
+                   "--order", "1", "--out", str(out)) == 2
+        assert "half_width must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gauged_seed_iterates_are_consistent(self, tmp_path):
         from qmetric.closed_forms import preset_seed
         from qmetric.kernels import seed_to_kernel
@@ -403,6 +411,27 @@ class TestOracle:
         assert run("oracle", "--model", "square-well", "--n", "65",
                    "--order", "100", "--out", str(tmp_path / "orc")) == 2
 
+
+@pytest.mark.parametrize("case", ["missing", "grid_mismatch"])
+def test_bad_cross_check_writes_nothing(tmp_path, monkeypatch, capsys, case):
+    # the cross-check kernel is read and its grid checked before the solve
+    series = tmp_path / "series"
+    assert run("compute", "--model", "square-well", "--n", "67", "--order", "1",
+               "--out", str(series)) == 0
+    kernel = {"missing": series / "absent.csv", "grid_mismatch": series / "kernel.csv"}[case]
+    capsys.readouterr()
+
+    def no_solve(pot, grid):
+        raise AssertionError("discretized before the cross-check kernel was read")
+
+    monkeypatch.setattr(cli, "discretize", no_solve)
+    out = tmp_path / "orc"
+    assert run("oracle", "--model", "square-well", "--n", "65",
+               "--cross-check", str(kernel), "--out", str(out)) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 class TestParser:
     def test_unknown_model_flag_value(self, tmp_path):

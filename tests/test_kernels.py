@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(half_width=1.0, n=34)
 
+
+@pytest.mark.parametrize("half_width", [np.inf, -np.inf, np.nan, 1e308],
+                         ids=["inf", "minus_inf", "nan", "overflowing_box"])
+def test_grid_rejects_non_finite_half_width(half_width):
+    # 2 half_width = inf for 1e308 would give h = inf and nan nodes
+    with pytest.raises(ValueError, match="half_width must be positive and finite"):
+        Grid(half_width=half_width, n=33)
 
 def test_grid_geometry():
     g = Grid(half_width=2.0, n=33)
@@ -441,6 +449,22 @@ def test_csv_rejects_misplaced_row(tmp_path, edit, row):
         kernel_from_csv(path)
 
 
+def test_csv_misplaced_row_message_prints_plain_floats(tmp_path):
+    g = Grid(half_width=1.0, n=33)
+    path = tmp_path / "kernel.csv"
+    kernel_to_csv(identity_kernel(g), path)
+
+    def nan_x(rows):
+        rows[40] = "nan," + rows[40].split(",", 1)[1]
+        return rows
+
+    _rewrite_rows(path, nan_x)
+    x, y = float(g.nodes[1]), float(g.nodes[7])
+    with pytest.raises(ValueError) as exc:
+        kernel_from_csv(path)
+    assert str(exc.value) == (f"malformed kernel CSV: row 41 has x,y = nan,{y!r}, "
+                              f"expected the x-outer node {x!r},{y!r}")
+
 def test_csv_accepts_rounded_nodes(tmp_path):
     g = Grid.for_box(np.pi, 33)  # nodes that six decimals do not spell exactly
     rng = np.random.default_rng(9)
@@ -469,6 +493,199 @@ def test_csv_rejects_ragged_row(tmp_path, columns):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="malformed"):
         kernel_from_csv(path)
+
+
+# The row-range read of kernel_from_csv, forced on 33 x 33 files through a
+# lower _MIN_WORKER_ROWS and patched CPU counts.
+
+
+def _serial_kernel(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return kernel_from_csv(path)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Split every read of 33 x 33 rows into three ranges; record the forks
+    and the outcome of each split read (None when it fell back)."""
+    record = {"forks": 0, "results": []}
+    fork, parse_split = os.fork, kernels._parse_split
+
+    def counting_fork():
+        record["forks"] += 1
+        return fork()
+
+    def recording_split(*args):
+        data = parse_split(*args)
+        record["results"].append(data)
+        return data
+
+    monkeypatch.setattr(kernels, "_MIN_WORKER_ROWS", 300)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(kernels, "_parse_split", recording_split)
+    return record
+
+
+def _split_file(tmp_path):
+    g = Grid(half_width=1.5, n=33)
+    rng = np.random.default_rng(11)
+    s = rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n))
+    path = tmp_path / "kernel.csv"
+    kernel_to_csv(Kernel(grid=g, c_diag=0.5, smooth=s), path)
+    return path, g.n * g.n, kernels._row_starts(g.n * g.n, 3)
+
+
+def test_row_starts_balance_the_skip_cost():
+    for rows, parts in [(1089, 2), (1089, 3), (591361, 2), (263169, 5)]:
+        starts = kernels._row_starts(rows, parts)
+        assert starts[0] == 0 and starts[-1] == rows
+        sizes = np.diff(starts)
+        assert np.all(sizes > 0)
+        # each range costs its rows plus _SKIP_COST of the rows before it
+        cost = sizes + kernels._SKIP_COST * np.array(starts[:-1])
+        assert cost.max() - cost.min() <= 2
+    assert kernels._row_starts(1000, 2)[1] == 549
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_split_read_is_bit_identical(tmp_path, split, monkeypatch, parts):
+    path, rows, _ = _split_file(tmp_path)
+    starts = kernels._row_starts(rows, parts)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 2.2250738585072e-308]
+    lines = path.read_text().splitlines(keepends=True)
+    for b in starts[1:-1]:
+        for i, v in zip(range(b - 4, b + 4), special):  # around every range boundary
+            x, y, _, _ = lines[4 + i].split(",")
+            lines[4 + i] = f"{x},{y},{FLOAT_FMT % v},{FLOAT_FMT % -v}\n"
+    path.write_text("".join(lines))
+    serial = np.loadtxt(path, delimiter=",", skiprows=4, ndmin=2)
+    data = kernels._parse_split(path, rows, parts)
+    assert data is not None and split["forks"] == parts - 1
+    assert data.tobytes() == serial.tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    back = kernel_from_csv(path)
+    assert split["forks"] == 2 * (parts - 1) and split["results"][1] is not None
+    assert back.smooth.tobytes() == _serial_kernel(path).smooth.tobytes()
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("edit", ["three_columns", "non_numeric"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_split_read_raises_the_serial_error(tmp_path, split, edit, where):
+    path, rows, starts = _split_file(tmp_path)
+    row = {"first": 7, "middle": starts[1] + 5, "last": rows - 3}[where]
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[4 + row].rstrip("\n").split(",")
+    fields = fields[:3] if edit == "three_columns" else fields[:2] + ["0x1p3"] + fields[3:]
+    lines[4 + row] = ",".join(fields) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as serial:
+        np.loadtxt(path, delimiter=",", skiprows=4, ndmin=2)
+    with pytest.raises(ValueError) as split_read:
+        kernel_from_csv(path)
+    assert str(split_read.value) == f"malformed kernel CSV: {serial.value}"
+    assert split["results"] == [None]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("body, count", [
+    (lambda rows: rows + rows[-1:], 1), (lambda rows: rows[:-1], -1),
+    # a (rows, 1) part would broadcast into its (rows, 4) slot unchecked
+    (lambda rows: [row.split(",")[2] + "\n" for row in rows], 0),
+], ids=["extra_row", "missing_row", "one_column"])
+def test_split_read_rejects_a_wrong_body(tmp_path, split, body, count):
+    path, rows, _ = _split_file(tmp_path)
+    _rewrite_rows(path, body)
+    with pytest.raises(ValueError, match=f"has {rows + count} rows, expected {rows}"):
+        kernel_from_csv(path)
+    assert split["results"] == [None]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("line", ["\n", "# a comment\n"], ids=["blank", "comment"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_split_read_skips_non_data_lines_as_serial(tmp_path, split, line, where):
+    path, rows, starts = _split_file(tmp_path)
+    at = {"first": 100, "middle": starts[1] + 100, "last": starts[2] + 100}[where]
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:4 + at] + [line] + lines[4 + at:]))
+    assert kernel_from_csv(path).smooth.tobytes() == _serial_kernel(path).smooth.tobytes()
+    # with a row short as well, each range could still hold its row count
+    path.write_text("".join(lines[:4 + at] + [line] + lines[4 + at:-1]))
+    with pytest.raises(ValueError, match=f"has {rows - 1} rows, expected {rows}"):
+        kernel_from_csv(path)
+    _assert_no_children()
+
+
+def test_one_cpu_never_forks(tmp_path, split, monkeypatch):
+    path, _, _ = _split_file(tmp_path)
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert kernel_from_csv(path).grid.n == 33
+    assert split["results"] == []
+
+
+def test_small_file_never_forks(tmp_path, split, monkeypatch):
+    path, rows, _ = _split_file(tmp_path)
+    monkeypatch.setattr(kernels, "_MIN_WORKER_ROWS", rows // 2 + 1)
+    kernel_from_csv(path)
+    assert split["forks"] == 0 and split["results"] == []
+
+
+def test_failed_worker_falls_back_to_serial(tmp_path, split, monkeypatch):
+    path, rows, starts = _split_file(tmp_path)
+    parent, parse_rows = os.getpid(), kernels._parse_rows
+
+    def exit_in_worker(path, start, stop, to_end):
+        if os.getpid() != parent and start == starts[2]:
+            os._exit(1)
+        return parse_rows(path, start, stop, to_end)
+
+    monkeypatch.setattr(kernels, "_parse_rows", exit_in_worker)
+    assert kernel_from_csv(path).smooth.tobytes() == _serial_kernel(path).smooth.tobytes()
+    assert split["forks"] == 2 and split["results"] == [None]
+    _assert_no_children()
+
+
+def test_failed_fork_falls_back_and_reaps(tmp_path, split, monkeypatch):
+    path, _, _ = _split_file(tmp_path)
+    fork = os.fork  # the fixture's counting fork
+
+    def second_fork_fails():
+        if split["forks"] == 1:
+            raise BlockingIOError("Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert kernel_from_csv(path).smooth.tobytes() == _serial_kernel(path).smooth.tobytes()
+    assert split["results"] == [None]
+    _assert_no_children()
+
+def test_failed_first_range_reaps_its_workers(tmp_path, split, monkeypatch):
+    path, rows, _ = _split_file(tmp_path)
+    parse_rows = kernels._parse_rows
+
+    def fail_first(path, start, stop, to_end):
+        if start == 0:
+            raise KeyboardInterrupt
+        return parse_rows(path, start, stop, to_end)
+
+    monkeypatch.setattr(kernels, "_parse_rows", fail_first)
+    with pytest.raises(KeyboardInterrupt):
+        kernel_from_csv(path)
+    assert split["forks"] == 2
+    _assert_no_children()
 
 
 def test_pgm_output(tmp_path):
