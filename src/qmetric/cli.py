@@ -44,6 +44,7 @@ from .spectral import (
     spectrum_to_csv,
 )
 from .verify import (
+    _grids_match,
     hermitian_eigenvalues,
     invertibility_check,
     kg_residual,
@@ -327,9 +328,7 @@ def cmd_verify(args) -> int:
     grid = kernel.grid
     if args.n is not None and args.n != grid.n:
         raise ValueError(f"--n {args.n} does not match the stored kernel grid n={grid.n}")
-    # the stored half-width is %.12e text, so it is compared relatively
-    if (args.extent is not None
-            and abs(args.extent - grid.half_width) > 1e-12 * max(1.0, grid.half_width)):
+    if args.extent is not None and not _grids_match(grid, Grid(args.extent, grid.n)):
         raise ValueError(f"--extent {args.extent} does not match the stored kernel "
                          f"half-width {grid.half_width}")
     names = [p.strip() for p in args.checks.split(",") if p.strip()]
@@ -351,9 +350,7 @@ def cmd_oracle(args) -> int:
     series_kernel = None
     if args.cross_check:  # read first: a bad kernel fails before anything is written
         series_kernel = kernel_from_csv(args.cross_check)
-        if (series_kernel.grid.n != grid.n
-                or abs(series_kernel.grid.half_width - grid.half_width)
-                > 1e-9 * max(1.0, grid.half_width)):
+        if not _grids_match(series_kernel.grid, grid):
             raise ValueError("cross-check kernel grid does not match the oracle grid")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,12 +11,11 @@ u(x, y) = u_plus(x - y) + u_minus(x + y), subject to the reality
 constraints u_plus(x)* = u_plus(-x) and u_minus(x)* = u_minus(x) that
 make the seed Hermitian.
 
-Kernel artifacts are written by kernel_to_csv and kernel_to_pgm; a batch
-of them goes through write_kernel_files, which runs the writers in forked
-worker processes, one per available CPU, and writes the same bytes.
-kernel_from_csv parses the data rows of a large file on every available
-CPU: each forked worker parses one row range with np.loadtxt into shared
-memory, so the array is the one a single np.loadtxt gives.
+Kernel artifacts are written by kernel_to_csv and kernel_to_pgm and read
+by kernel_from_csv.  Batch writes (write_kernel_files) and large reads run
+one share of their work per available CPU (_forked): this process runs one
+share and forked children the others, and any failure sends the work to
+the serial path, which raises the real error.  One CPU never forks.
 """
 
 from __future__ import annotations
@@ -486,45 +485,55 @@ def _parse_rows(path, start: int, stop: int, to_end: bool) -> np.ndarray:
     return part
 
 
-def _parse_split(path, rows: int, parts: int):
-    """The (rows, 4) data parsed in `parts` row ranges, or None on any failure.
+def _forked(calls) -> bool:
+    """Run calls[1:] in forked children and calls[0] here; True if every child exited 0.
 
-    This process parses the first range; a forked worker parses each later
-    one into an anonymous shared mapping, which backs the returned array.
-    The last range reads to the end of the file, so extra rows fail too.
+    A child exits 1 when its call raises.  Every child is reaped, also when
+    a fork or calls[0] raises.
     """
-    starts = _row_starts(rows, parts)
-    pids, data = [], None
+    pids = []
     try:
-        data = np.frombuffer(mmap.mmap(-1, rows * 4 * 8), dtype=np.float64).reshape(rows, 4)
-        for k in range(1, parts):
+        for call in calls[1:]:
             pid = os.fork()
             if pid == 0:
-                try:  # the worker never returns: exit 0 after its part, else 1
-                    data[starts[k]:starts[k + 1]] = _parse_rows(
-                        path, starts[k], starts[k + 1], k == parts - 1)
+                try:
+                    call()
                     os._exit(0)
                 finally:
                     os._exit(1)
             pids.append(pid)
-        data[:starts[1]] = _parse_rows(path, 0, starts[1], False)
-    except (OSError, ValueError, Warning):  # a failed mapping, fork, open or parse
-        data = None
+        calls[0]()
     finally:
-        for pid in pids:
-            if os.waitpid(pid, 0)[1] != 0:
-                data = None
-    return data
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return not any(statuses)
+
+
+def _parse_split(path, rows: int, parts: int):
+    """The (rows, 4) data parsed in `parts` row ranges, or None on any failure.
+
+    _forked parses the ranges into an anonymous shared mapping, which backs
+    the array.  The last range reads to the end, so extra rows fail too.
+    """
+    starts = _row_starts(rows, parts)
+
+    def parse(k):
+        data[starts[k]:starts[k + 1]] = _parse_rows(path, starts[k], starts[k + 1],
+                                                    k == parts - 1)
+
+    try:
+        data = np.frombuffer(mmap.mmap(-1, rows * 4 * 8), dtype=np.float64).reshape(rows, 4)
+        return data if _forked([functools.partial(parse, k) for k in range(parts)]) else None
+    except (OSError, ValueError, Warning):  # a failed mapping, fork, open or parse
+        return None
 
 
 def kernel_from_csv(path) -> Kernel:
     """Read a kernel written by kernel_to_csv.
 
     The n^2 data rows are parsed in row ranges, one per available CPU and
-    at most one per _MIN_WORKER_ROWS rows, by forked workers that write
-    into shared memory (see _parse_split).  Every range goes through the
-    same np.loadtxt as a whole-file parse, and a range that holds a blank
-    or comment line, a bad row, or too few or too many rows sends the read
+    at most one per _MIN_WORKER_ROWS rows (see _parse_split), each by the
+    same np.loadtxt as a whole-file parse.  A range that holds a blank or
+    comment line, a bad row, or too few or too many rows sends the read
     back to one whole-file np.loadtxt, so the kernel and every error are
     those of the whole-file parse.
 
@@ -551,8 +560,10 @@ def kernel_from_csv(path) -> Kernel:
             data = np.loadtxt(path, delimiter=",", skiprows=4, ndmin=2)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed kernel CSV: {exc}") from exc
-    if data.shape != (grid.n * grid.n, 4):
+    if data.shape[0] != grid.n * grid.n:
         raise ValueError(f"kernel CSV has {data.shape[0]} rows, expected {grid.n * grid.n}")
+    if data.shape[1] != 4:
+        raise ValueError(f"malformed kernel CSV: {data.shape[1]} columns per row, expected 4")
     # row i n + j must sit at (x_i, y_j): a y-outer file would load transposed.
     # The distances of a block of grid rows go through one buffer that stays
     # in cache; fresh n x n arrays cost twice as much in a new process.
@@ -601,38 +612,29 @@ def kernel_to_pgm(kernel: Kernel, path) -> None:
             f.write(b" ".join(text[row]) + b"\n")
 
 
-# The jobs of the running write_kernel_files call, set in each forked worker
-# by its initializer; the parent never assigns it.
-_WORKER_JOBS: list = []
-
-
-def _adopt_jobs(jobs: list) -> None:
-    global _WORKER_JOBS
-    _WORKER_JOBS = jobs
-
-
-def _run_job(index: int) -> None:
-    writer, kernel, path = _WORKER_JOBS[index]
-    writer(kernel, path)
-
-
 def write_kernel_files(jobs) -> None:
-    """Run (writer, kernel, path) jobs, e.g. (kernel_to_csv, k, "k.csv").
+    """Run a list of (writer, kernel, path) jobs, e.g. (kernel_to_csv, k, "k.csv").
 
-    The jobs run on min(len(jobs), available CPUs) worker processes made
-    by POSIX fork, so the workers read the kernels from the memory they
-    share with this process: only job indices and exceptions are pickled.
-    Each file gets the bytes the writer alone would give it.  The first
-    exception of a job, in job order, is raised here once every job has
-    ended.
+    The jobs are dealt round-robin into min(len(jobs), available CPUs)
+    shares run by _forked.  If any share fails, every job runs again here
+    in job order, and the first exception is raised once all have run.
+    Each file gets the bytes the writer alone would give it.
     """
-    # imported here: at module level the pool modules slow every CLI start
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    def run(share):
+        errors = []
+        for writer, kernel, path in share:
+            try:
+                writer(kernel, path)
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
-    jobs = list(jobs)
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt_jobs, initargs=(jobs,)) as pool:
-        for _ in pool.map(_run_job, range(len(jobs))):
+    shares = min(len(jobs), len(os.sched_getaffinity(0)))
+    if shares > 1:
+        try:
+            if _forked([functools.partial(run, jobs[s::shares]) for s in range(shares)]):
+                return
+        except Exception:  # the serial run below raises the real error
             pass
+    run(jobs)

@@ -91,6 +91,7 @@ def hermitian_eigenvalues(k: Kernel) -> np.ndarray | None:
 
 
 def _grids_match(a: Grid, b: Grid) -> bool:
+    # a stored half-width is %.12e text, so it is compared relatively
     return a.n == b.n and abs(a.half_width - b.half_width) <= 1e-12 * max(1.0, a.half_width)
 
 

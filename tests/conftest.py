@@ -1,5 +1,6 @@
 """Session fixtures shared by the test modules."""
 
+import os
 import time
 
 import pytest
@@ -30,3 +31,15 @@ def property_suite():
         return outcome, seconds
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def no_stray_child():
+    """Fail a test that leaves a child process behind, running or exited."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process behind, "
+                + (f"exited (pid {pid})" if pid else "still running"))

@@ -595,17 +595,24 @@ def test_split_read_raises_the_serial_error(tmp_path, split, edit, where):
     _assert_no_children()
 
 
-@pytest.mark.parametrize("body, count", [
-    (lambda rows: rows + rows[-1:], 1), (lambda rows: rows[:-1], -1),
+def _one_column(rows):
+    return [row.split(",")[2] + "\n" for row in rows]
+
+
+@pytest.mark.parametrize("body, error, cpus", [
+    (lambda rows: rows + rows[-1:], "has 1090 rows, expected 1089", 3),
+    (lambda rows: rows[:-1], "has 1088 rows, expected 1089", 3),
     # a (rows, 1) part would broadcast into its (rows, 4) slot unchecked
-    (lambda rows: [row.split(",")[2] + "\n" for row in rows], 0),
-], ids=["extra_row", "missing_row", "one_column"])
-def test_split_read_rejects_a_wrong_body(tmp_path, split, body, count):
+    (_one_column, "^malformed kernel CSV: 1 columns per row, expected 4$", 3),
+    (_one_column, "^malformed kernel CSV: 1 columns per row, expected 4$", 1),
+], ids=["extra_row", "missing_row", "one_column", "one_column_one_cpu"])
+def test_split_read_rejects_a_wrong_body(tmp_path, split, monkeypatch, body, error, cpus):
     path, rows, _ = _split_file(tmp_path)
     _rewrite_rows(path, body)
-    with pytest.raises(ValueError, match=f"has {rows + count} rows, expected {rows}"):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with pytest.raises(ValueError, match=error):
         kernel_from_csv(path)
-    assert split["results"] == [None]
+    assert split["results"] == ([None] if cpus > 1 else [])
     _assert_no_children()
 
 
