@@ -278,10 +278,8 @@ def cmd_compute(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_kernel_files([(kernel_to_csv, state.partial_sum, out / "kernel.csv")]
-                       + [(kernel_to_csv, it, out / f"iter_{k}.csv")
-                          for k, it in enumerate(state.iterates)]
-                       + [(kernel_to_pgm, state.partial_sum, out / "kernel.pgm")])
+    # the run record first: it does not depend on the kernel files, and it
+    # stays when one of them cannot be written
     with open(out / "supnorms.csv", "w") as f:
         f.write("order,sup_norm\n")
         for k, s in enumerate(state.sup_norms):
@@ -292,6 +290,10 @@ def cmd_compute(args) -> int:
                      "diverged": bool(state.diverged),
                      "truncated_evals": int(state.truncated_evals),
                      "warnings": warnings})
+    write_kernel_files([(kernel_to_csv, state.partial_sum, out / "kernel.csv")]
+                       + [(kernel_to_csv, it, out / f"iter_{k}.csv")
+                          for k, it in enumerate(state.iterates)]
+                       + [(kernel_to_pgm, state.partial_sum, out / "kernel.pgm")])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote kernel artifacts for {len(state.iterates)} orders to {out}")
@@ -344,20 +346,15 @@ def cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def cmd_oracle(args) -> int:
-    pot, doc = _build_potential(args)
-    grid = _build_grid(args, pot, doc)
-    series_kernel = None
-    if args.cross_check:  # read first: a bad kernel fails before anything is written
-        series_kernel = kernel_from_csv(args.cross_check)
-        if not _grids_match(series_kernel.grid, grid):
-            raise ValueError("cross-check kernel grid does not match the oracle grid")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _spectral_artifacts(pot, grid: Grid, order, out: Path):
+    """Write spectrum.csv and metric.csv to out; return (metric, summary).
 
+    The Hamiltonian and its eigenvectors are freed on return, before the
+    cross-check, which would otherwise set the peak memory of `oracle`.
+    """
     ham = discretize(pot, grid)
     system = biorthonormalize(ham)
-    n_modes = args.order if args.order is not None else system.energies.size
+    n_modes = order if order is not None else system.energies.size
     metric = spectral_metric(system, n_modes)
 
     spectrum_to_csv(system, out / "spectrum.csv")
@@ -373,6 +370,20 @@ def cmd_oracle(args) -> int:
         "ground_energy_re": float(e[0].real),
         "ground_energy_im": float(e[0].imag),
     }
+    return metric, summary
+
+
+def cmd_oracle(args) -> int:
+    pot, doc = _build_potential(args)
+    grid = _build_grid(args, pot, doc)
+    series_kernel = None
+    if args.cross_check:  # read first: a bad kernel fails before anything is written
+        series_kernel = kernel_from_csv(args.cross_check)
+        if not _grids_match(series_kernel.grid, grid):
+            raise ValueError("cross-check kernel grid does not match the oracle grid")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    metric, summary = _spectral_artifacts(pot, grid, args.order, out)
 
     failed = False
     if series_kernel is not None:
@@ -390,8 +401,8 @@ def cmd_oracle(args) -> int:
         failed = not rep.passed
 
     (out / "oracle.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote spectrum and {n_modes}-mode metric to {out}"
-          + ("" if all_real else " (complex energies present)"))
+    print(f"wrote spectrum and {summary['n_modes']}-mode metric to {out}"
+          + ("" if summary["all_real"] else " (complex energies present)"))
     return 1 if failed else 0
 
 

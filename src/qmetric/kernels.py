@@ -281,7 +281,8 @@ def invert_operator_form(form: OperatorForm, grid: Grid) -> tuple[np.ndarray, np
 # is known to about 3e-16, so only |r - 1/2| <= _TIE_MARGIN can need the
 # round-half-even of correct rounding (Gay, "Correctly rounded binary-decimal
 # and decimal-binary conversions", 1990): those values, non-finite ones and
-# those outside the range are formatted by FLOAT_FMT % one at a time.
+# those outside the range are formatted by FLOAT_FMT % one at a time.  NUL
+# bytes mark what FLOAT_FMT leaves out of a field; its text never holds one.
 _ARRAY_MIN, _ARRAY_MAX = 1e-280, 1e280
 _POW10_MIN, _POW10_COUNT = -270, 566  # the table holds 10^k, -270 <= k <= 295
 _TIE_MARGIN = 1e-9
@@ -289,9 +290,9 @@ _SPLITTER = 134217729.0  # 2^27 + 1
 _FIELD = 20  # the widest FLOAT_FMT field, -d.dddddddddddde-ddd
 # columns: sign, leading digit, point, 12 digits, e, exponent sign, 3 digits
 _TEMPLATE = np.frombuffer(b"-0.000000000000e+000", dtype=np.uint8)
-# FLOAT_FMT % 0.0 is _TEMPLATE without the sign and the exponent's hundreds digit
-_ZERO_PRESENT = np.ones(_FIELD, dtype=bool)
-_ZERO_PRESENT[[0, 17]] = False
+# FLOAT_FMT % 0.0 is _TEMPLATE with NULs for the sign and the exponent's hundreds digit
+_ZERO_FIELD = _TEMPLATE.copy()
+_ZERO_FIELD[[0, 17]] = 0
 _BLOCK_ROWS = 32  # grid rows per written block: a 1.4 MB line buffer at n = 513
 
 
@@ -344,13 +345,13 @@ def _scale(a: np.ndarray, E: np.ndarray, pow10: np.ndarray):
     return whole, (p - whole) + tail
 
 
-def _format_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FLOAT_FMT of every value, as (chars, present) of shape values.shape + (_FIELD,).
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """FLOAT_FMT of every value, as uint8 fields of shape values.shape + (_FIELD,).
 
-    chars[..., present] along the last axis spells FLOAT_FMT % float(value).
-    An array-path field is laid out as _TEMPLATE, sign, 13 digits and a
-    signed 3-digit exponent, with the sign and the exponent's hundreds digit
-    present only when needed; any other field is written left-aligned.
+    A field without its NULs spells FLOAT_FMT % float(value).  An array-path
+    field is laid out as _TEMPLATE, sign, 13 digits and a signed 3-digit
+    exponent, with a NUL for the sign unless the sign bit is set and for the
+    exponent's hundreds digit if |E| < 100; any other field is left-aligned.
     """
     pow10, digits, exponents = _format_tables()
     v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
@@ -382,51 +383,50 @@ def _format_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     groups[:, 2] = D - 1e4 * q4
     chars = np.empty((v.size, _FIELD), dtype=np.uint8)
     chars[:] = _TEMPLATE
+    chars[:, 0] *= np.signbit(v)
     chars[:, 1] += lead.astype(np.uint8)
     chars[:, 3:15] = digits.take(groups).view(np.uint8)
     chars[:, 16:] = exponents.take(E + 999)[:, None].view(np.uint8)
-    present = np.ones((v.size, _FIELD), dtype=bool)
-    present[:, 0] = np.signbit(v)
-    present[:, 17] = np.abs(E) >= 100
+    chars[:, 17] *= np.abs(E) >= 100
     for i in slow:
-        text = (FLOAT_FMT % float(v[i])).encode()
-        chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        present[i] = np.arange(_FIELD) < len(text)
-    shape = np.shape(values) + (_FIELD,)
-    return chars.reshape(shape), present.reshape(shape)
+        text = (FLOAT_FMT % float(v[i])).encode().ljust(_FIELD, b"\0")
+        chars[i] = np.frombuffer(text, dtype=np.uint8)
+    return chars.reshape(np.shape(values) + (_FIELD,))
 
 
 def _write_rows(f, nodes: np.ndarray, values: np.ndarray) -> None:
     """Write the lines x,y,re,im of a square grid to the binary file f, x outer.
 
     values[i] holds re, im of every (nodes[i], y) in turn.  Each line is
-    laid out in four fixed columns of a field and its separator, with a
-    presence mask beside it; a block of _BLOCK_ROWS grid rows is written
-    as buf[mask].  The re and im columns of a block are formatted apart.
-    A column that is +0.0 throughout the block, with no sign bit set, gets
-    the constant field of FLOAT_FMT % 0.0 without a formatter call: the
-    iterates of a real or imaginary potential are real or imaginary, so
-    one of their columns is zero everywhere.  The bytes are the same.
+    laid out in four fixed columns of a NUL-marked field and its separator;
+    a block of _BLOCK_ROWS grid rows is written with one bytearray.translate
+    that deletes its NULs.  The separators and y column are filled once; re
+    and im are formatted apart.  A column that is +0.0 throughout a block,
+    with no sign bit set, gets _ZERO_FIELD unformatted, if the block before
+    formatted it: the iterates of a real or imaginary potential are real or
+    imaginary, so one of their columns is zero everywhere.  Same bytes.
     """
     n = len(nodes)
-    node_chars, node_present = _format_values(nodes)
+    node_chars = _format_values(nodes)
     buf = np.empty((min(_BLOCK_ROWS, n), n, 4, _FIELD + 1), dtype=np.uint8)
-    mask = np.ones(buf.shape, dtype=bool)
-    fields, present = buf[..., :_FIELD], mask[..., :_FIELD]
+    fields = buf[..., :_FIELD]
     buf[..., _FIELD] = np.frombuffer(b",,,\n", dtype=np.uint8)
-    fields[:, :, 1], present[:, :, 1] = node_chars, node_present
+    fields[:, :, 1] = node_chars
+    zero_columns = set()  # the value columns that hold _ZERO_FIELD
     for i in range(0, n, _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
         m = len(nodes[rows])
-        fields[:m, :, 0], present[:m, :, 0] = node_chars[rows, None], node_present[rows, None]
+        fields[:m, :, 0] = node_chars[rows, None]
         block = values[rows].reshape(m, n, 2)
         for c in (2, 3):
             part = block[..., c - 2]
             if part.view(np.uint64).any():
-                fields[:m, :, c], present[:m, :, c] = _format_values(part)
-            else:
-                fields[:m, :, c], present[:m, :, c] = _TEMPLATE, _ZERO_PRESENT
-        f.write(buf[:m][mask[:m]].tobytes())
+                fields[:m, :, c] = _format_values(part)
+                zero_columns.discard(c)
+            elif c not in zero_columns:
+                fields[:, :, c] = _ZERO_FIELD
+                zero_columns.add(c)
+        f.write(bytearray(buf[:m]).translate(None, b"\0"))
 
 
 def kernel_to_csv(kernel: Kernel, path) -> None:

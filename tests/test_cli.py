@@ -231,6 +231,10 @@ class TestParallelArtifacts:
             if name != "iter_2.csv":
                 assert (out / name).read_bytes() == \
                     (tmp_path / "serial" / name).read_bytes(), name
+        # the run record is written before the kernel files, as a good run writes it
+        assert run("compute", *ARTIFACT_MODELS[model], "--out", str(tmp_path / "good")) == 0
+        for name in ("supnorms.csv", "manifest.json"):
+            assert (out / name).read_bytes() == (tmp_path / "good" / name).read_bytes(), name
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

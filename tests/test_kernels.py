@@ -335,11 +335,10 @@ def adversarial_values():
 def test_array_formatter_matches_percent_format():
     values = adversarial_values()
     assert values.size >= 200_000
-    chars, present = kernels._format_values(values)
-    # one newline-terminated field per value, compared as one byte string
+    chars = kernels._format_values(values)
+    # one newline-terminated field per value, its NULs deleted, as one byte string
     lines = np.concatenate([chars, np.full((values.size, 1), ord("\n"), np.uint8)], axis=1)
-    mask = np.concatenate([present, np.ones((values.size, 1), bool)], axis=1)
-    got = lines[mask].tobytes().decode().splitlines()
+    got = lines.tobytes().translate(None, b"\0").decode().splitlines()
     want = [FLOAT_FMT % float(v) for v in values]
     bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
     assert len(got) == len(want) and not bad, bad[:5]
@@ -372,6 +371,10 @@ def one_component_kernels():
     negative_zero[40, 7] = complex(0.0, -0.0)
     one_block = a + 1j * b
     one_block[kernels._BLOCK_ROWS:2 * kernels._BLOCK_ROWS].imag = 0.0
+    # zero, then nonzero in the middle block only, then zero again
+    outside_one_block = a + 0j
+    outside_one_block[kernels._BLOCK_ROWS:2 * kernels._BLOCK_ROWS].imag = \
+        b[kernels._BLOCK_ROWS:2 * kernels._BLOCK_ROWS]
     zero_re = np.zeros((g.n, g.n), dtype=complex)
     zero_re.imag = b  # 1j * b would give -0.0 real parts where b < 0
     return g, {
@@ -380,11 +383,12 @@ def one_component_kernels():
         "all_zero": np.zeros((g.n, g.n), dtype=complex),
         "negative_zero": negative_zero,
         "zero_in_one_block": one_block,
+        "zero_outside_one_block": outside_one_block,
     }
 
 
 @pytest.mark.parametrize("case", ["zero_re", "zero_im", "all_zero", "negative_zero",
-                                  "zero_in_one_block"])
+                                  "zero_in_one_block", "zero_outside_one_block"])
 def test_csv_zero_columns_match_savetxt(tmp_path, case):
     g, smooth = one_component_kernels()
     k = Kernel(grid=g, c_diag=1.0, smooth=smooth[case])
@@ -404,7 +408,8 @@ def test_csv_formats_only_nonzero_columns(tmp_path, monkeypatch):
         return format_values(values)
 
     monkeypatch.setattr(kernels, "_format_values", recording)
-    expected = {"zero_re": 3, "all_zero": 0, "negative_zero": 1, "zero_in_one_block": 5}
+    expected = {"zero_re": 3, "all_zero": 0, "negative_zero": 1, "zero_in_one_block": 5,
+                "zero_outside_one_block": 4}
     for case, calls in expected.items():
         sizes.clear()
         kernel_to_csv(Kernel(grid=g, smooth=smooth[case]), tmp_path / "k.csv")
