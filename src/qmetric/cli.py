@@ -376,6 +376,9 @@ def _spectral_artifacts(pot, grid: Grid, order, out: Path):
 def cmd_oracle(args) -> int:
     pot, doc = _build_potential(args)
     grid = _build_grid(args, pot, doc)
+    if args.order is not None and not 1 <= args.order <= grid.n - 2:
+        raise ValueError(f"--order must lie in [1, {grid.n - 2}] for n={grid.n}, "
+                         f"got {args.order}")
     series_kernel = None
     if args.cross_check:  # read first: a bad kernel fails before anything is written
         series_kernel = kernel_from_csv(args.cross_check)

@@ -7,14 +7,17 @@ right eigenvectors; the left eigenvectors are their dual basis, which
 makes the pair a biorthonormal system under the grid inner product
 h * sum(conj(a) * b) by construction.  A matrix with exact PT symmetry,
 P conj(H) P = H with P the reversal of the node order, is similar to a
-real matrix (Mostafazadeh, J. Math. Phys. 43, 3944 (2002)), so that
-solve is a real one; every other matrix gets a complex one.  The metric
-kernel is then the resolved sum of left projectors
+real matrix (Mostafazadeh, J. Math. Phys. 43, 3944 (2002)): folded by
+a unitary U with PT-invariant columns it is solved, inverted and
+checked in that real basis, and only the eigenvectors are mapped back;
+every other matrix gets a complex solve.  The metric kernel is then the
+resolved sum of left projectors
 
     M(x, y) = sum_n phi_n(x) * conj(phi_n(y))
 
-over a chosen number of modes.  Couplings where the eigensystem
-degenerates raise ExceptionalPointError.
+over a chosen number of modes, a real product when the selected left
+vectors are PT-invariant.  Couplings where the eigensystem degenerates
+raise ExceptionalPointError.
 """
 
 from __future__ import annotations
@@ -140,14 +143,15 @@ def _is_pt_symmetric(matrix: np.ndarray) -> bool:
     return bool(np.array_equal(matrix[::-1, ::-1].conj(), matrix))
 
 
-def _pt_real_eig(matrix: np.ndarray):
-    """Eigenpairs of an exactly PT-symmetric matrix from one real eigen-solve.
+def _fold(matrix: np.ndarray) -> np.ndarray:
+    """U^dag A U for an exactly PT-symmetric A (P conj(A) P = A), built by slicing.
 
-    The unitary U with PT-invariant columns (e_k + e_{m-1-k})/sqrt(2),
-    i (e_k - e_{m-1-k})/sqrt(2) and, for odd m, e_mid makes U^dag H U real.
-    With A = H[top, top] and B = H[top, reversed bottom] its blocks are
-    Re(A + B), Im(B - A), Im(A + B), Re(A - B), plus the middle row and
-    column; both U maps are done by slicing.
+    U is the unitary with PT-invariant columns (e_k + e_{m-1-k})/sqrt(2),
+    i (e_k - e_{m-1-k})/sqrt(2) for k < p = m // 2 and, for odd m, e_p,
+    so U^dag A U is real.  With A_t = A[top, top] and B = A[top, reversed
+    bottom] its blocks are Re(A_t + B), Im(B - A_t), Im(A_t + B),
+    Re(A_t - B), plus the middle row and column.  An A that is also
+    exactly Hermitian folds to an exactly symmetric matrix.
     """
     m = matrix.shape[0]
     p = m // 2
@@ -163,33 +167,48 @@ def _pt_real_eig(matrix: np.ndarray):
         real[:p, -1], real[p:2 * p, -1] = col.real, col.imag
         real[-1, :p], real[-1, p:2 * p] = row.real, -row.imag
         real[-1, -1] = matrix[p, p].real
-    wr, vr = np.linalg.eig(real)
-    vectors = np.empty((m, m), dtype=complex)
-    even, odd = vr[:p] / np.sqrt(2.0), 1j * vr[p:2 * p] / np.sqrt(2.0)
-    vectors[top], vectors[bottom] = even + odd, even - odd
+    return real
+
+
+def _unfold(vectors: np.ndarray) -> np.ndarray:
+    """U @ vectors by slicing, U as in _fold: real columns map to PT-invariant ones."""
+    m = vectors.shape[0]
+    p = m // 2
+    out = np.empty(vectors.shape, dtype=complex)
+    top, bottom = out[:p], out[m - 1:m - 1 - p:-1]
+    odd = vectors[p:2 * p] * (1j / np.sqrt(2.0))
+    np.multiply(vectors[:p], 1.0 / np.sqrt(2.0), out=top)
+    np.subtract(top, odd, out=bottom)
+    top += odd
     if m % 2:
-        vectors[p] = vr[-1]
-    return wr.astype(complex), vectors
+        out[p] = vectors[-1]
+    return out
 
 
 def pair_eigensystem(matrix: np.ndarray, h: float):
     """Diagonalize a matrix once and take the dual basis as left eigenvectors.
 
     The one eigen-solve is a complex eig, or, for an exactly PT-symmetric
-    matrix (P conj(H) P = H, P the index reversal), a real eig of U^dag H U
-    with U unitary and PT-invariant columns (Mostafazadeh 2002), whose
-    eigenvectors are mapped back by U.
-    The right eigenvectors are sorted and scaled to sqrt(h) * ||psi_n|| = 1;
-    the left ones are then fixed by them, L = R^{-dag} / h, so that
-    h * R^dag L = I by construction.  Returns (energies, right, left,
-    defect) with the normalization of BiorthonormalSystem.  Raises
-    ExceptionalPointError for eigenvalue gaps below 1e-9 (relative),
-    eigenvector 1-norm condition number above 1e6, or a biorthonormality
-    defect >= 1e-8.
+    matrix (P conj(H) P = H, P the index reversal), a real eig of the
+    folded matrix U^dag H U, with U unitary and PT-invariant columns
+    (Mostafazadeh 2002).  The right eigenvectors are sorted and scaled to
+    sqrt(h) * ||psi_n|| = 1; the left ones are then fixed by them,
+    L = R^{-dag} / h, so that h * R^dag L = I by construction.  On the
+    folded branch the sort, the scaling, the inverse and the defect
+    product all act on the eigenvectors V of the folded matrix, in real
+    arithmetic unless the spectrum has complex-conjugate pairs, and only
+    the results are mapped back, R = U V and L = U V^{-dag} / h; U is
+    unitary, so the normalization and the defect carry over.  Returns
+    (energies, right, left, defect) with the normalization of
+    BiorthonormalSystem.  Raises ExceptionalPointError for eigenvalue gaps
+    below 1e-9 (relative), an eigenvector 1-norm condition number
+    ||R||_1 ||R^{-1}||_1 = ||R||_1 h ||L||_inf above 1e6, or a
+    biorthonormality defect >= 1e-8.
     """
     matrix = np.asarray(matrix, dtype=complex)
     m = matrix.shape[0]
-    wr, vr = _pt_real_eig(matrix) if _is_pt_symmetric(matrix) else np.linalg.eig(matrix)
+    folded = _is_pt_symmetric(matrix)
+    wr, vr = np.linalg.eig(_fold(matrix) if folded else matrix)
     scale = max(1.0, float(np.abs(wr).max()))
     if m > 1:
         dist = np.abs(wr[:, None] - wr[None, :]) + np.diag(np.full(m, np.inf))
@@ -198,18 +217,21 @@ def pair_eigensystem(matrix: np.ndarray, h: float):
                 f"eigenvalue gap {dist.min():.3g} below threshold; "
                 "eigenvectors are coalescing")
     order = np.lexsort((wr.imag, wr.real))
-    energies = wr[order]
+    energies = wr[order].astype(complex)
     right = vr[:, order]
+    del vr  # a real eig returns its vectors as a view of a complex array
     right = right / (np.sqrt(h) * np.linalg.norm(right, axis=0))
-    inverse = np.linalg.inv(right)
-    cond = np.linalg.norm(right, 1) * np.linalg.norm(inverse, 1)
+    left = np.linalg.inv(right).conj().T / h
+    defect = float(np.max(np.abs(h * (right.conj().T @ left) - np.eye(m))))
+    if folded:
+        right = _unfold(right)
+        left = _unfold(left)
+    cond = np.linalg.norm(right, 1) * h * np.linalg.norm(left, np.inf)
     # 1-norm bound (cond_1 <= m cond_2): real wells and point couplings sit near
     # 0.8 m (52-668 for n = 65-769), computed exceptional-point eigenvectors >= 1.6e7
     if cond > 1e6:
         raise ExceptionalPointError(
             f"right eigenvector condition number {cond:.3g} exceeds 1e6")
-    left = inverse.conj().T / h
-    defect = float(np.max(np.abs(h * (right.conj().T @ left) - np.eye(m))))
     if defect >= 1e-8:
         raise ExceptionalPointError(f"biorthonormality defect {defect:.3g} >= 1e-8")
     return energies, right, left, defect
@@ -257,8 +279,18 @@ def biorthonormalize(ham: DiscretizedHamiltonian) -> BiorthonormalSystem:
 def spectral_metric(sys: BiorthonormalSystem, n_modes: int) -> Kernel:
     """Metric kernel from the n_modes left eigenvectors of lowest |Re E|.
 
-    The interior-node matrix sum phi phi^dag is explicitly Hermitized
-    and embedded into the full grid with zero walls.  The identity
+    The interior-node matrix M = sum phi phi^dag is Hermitian by
+    construction and embedded into the full grid with zero walls.  When
+    the selected vectors are exactly PT-invariant, as the folded branch
+    of pair_eigensystem makes the unbroken ones, each is a + ib on the
+    first p = m // 2 nodes, a - ib mirrored on the last p and c on the
+    middle one, with a, b, c real.  Then eta = X X^T with
+    X = [a; b; c] is formed in float64 and symmetrized, and M is written
+    block by block: a a^T + b b^T + i (b a^T - a b^T) on the top-left,
+    a a^T - b b^T + i (a b^T + b a^T) on the top-right, the conjugates
+    mirrored, and the middle row and column from the c terms; M is then
+    exactly Hermitian and exactly PT-symmetric.  Any other selection
+    takes the complex product, explicitly Hermitized.  The identity
     content of the metric appears only in the infinite-mode limit, so
     c_diag = c_anti = 0 here.
     """
@@ -267,10 +299,34 @@ def spectral_metric(sys: BiorthonormalSystem, n_modes: int) -> Kernel:
         raise ValueError(f"n_modes must lie in [1, {m}], got {n_modes}")
     idx = np.argsort(np.abs(sys.energies.real), kind="stable")[:n_modes]
     phi = sys.left[:, idx]
-    M = phi @ phi.conj().T
-    M = 0.5 * (M + M.conj().T)
+    if not np.array_equal(phi[::-1].conj(), phi):
+        M = phi @ phi.conj().T
+        M = 0.5 * (M + M.conj().T)
+        smooth = np.zeros((sys.grid.n, sys.grid.n), dtype=complex)
+        smooth[1:-1, 1:-1] = M
+        return Kernel(grid=sys.grid, smooth=smooth)
+    p = m // 2  # m = n - 2 is odd: the grid keeps n odd
+    top, bottom = slice(0, p), slice(m - 1, m - 1 - p, -1)
+    X = np.concatenate((phi[:p].real, phi[:p].imag, phi[p:p + 1].real))
+    del phi  # the complex vectors would otherwise set the peak memory
+    eta = X @ X.T
+    del X
+    eta += eta.T
+    eta *= 0.5
     smooth = np.zeros((sys.grid.n, sys.grid.n), dtype=complex)
-    smooth[1:-1, 1:-1] = M
+    aa, bb = eta[:p, :p], eta[p:2 * p, p:2 * p]
+    ab, ba = eta[:p, p:2 * p], eta[p:2 * p, :p]
+    inner = smooth[1:-1, 1:-1]
+    inner[top, top].real = inner[bottom, bottom].real = aa + bb
+    inner[top, bottom].real = inner[bottom, top].real = aa - bb
+    im = ba - ab
+    inner[top, top].imag, inner[bottom, bottom].imag = im, -im
+    im = ab + ba
+    inner[top, bottom].imag, inner[bottom, top].imag = im, -im
+    ac, bc = eta[:p, -1], eta[p:2 * p, -1]
+    inner[top, p], inner[bottom, p] = ac + 1j * bc, ac - 1j * bc
+    inner[p, top], inner[p, bottom] = ac - 1j * bc, ac + 1j * bc
+    inner[p, p] = eta[-1, -1]
     return Kernel(grid=sys.grid, smooth=smooth)
 
 

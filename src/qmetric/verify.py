@@ -9,10 +9,14 @@ representation: the identity line as I/h and the parity line as P/h on
 the interior nodes.
 
 Factorisations: when that interior matrix M is exactly Hermitian (the
-oracle Hermitizes its metric, and the series keeps the kernels of the
-built-in models Hermitian bit for bit), positivity and invertibility both
-read one eigvalsh of M, which hermitian_eigenvalues computes once for
-both; the singular values are then |lambda|.  Any other M takes an SVD for invertibility.  The intertwining
+oracle's metric is by construction, and the series keeps the kernels of
+the built-in models Hermitian bit for bit), positivity and invertibility
+both read one eigvalsh of M, which hermitian_eigenvalues computes once
+for both; the singular values are then |lambda|.  An M that is also
+exactly PT-symmetric (P conj(M) P = M, P the reversal of the node order,
+as the oracle's metric is) is folded to a real symmetric matrix U^dag M U
+first, so that eigvalsh runs in real arithmetic.  An M that is not
+exactly Hermitian takes an SVD for invertibility.  The intertwining
 commutator H^dag M - M H is formed with banded products on the three
 diagonals of the finite-difference H, and the mass term mu^2(x, y) is
 evaluated from the node vectors, never from n x n meshes.
@@ -27,7 +31,13 @@ import numpy as np
 
 from qmetric.kernels import Grid, Kernel, hermiticity_defect
 from qmetric.potentials import PotentialSpec, eval_mass_term
-from qmetric.spectral import DiscretizedHamiltonian, _tridiagonal_product, _tridiagonals
+from qmetric.spectral import (
+    DiscretizedHamiltonian,
+    _fold,
+    _is_pt_symmetric,
+    _tridiagonal_product,
+    _tridiagonals,
+)
 
 __all__ = [
     "CheckReport",
@@ -84,10 +94,14 @@ def hermitian_eigenvalues(k: Kernel) -> np.ndarray | None:
     """Ascending eigenvalues of the interior matrix M, or None unless M == M^dag exactly.
 
     positivity_check and invertibility_check both accept the result, so
-    one eigvalsh serves the two checks.
+    one eigvalsh serves the two checks.  An M that is also exactly
+    PT-symmetric has the same eigenvalues as its real symmetric fold
+    U^dag M U, whose eigvalsh is taken instead.
     """
     M = kernel_matrix(k)
-    return np.linalg.eigvalsh(M) if np.array_equal(M, M.conj().T) else None
+    if not np.array_equal(M, M.conj().T):
+        return None
+    return np.linalg.eigvalsh(_fold(M) if _is_pt_symmetric(M) else M)
 
 
 def _grids_match(a: Grid, b: Grid) -> bool:
@@ -168,14 +182,18 @@ def positivity_check(k: Kernel, grid: Grid,
     rounding floor dim * eps * max_eigenvalue (rank-deficient but
     positive-semidefinite truncations are accepted; genuinely indefinite
     kernels fail).  The exact extreme eigenvalues are in the metadata.
-    eigenvalues, if given, is hermitian_eigenvalues(k); on an exactly
-    Hermitian M the Hermitized matrix is M itself.
+    eigenvalues, if given, is hermitian_eigenvalues(k), which also
+    computes it when not given; on an exactly Hermitian M the Hermitized
+    matrix is M itself, and only an M that is not exactly Hermitian takes
+    eigvalsh of (M + M^dag) / 2.
     """
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
     defect = hermiticity_defect(k)
     if defect >= 1e-8:
         raise ValueError(f"kernel is not Hermitian (defect {defect:.3g})")
+    if eigenvalues is None:
+        eigenvalues = hermitian_eigenvalues(k)
     if eigenvalues is None:
         M = kernel_matrix(k)
         eigenvalues = np.linalg.eigvalsh(0.5 * (M + M.conj().T))

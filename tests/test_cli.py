@@ -424,6 +424,19 @@ class TestOracle:
         assert run("oracle", "--model", "square-well", "--n", "65",
                    "--order", "100", "--out", str(tmp_path / "orc")) == 2
 
+    @pytest.mark.parametrize("order", ["0", "128"])
+    def test_bad_mode_count_fails_before_the_solve(self, tmp_path, monkeypatch, capsys, order):
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eigen-solve ran before --order was checked")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        out = tmp_path / "orc"
+        assert run("oracle", "--model", "square-well", "--n", "129",
+                   "--order", order, "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --order must lie in [1, 127] for n=129, got {order}\n"
+
 
 @pytest.mark.parametrize("case", ["missing", "grid_mismatch", "half_width_off"])
 def test_bad_cross_check_writes_nothing(tmp_path, monkeypatch, capsys, case):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmetric.kernels import Grid, hermiticity_defect
+from qmetric.kernels import Grid, hermiticity_defect, kernel_from_csv, kernel_to_csv
 from qmetric.potentials import (
     Domain,
     PotentialSpec,
@@ -290,6 +290,64 @@ class TestPTRealPath:
                             pair_eigensystem(h, 1.0)
                     else:
                         pair_eigensystem(h, 1.0)
+
+
+def _exactly_hermitian_and_pt_symmetric(M):
+    return np.array_equal(M, M.conj().T) and np.array_equal(M[::-1, ::-1].conj(), M)
+
+
+class TestFoldedMetric:
+    @pytest.mark.parametrize("n_modes", [40, None], ids=["40-modes", "all-modes"])
+    @pytest.mark.parametrize("name", ["well-unbroken", "scattering", "pt-deltas"])
+    def test_exactly_hermitian_and_pt_symmetric(self, tmp_path, name, n_modes):
+        pot, grid = PT_INPUTS[name]
+        sys = biorthonormalize(discretize(pot, grid))
+        n_modes = n_modes or grid.n - 2
+        k = spectral_metric(sys, n_modes)
+        assert _exactly_hermitian_and_pt_symmetric(k.smooth[1:-1, 1:-1])
+        assert np.all(k.smooth[[0, -1], :] == 0.0) and np.all(k.smooth[:, [0, -1]] == 0.0)
+        kernel_to_csv(k, tmp_path / "metric.csv")
+        stored = kernel_from_csv(tmp_path / "metric.csv")
+        assert _exactly_hermitian_and_pt_symmetric(stored.smooth[1:-1, 1:-1])
+        # the real product against the complex one on the same left vectors
+        idx = np.argsort(np.abs(sys.energies.real), kind="stable")[:n_modes]
+        phi = sys.left[:, idx]
+        reference = phi @ phi.conj().T
+        reference = 0.5 * (reference + reference.conj().T)
+        metric = k.smooth[1:-1, 1:-1]
+        assert np.max(np.abs(metric - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_broken_levels_keep_the_complex_product(self):
+        # complex eigenvectors of the fold map to vectors that are not PT-invariant
+        pot, grid = PT_INPUTS["well-broken"]
+        sys = biorthonormalize(discretize(pot, grid))
+        phi = sys.left
+        reference = phi @ phi.conj().T
+        reference = 0.5 * (reference + reference.conj().T)
+        np.testing.assert_array_equal(spectral_metric(sys, grid.n - 2).smooth[1:-1, 1:-1],
+                                      reference)
+
+    @pytest.mark.parametrize("name, dtype", [("well-unbroken", np.float64),
+                                             ("well-broken", np.complex128),
+                                             ("general", np.complex128)])
+    def test_inverse_runs_in_the_folded_basis(self, monkeypatch, name, dtype):
+        if name == "general":
+            pot, grid = delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT), Grid(half_width=2.0, n=129)
+        else:
+            pot, grid = PT_INPUTS[name]
+        ham = discretize(pot, grid)
+        seen = []
+        inv = np.linalg.inv
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return inv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        sys = biorthonormalize(ham)
+        assert seen == [dtype]
+        assert sys.right.dtype == sys.left.dtype == np.complex128
+        assert sys.defect < 1e-13
 
 
 class TestSpectralMetric:

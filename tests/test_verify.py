@@ -307,6 +307,53 @@ class TestSharedEigenSolve:
         assert calls == [(63, 63)]
 
 
+
+FOLDED_NAMES = ["identity", "parity", "oracle"]  # exactly Hermitian and exactly PT-symmetric
+
+
+class TestFoldedEigenvalues:
+    def _spy(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return seen
+
+    @pytest.mark.parametrize("name", HERMITIAN_NAMES)
+    def test_only_pt_symmetric_kernels_are_folded(self, monkeypatch, name):
+        k = _hermitian_kernels()[name]
+        M = kernel_matrix(k)
+        assert np.array_equal(M[::-1, ::-1].conj(), M) == (name in FOLDED_NAMES)
+        reference = np.linalg.eigvalsh(M)
+        seen = self._spy(monkeypatch)
+        ev = hermitian_eigenvalues(k)
+        assert seen == [np.float64 if name in FOLDED_NAMES else np.complex128]
+        if name in FOLDED_NAMES:
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(ev - reference)) <= 1e-13 * scale
+        else:
+            np.testing.assert_array_equal(ev, reference)
+
+    @pytest.mark.parametrize("name", ["random", "k_delta"])
+    def test_complex_path_reports_are_unchanged(self, name):
+        k = _hermitian_kernels()[name]
+        ev = np.linalg.eigvalsh(kernel_matrix(k))
+        assert positivity_check(k, k.grid) == positivity_check(k, k.grid, eigenvalues=ev)
+        assert invertibility_check(k, k.grid) == invertibility_check(k, k.grid, eigenvalues=ev)
+
+    def test_pt_symmetric_non_hermitian_matrix_is_not_folded(self, monkeypatch):
+        # the well's own H is exactly PT-symmetric but not Hermitian
+        grid = Grid.for_box(np.pi, 65)
+        smooth = np.zeros((65, 65), dtype=complex)
+        smooth[1:-1, 1:-1] = discretize(square_well(0.3, np.pi, BT), grid).matrix
+        seen = self._spy(monkeypatch)
+        assert hermitian_eigenvalues(Kernel(grid=grid, smooth=smooth)) is None
+        assert seen == []
+
 class TestBandedCommutator:
     def _dense(self, k, H):
         M = kernel_matrix(k)
