@@ -28,7 +28,6 @@ from .kernels import (
 from .potentials import (
     constants_preset,
     delta_potential,
-    eval_mass_term,
     potential_from_dict,
     potential_to_dict,
     scattering_potential,
@@ -48,6 +47,7 @@ from .verify import (
     hermitian_eigenvalues,
     invertibility_check,
     kg_residual,
+    mass_term_sup,
     positivity_check,
     pseudo_hermiticity_residual,
 )
@@ -224,9 +224,7 @@ def _build_seed(args, pot) -> SeedPair:
 
 
 def _kg_tolerance(pot, grid: Grid, kernel: Kernel) -> float:
-    nodes = grid.nodes
-    mu_sup = float(np.max(np.abs(eval_mass_term(pot, nodes[:, None], nodes[None, :]))))
-    return max(1e-8, KG_HEADROOM * mu_sup * kernel.sup_smooth)
+    return max(1e-8, KG_HEADROOM * mass_term_sup(pot, grid) * kernel.sup_smooth)
 
 
 def _tolerances(pot, grid: Grid, kernel: Kernel) -> dict:
@@ -300,6 +298,17 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _check_names(text: str) -> list:
+    """The --checks list, validated before any kernel is read."""
+    names = [p.strip() for p in text.split(",") if p.strip()]
+    if not names:
+        raise ValueError("empty --checks list")
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
+    return names
+
+
 def _run_checks(names, kernel: Kernel, pot, grid: Grid):
     # one eigvalsh serves positivity and invertibility on an exactly Hermitian kernel
     eigenvalues = (hermitian_eigenvalues(kernel)
@@ -324,6 +333,7 @@ def _run_checks(names, kernel: Kernel, pot, grid: Grid):
 
 
 def cmd_verify(args) -> int:
+    names = _check_names(args.checks)
     pot, doc = _build_potential(args)
     out = Path(args.out)
     kernel = kernel_from_csv(out / "kernel.csv" if args.kernel is None else Path(args.kernel))
@@ -333,9 +343,6 @@ def cmd_verify(args) -> int:
     if args.extent is not None and not _grids_match(grid, Grid(args.extent, grid.n)):
         raise ValueError(f"--extent {args.extent} does not match the stored kernel "
                          f"half-width {grid.half_width}")
-    names = [p.strip() for p in args.checks.split(",") if p.strip()]
-    if not names:
-        raise ValueError("empty --checks list")
     reports = _run_checks(names, kernel, pot, grid)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "checks.jsonl", "w") as f:
@@ -350,7 +357,9 @@ def _spectral_artifacts(pot, grid: Grid, order, out: Path):
     """Write spectrum.csv and metric.csv to out; return (metric, summary).
 
     The Hamiltonian and its eigenvectors are freed on return, before the
-    cross-check, which would otherwise set the peak memory of `oracle`.
+    cross-check.  The eigen-solve sets the peak memory of `oracle`: the
+    cross-check's residual runs over row blocks and adds only O(block n)
+    to the kernels it compares.
     """
     ham = discretize(pot, grid)
     system = biorthonormalize(ham)

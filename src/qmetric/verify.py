@@ -18,8 +18,14 @@ as the oracle's metric is) is folded to a real symmetric matrix U^dag M U
 first, so that eigvalsh runs in real arithmetic.  An M that is not
 exactly Hermitian takes an SVD for invertibility.  The intertwining
 commutator H^dag M - M H is formed with banded products on the three
-diagonals of the finite-difference H, and the mass term mu^2(x, y) is
-evaluated from the node vectors, never from n x n meshes.
+diagonals of the finite-difference H.
+
+The residual checks (the wave-operator residual, the sup of the mass term
+mu^2(x, y) and the commutator) run over blocks of _BLOCK rows or columns,
+so their memory beyond the kernel and M is O(_BLOCK n).  The per-block
+maxima are reduced with np.max, which keeps a NaN (Python's max drops
+it).  Each element keeps the expression and operation order of the
+whole-array form, so the reports are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qmetric.kernels import Grid, Kernel, hermiticity_defect
-from qmetric.potentials import PotentialSpec, eval_mass_term
+from qmetric.potentials import PotentialSpec, eval_mass_term, eval_potential
 from qmetric.spectral import (
     DiscretizedHamiltonian,
     _fold,
@@ -44,12 +50,14 @@ __all__ = [
     "kernel_matrix",
     "hermitian_eigenvalues",
     "kg_residual",
+    "mass_term_sup",
     "pseudo_hermiticity_residual",
     "positivity_check",
     "invertibility_check",
 ]
 
 _TINY = 1e-300
+_BLOCK = 32  # rows (kg_residual, mass_term_sup) or columns (commutator) per block
 
 
 @dataclass
@@ -109,6 +117,18 @@ def _grids_match(a: Grid, b: Grid) -> bool:
     return a.n == b.n and abs(a.half_width - b.half_width) <= 1e-12 * max(1.0, a.half_width)
 
 
+def _mass_term(pot: PotentialSpec, v: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """eval_mass_term on the node block rows x cols, from v = eval_potential on the nodes."""
+    return pot.constants.c0 * (np.conj(v[rows])[:, None] - v[None, cols])
+
+
+def mass_term_sup(pot: PotentialSpec, grid: Grid) -> float:
+    """sup |mu^2(x, y)| over all pairs of grid nodes, one block of rows at a time."""
+    v = eval_potential(pot, grid.nodes)
+    return float(np.max([np.max(np.abs(_mass_term(pot, v, slice(r, r + _BLOCK), slice(None))))
+                         for r in range(0, grid.n, _BLOCK)]))
+
+
 def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
                 tolerance: float = 1e-8, band_exclude: int = 2) -> CheckReport:
     """Wave-operator residual [-Dxx + Dyy + mu^2] smooth on interior nodes.
@@ -118,23 +138,29 @@ def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
     there and the centered stencil does not apply.  The identity and
     parity lines contribute only through the mass term; their channel
     values sup|c_diag * mu^2(x, x)| and sup|c_anti * mu^2(x, -x)| are
-    reported in the metadata, not folded into the verdict.
+    reported in the metadata, not folded into the verdict.  The residual
+    is formed for _BLOCK interior rows at a time.
     """
     if grid.n < 33:
         raise ValueError(f"grid too coarse for residual stencils: n={grid.n}")
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
     S = k.smooth
-    h = grid.h
+    n, h = grid.n, grid.h
     nodes = grid.nodes
-    mu2 = eval_mass_term(pot, nodes[:, None], nodes[None, :])
-    R = -(S[2:, 1:-1] - 2.0 * S[1:-1, 1:-1] + S[:-2, 1:-1]) / h**2 \
-        + (S[1:-1, 2:] - 2.0 * S[1:-1, 1:-1] + S[1:-1, :-2]) / h**2 \
-        + mu2[1:-1, 1:-1] * S[1:-1, 1:-1]
-    ii = np.arange(1, grid.n - 1)
-    keep = np.abs(ii[:, None] - ii[None, :]) > band_exclude
-    residual = float(np.max(np.abs(R[keep]))) if np.any(keep) else 0.0
-    scale = max(k.sup_smooth, _TINY) * (4.0 / h**2 + float(np.max(np.abs(mu2))))
+    v = eval_potential(pot, nodes)
+    cols = np.arange(1, n - 1)
+    maxima = []
+    for r0 in range(1, n - 1, _BLOCK):
+        r1 = min(r0 + _BLOCK, n - 1)
+        rows = slice(r0, r1)
+        R = -(S[r0 + 1:r1 + 1, 1:-1] - 2.0 * S[rows, 1:-1] + S[r0 - 1:r1 - 1, 1:-1]) / h**2 \
+            + (S[rows, 2:] - 2.0 * S[rows, 1:-1] + S[rows, :-2]) / h**2 \
+            + _mass_term(pot, v, rows, slice(1, -1)) * S[rows, 1:-1]
+        keep = np.abs(np.arange(r0, r1)[:, None] - cols[None, :]) > band_exclude
+        maxima.append(np.max(np.abs(R), where=keep, initial=0.0))
+    residual = float(np.max(maxima))
+    scale = max(k.sup_smooth, _TINY) * (4.0 / h**2 + mass_term_sup(pot, grid))
     diag_channel = float(np.abs(k.c_diag) * np.max(np.abs(eval_mass_term(
         pot, nodes, nodes))))
     anti_channel = float(np.abs(k.c_anti) * np.max(np.abs(eval_mass_term(
@@ -152,19 +178,30 @@ def pseudo_hermiticity_residual(k: Kernel, ham: DiscretizedHamiltonian,
                                 tolerance: float = 1e-6) -> CheckReport:
     """Sup norm of H^dag M - M H for the kernel's interior matrix M.
 
-    Both products are banded, on the three diagonals of H; raises
-    ValueError if H has a nonzero entry off them.
+    Both products are banded, on the three diagonals of H, and formed
+    for _BLOCK columns of M at a time; raises ValueError if H has a
+    nonzero entry off the three diagonals.
     """
     if not _grids_match(k.grid, ham.grid):
         raise ValueError("kernel and Hamiltonian grids do not match")
     M = kernel_matrix(k)
-    H = ham.matrix
-    diag, upper, lower = _tridiagonals(H)
+    diag, upper, lower = _tridiagonals(ham.matrix)
+    m = M.shape[0]
     # H^dag has diagonals (conj diag, conj lower, conj upper); M H = (H^T M^T)^T
-    comm = (_tridiagonal_product(diag.conj(), lower.conj(), upper.conj(), M)
-            - _tridiagonal_product(diag, lower, upper, M.T).T)
-    residual = float(np.max(np.abs(comm)))
-    denom = max(float(np.max(np.abs(M))), _TINY) * max(float(np.max(np.abs(H))), _TINY)
+    hdag = (diag.conj(), lower.conj(), upper.conj())
+    comm_maxima, m_maxima = [], []
+    for c0 in range(0, m, _BLOCK):
+        c1 = min(c0 + _BLOCK, m)
+        lo, hi = max(c0 - 1, 0), min(c1 + 1, m)  # M H on c0:c1 reads one column either side
+        mh = _tridiagonal_product(diag[lo:hi], lower[lo:hi - 1], upper[lo:hi - 1],
+                                  M[:, lo:hi].T)[c0 - lo:c1 - lo].T
+        comm = _tridiagonal_product(*hdag, M[:, c0:c1]) - mh
+        comm_maxima.append(np.max(np.abs(comm)))
+        m_maxima.append(np.max(np.abs(M[:, c0:c1])))
+    residual = float(np.max(comm_maxima))
+    # every entry of H off the three diagonals is zero
+    h_max = float(np.max(np.abs(np.concatenate((diag, upper, lower)))))
+    denom = max(float(np.max(m_maxima)), _TINY) * max(h_max, _TINY)
     relative = residual / denom
     return CheckReport(
         check="pseudo_hermiticity",

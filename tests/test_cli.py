@@ -358,6 +358,21 @@ class TestVerify:
         assert run("verify", "--model", "square-well", "--checks", "bogus",
                    "--out", str(out)) == 2
 
+    @pytest.mark.parametrize("checks", ["positivity,bogus", "", " , "])
+    def test_check_names_are_validated_before_the_kernel_is_read(self, tmp_path, monkeypatch,
+                                                                 capsys, checks):
+        def no_read(path):
+            raise AssertionError(f"kernel read from {path}")
+
+        monkeypatch.setattr(cli, "kernel_from_csv", no_read)
+        out = tmp_path / "missing"  # no kernel here: the check list must fail first
+        capsys.readouterr()
+        assert run("verify", "--model", "square-well", "--checks", checks,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert ("unknown check 'bogus'" if "bogus" in checks else "empty --checks list") in err
+        assert not out.exists()
+
 
 class TestOracle:
     def test_square_well_spectrum_and_metric(self, tmp_path):

@@ -1,6 +1,8 @@
 """Residual estimator tests with independently computed expected values."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +22,15 @@ from qmetric.potentials import (
 from qmetric.series import apply_K_to_identity
 from qmetric.spectral import (
     DiscretizedHamiltonian,
+    _tridiagonal_product,
+    _tridiagonals,
     biorthonormalize,
     discretize,
     pair_eigensystem,
     spectral_metric,
 )
 from qmetric.verify import (
+    _BLOCK,
     CheckReport,
     hermitian_eigenvalues,
     invertibility_check,
@@ -354,6 +359,35 @@ class TestFoldedEigenvalues:
         assert hermitian_eigenvalues(Kernel(grid=grid, smooth=smooth)) is None
         assert seen == []
 
+
+# several blocks of interior rows and columns, the last one short
+BLOCKED_NS = [201, 2 * _BLOCK + 3]
+
+
+def _blocked_cases(n):
+    """(potential, grid, kernel) on n nodes for the blocked residual checks."""
+    box, line = Grid.for_box(np.pi, n), Grid(half_width=2.0, n=n)
+    rng = np.random.default_rng(n)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return [(square_well(0.1, np.pi, BT), box, square_well_eta1(0.1, box, BT)),
+            (real_well(), box, Kernel(grid=box, c_diag=1.0, smooth=0.002 * (raw + raw.conj().T))),
+            (scattering_potential(0.2, 1.0, NAT), line,
+             Kernel(grid=line, c_diag=1.0, c_anti=0.5, smooth=raw)),
+            (delta_potential([(-0.5, 0.7), (0.25, -0.4)], NAT), line,
+             Kernel(grid=line, c_diag=0.5j, smooth=np.outer(np.cos(line.nodes),
+                                                            np.sin(line.nodes)))),
+            # nonzero on the two end nodes only: sup|mu^2| sits in the first
+            # and last rows and columns, outside the interior blocks
+            (PotentialSpec(constants=NAT, domain=Domain.line(),
+                           segments=(((-3.0, -1.99), 5.0 + 1.0j), ((1.99, 3.0), -5.0))),
+             line, Kernel(grid=line, smooth=0.01 * raw))]
+
+
+@pytest.mark.parametrize("n", BLOCKED_NS)
+def test_blocked_grids_span_several_blocks_with_a_short_last_one(n):
+    assert n - 2 > 2 * _BLOCK and (n - 2) % _BLOCK and n % _BLOCK
+
+
 class TestBandedCommutator:
     def _dense(self, k, H):
         M = kernel_matrix(k)
@@ -379,6 +413,33 @@ class TestBandedCommutator:
                     * np.max(np.abs(ham.matrix)) * np.max(np.abs(M))
                 rep = pseudo_hermiticity_residual(k, ham)
                 assert abs(rep.residual - dense) <= bound
+
+    @staticmethod
+    def _whole_array(k, ham, tolerance=1e-6):
+        """pseudo_hermiticity_residual with both banded products formed on all of M at once."""
+        M = kernel_matrix(k)
+        H = ham.matrix
+        diag, upper, lower = _tridiagonals(H)
+        comm = (_tridiagonal_product(diag.conj(), lower.conj(), upper.conj(), M)
+                - _tridiagonal_product(diag, lower, upper, M.T).T)
+        residual = float(np.max(np.abs(comm)))
+        denom = max(float(np.max(np.abs(M))), 1e-300) * max(float(np.max(np.abs(H))), 1e-300)
+        return CheckReport(check="pseudo_hermiticity", residual=residual,
+                           relative=residual / denom, passed=residual / denom <= tolerance,
+                           meta={"n": k.grid.n, "bc": ham.bc, "tolerance": tolerance})
+
+    @pytest.mark.parametrize("n", BLOCKED_NS)
+    def test_column_blocks_equal_the_whole_array_products(self, n):
+        rng = np.random.default_rng(n + 1)
+        m = n - 2
+        tri = (np.diag(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+               + np.diag(rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1), 1)
+               + np.diag(rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1), -1))
+        for pot, grid, k in _blocked_cases(n):
+            for ham in (discretize(pot, grid),
+                        DiscretizedHamiltonian(grid=grid, matrix=tri, bc="dirichlet")):
+                got = pseudo_hermiticity_residual(k, ham)
+                assert got.to_json_line() == self._whole_array(k, ham).to_json_line()
 
     def test_rejects_entries_off_the_three_diagonals(self):
         grid = Grid.for_box(np.pi, 33)
@@ -421,10 +482,70 @@ class TestMassTermFromNodes:
                  (scattering_potential(0.2, 1.0, NAT), line_grid,
                   Kernel(grid=line_grid, c_diag=1.0, c_anti=0.5,
                          smooth=np.outer(np.cos(line_grid.nodes), np.sin(line_grid.nodes))))]
+        cases += [case for n in BLOCKED_NS for case in _blocked_cases(n)]
         for pot, grid, k in cases:
             X, Y = grid.mesh()
             mu_sup = float(np.max(np.abs(eval_mass_term(pot, X, Y))))
             tol = _kg_tolerance(pot, grid, k)
             assert tol == max(1e-8, KG_HEADROOM * mu_sup * k.sup_smooth)
-            got = kg_residual(k, pot, grid, tolerance=tol)
-            assert got.to_json_line() == self._mesh_kg_residual(k, pot, grid, tol).to_json_line()
+            for band in (0, 2, 5):
+                got = kg_residual(k, pot, grid, tolerance=tol, band_exclude=band)
+                want = self._mesh_kg_residual(k, pot, grid, tol, band)
+                assert got.to_json_line() == want.to_json_line()
+
+
+def test_nan_in_an_interior_block_fails_both_residual_checks():
+    n = 201
+    grid = Grid.for_box(np.pi, n)
+    pot = real_well()
+    ham = discretize(pot, grid)
+    clean = Kernel(grid=grid, c_diag=1.0)
+    assert kg_residual(clean, pot, grid).residual == 0.0
+    assert pseudo_hermiticity_residual(clean, ham).residual == 0.0
+    # inside an interior block of rows (kg) and of columns (commutator), off the band
+    i, j = 2 * _BLOCK + 5, 3 * _BLOCK + 7
+    smooth = np.zeros((n, n), dtype=complex)
+    smooth[i, j] = np.nan
+    k = Kernel(grid=grid, c_diag=1.0, smooth=smooth)
+    for rep in (kg_residual(k, pot, grid), pseudo_hermiticity_residual(k, ham)):
+        assert math.isnan(rep.residual) and math.isnan(rep.relative)
+        assert rep.passed is False
+        assert json.loads(rep.to_json_line())["pass"] is False
+
+
+class TestResidualMemory:
+    """Peak traced allocation inside each call, in units of the kernel's own bytes."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        n = 1025
+        grid = Grid.for_box(np.pi, n)
+        rng = np.random.default_rng(41)
+        smooth = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        smooth += smooth.conj().T
+        k = Kernel(grid=grid, c_diag=1.0, smooth=smooth)
+        pot = square_well(0.3, np.pi, BT)
+        return k, pot, discretize(pot, grid)
+
+    @staticmethod
+    def _peak(call, nbytes):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_kg_residual(self, case):
+        k, pot, _ = case
+        assert self._peak(lambda: kg_residual(k, pot, k.grid), k.smooth.nbytes) < 1.0
+
+    def test_mass_term_sup(self, case):
+        # through its caller: the kg tolerance also takes sup|smooth| (0.5 of the bytes)
+        k, pot, _ = case
+        assert self._peak(lambda: _kg_tolerance(pot, k.grid, k), k.smooth.nbytes) < 1.0
+
+    def test_pseudo_hermiticity_residual(self, case):
+        # one copy of the interior matrix M is kept
+        k, _, ham = case
+        assert self._peak(lambda: pseudo_hermiticity_residual(k, ham), k.smooth.nbytes) < 2.0
