@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qmetric.kernels import Grid
+
 __all__ = [
     "unit_step",
     "PhysConstants",
     "Domain",
     "PotentialSpec",
     "constants_preset",
+    "check_box_grid",
     "eval_potential",
     "eval_mass_term",
     "square_well",
@@ -163,6 +166,15 @@ class PotentialSpec:
     @property
     def has_deltas(self) -> bool:
         return len(self.deltas) > 0
+
+
+def check_box_grid(pot: PotentialSpec, grid: Grid) -> None:
+    """ValueError unless a box potential's grid spans the box (1e-12 relative half-width)."""
+    if pot.domain.is_box:
+        half = pot.domain.half_width
+        if abs(grid.half_width - half) > 1e-12 * max(1.0, half):
+            raise ValueError(
+                f"grid half-width {grid.half_width} does not match the box half-width {half}")
 
 
 def eval_potential(pot: PotentialSpec, x) -> np.ndarray:

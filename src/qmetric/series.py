@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from qmetric.kernels import Grid, Kernel, SeedPair, seed_to_kernel
-from qmetric.potentials import PotentialSpec, eval_potential, unit_step
+from qmetric.potentials import PotentialSpec, check_box_grid, eval_potential, unit_step
 
 __all__ = [
     "KConfig",
@@ -104,14 +104,6 @@ class SeriesState:
     truncated_evals: int = 0
 
 
-def _check_grid_domain(pot: PotentialSpec, grid: Grid) -> None:
-    if pot.domain.is_box:
-        half = pot.domain.half_width
-        if abs(grid.half_width - half) > 1e-12 * max(1.0, half):
-            raise ValueError(
-                f"grid half-width {grid.half_width} does not match the box half-width {half}")
-
-
 def _segment_prefix(pot: PotentialSpec, t) -> np.ndarray:
     """Exact int_0^t v(r) dr for the piecewise-constant segment part."""
     t = np.asarray(t, dtype=float)
@@ -131,7 +123,7 @@ def apply_K_to_identity(pot: PotentialSpec, grid: Grid, cfg: KConfig | None = No
 
     with both integrals evaluated exactly for piecewise-constant v.
     """
-    _check_grid_domain(pot, grid)
+    check_box_grid(pot, grid)
     r0 = 0.0 if cfg is None else cfg.r0
     X, Y = grid.mesh()
     pref = _segment_prefix(pot, 0.5 * (X + Y))
@@ -276,7 +268,7 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     of each family leave the grid square inside each of the n-1 cells;
     every such pair counts once per term.
     """
-    _check_grid_domain(pot, grid)
+    check_box_grid(pot, grid)
     n, X, count = grid.n, grid.half_width, not pot.domain.is_box
     j0_hits = np.nonzero(np.abs(grid.nodes - cfg.r0) <= 1e-9 * max(1.0, X))[0]
     if len(j0_hits) == 0:
@@ -377,7 +369,7 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     real part is added to the imaginary half of the result and that of an
     imaginary part, negated, to the real half.
     """
-    _check_grid_domain(pot, grid)
+    check_box_grid(pot, grid)
     n, h, half = grid.n, grid.h, grid.half_width
     nodes, diff = grid.nodes, grid.diff_nodes
     out = np.zeros((n, n), dtype=complex)
@@ -449,7 +441,7 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
         ValueError: for a parity singular part under a segment
             potential (no closed-form rule exists for that channel).
     """
-    _check_grid_domain(pot, grid)
+    check_box_grid(pot, grid)
     out = np.zeros((grid.n, grid.n), dtype=complex)
     if pot.has_segments:
         if kernel.c_anti != 0.0:
@@ -464,9 +456,8 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
     return Kernel(grid=grid, smooth=out)
 
 
-def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig, grid: Grid,
-                   include_identity: bool = True,
-                   include_parity: bool = False) -> SeriesState:
+def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
+                   grid: Grid) -> SeriesState:
     """Iterate K from a seed kernel and accumulate the series solution.
 
     Stops after max_order applications or when the latest iterate's sup
@@ -474,8 +465,7 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig, grid: Grid,
     increases ending above ten times the order-1 norm) sets a flag on
     the returned state; the computation is still returned.
     """
-    k0 = seed_to_kernel(seed, grid, include_identity=include_identity,
-                        include_parity=include_parity)
+    k0 = seed_to_kernel(seed, grid)
     iterates = [k0]
     sup_norms = [k0.sup_smooth]
     stats: dict = {}

@@ -2,15 +2,18 @@
 
 The Hamiltonian -kappa d^2/dx^2 + v(x) is discretized on the interior
 nodes of a grid with walls held at zero (exact for box domains, a
-truncated approximation on the line).  One dense eigen-solve gives the
-right eigenvectors; the left eigenvectors are their dual basis, which
-makes the pair a biorthonormal system under the grid inner product
-h * sum(conj(a) * b) by construction.  A matrix with exact PT symmetry,
-P conj(H) P = H with P the reversal of the node order, is similar to a
-real matrix (Mostafazadeh, J. Math. Phys. 43, 3944 (2002)): folded by
-a unitary U with PT-invariant columns it is solved, inverted and
-checked in that real basis, and only the eigenvectors are mapped back;
-every other matrix gets a complex solve.  The metric kernel is then the
+truncated approximation on the line).  Second central differences make
+it complex symmetric and tridiagonal, and it is stored as its main
+diagonal and its one off-diagonal.  The dense matrix exists only
+inside biorthonormalize, as the input of the one dense eigen-solve,
+which gives the right eigenvectors; the left eigenvectors are their
+dual basis, which makes the pair a biorthonormal system under the grid
+inner product h * sum(conj(a) * b) by construction.  A matrix with
+exact PT symmetry, P conj(H) P = H with P the reversal of the node
+order, is similar to a real matrix (Mostafazadeh, J. Math. Phys. 43,
+3944 (2002)): folded by a unitary U with PT-invariant columns it is
+solved, inverted and checked in that real basis, and only the
+eigenvectors are mapped back; every other matrix gets a complex solve.  The metric kernel is then the
 resolved sum of left projectors
 
     M(x, y) = sum_n phi_n(x) * conj(phi_n(y))
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qmetric.kernels import FLOAT_FMT, Grid, Kernel
-from qmetric.potentials import PhysConstants, PotentialSpec, eval_potential
+from qmetric.potentials import PhysConstants, PotentialSpec, check_box_grid, eval_potential
 
 __all__ = [
     "ExceptionalPointError",
@@ -49,15 +52,18 @@ class ExceptionalPointError(RuntimeError):
 
 @dataclass
 class DiscretizedHamiltonian:
-    """Dense matrix restriction of the Hamiltonian to interior grid nodes.
+    """The Hamiltonian on the interior grid nodes as its two diagonals.
 
-    bc records how the walls are treated: "dirichlet" (exact for a box)
-    or "truncated" (zero imposed at the edge of a finite window on the
-    line).  The matrix is complex symmetric.
+    The matrix is complex symmetric and tridiagonal: diag holds its m
+    main-diagonal entries and off the m - 1 entries on either side of
+    it.  bc records how the walls are treated: "dirichlet" (exact for a
+    box) or "truncated" (zero imposed at the edge of a finite window on
+    the line).
     """
 
     grid: Grid
-    matrix: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
     bc: str
 
     @property
@@ -67,6 +73,21 @@ class DiscretizedHamiltonian:
     @property
     def dim(self) -> int:
         return self.grid.n - 2
+
+    @property
+    def max_abs(self) -> float:
+        """max |H_ij|: every entry off the two diagonals is zero."""
+        return float(max(np.max(np.abs(self.diag)), np.max(np.abs(self.off))))
+
+    def dense(self) -> np.ndarray:
+        """The m x m matrix, written through strided views of one zeroed array."""
+        m = self.dim
+        H = np.zeros((m, m), dtype=complex)
+        flat = H.reshape(-1)
+        flat[::m + 1] = self.diag
+        flat[1::m + 1] = self.off
+        flat[m::m + 1] = self.off
+        return H
 
 
 @dataclass
@@ -85,40 +106,30 @@ class BiorthonormalSystem:
     defect: float
 
 
-def discretize(pot: PotentialSpec, grid: Grid, bc: str = "auto") -> DiscretizedHamiltonian:
-    """Build the interior-node matrix with second central differences.
+def discretize(pot: PotentialSpec, grid: Grid) -> DiscretizedHamiltonian:
+    """Build the interior-node diagonals with second central differences.
 
     Point couplings i*zeta*delta(x - a) enter as diagonal spikes
     i*zeta/h at the interior node nearest a, the lower one when a lies
     exactly midway; if that node is further than h/2 away a placement
-    warning is emitted.
+    warning is emitted.  The walls are "dirichlet" on a box and
+    "truncated" on the line.
     """
-    if pot.domain.is_box:
-        half = pot.domain.half_width
-        if abs(grid.half_width - half) > 1e-12 * max(1.0, half):
-            raise ValueError(
-                f"grid half-width {grid.half_width} does not match the box half-width {half}")
-    if bc == "auto":
-        bc = "dirichlet" if pot.domain.is_box else "truncated"
-    if bc not in ("dirichlet", "truncated"):
-        raise ValueError(f"unknown boundary treatment {bc!r}")
-    n, h = grid.n, grid.h
-    m = n - 2
+    check_box_grid(pot, grid)
+    h = grid.h
     kappa = pot.constants.hbar**2 / (2.0 * pot.constants.mass)
     x = grid.nodes[1:-1]
-    H = np.zeros((m, m), dtype=complex)
-    idx = np.arange(m)
-    H[idx, idx] = 2.0 * kappa / h**2 + eval_potential(pot, x)
-    H[idx[:-1], idx[:-1] + 1] = -kappa / h**2
-    H[idx[:-1] + 1, idx[:-1]] = -kappa / h**2
+    diag = 2.0 * kappa / h**2 + eval_potential(pot, x)
+    off = np.full(x.size - 1, -kappa / h**2, dtype=complex)
     for a, zeta in pot.deltas:
         j = int(np.argmin(np.abs(x - a)))
         if abs(x[j] - a) > 0.5 * h + 1e-12:
             warnings.warn(
                 f"point coupling at {a} lies {abs(x[j] - a):.3g} from the nearest "
                 "interior node (more than half a grid cell)", RuntimeWarning)
-        H[j, j] += 1j * zeta / h
-    return DiscretizedHamiltonian(grid=grid, matrix=H, bc=bc)
+        diag[j] += 1j * zeta / h
+    return DiscretizedHamiltonian(grid=grid, diag=diag, off=off,
+                                  bc="dirichlet" if pot.domain.is_box else "truncated")
 
 
 def free_box_levels(grid: Grid, constants: PhysConstants, count: int | None = None) -> np.ndarray:
@@ -138,9 +149,13 @@ def free_box_levels(grid: Grid, constants: PhysConstants, count: int | None = No
     return (2.0 * kappa / grid.h**2) * (1.0 - np.cos(k * np.pi * grid.h / L))
 
 
-def _is_pt_symmetric(matrix: np.ndarray) -> bool:
-    """Exact PT symmetry P conj(H) P = H, with P the reversal of the node order."""
-    return bool(np.array_equal(matrix[::-1, ::-1].conj(), matrix))
+def _is_pt_symmetric(a: np.ndarray) -> bool:
+    """Exact PT symmetry P conj(a) P = a, with P the reversal of the node order.
+
+    np.flip reverses every axis: both index orders of a matrix, the one
+    order of a diagonal stored as a vector.
+    """
+    return bool(np.array_equal(np.flip(a).conj(), a))
 
 
 def _fold(matrix: np.ndarray) -> np.ndarray:
@@ -237,37 +252,28 @@ def pair_eigensystem(matrix: np.ndarray, h: float):
     return energies, right, left, defect
 
 
-def _tridiagonal_product(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                         v: np.ndarray) -> np.ndarray:
-    """A @ v for the tridiagonal A with the given main, upper and lower diagonals."""
+def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for the symmetric tridiagonal A with main diagonal diag and off-diagonal off."""
     out = diag[:, None] * v
-    out[:-1] += upper[:, None] * v[1:]
-    out[1:] += lower[:, None] * v[:-1]
+    out[:-1] += off[:, None] * v[1:]
+    out[1:] += off[:, None] * v[:-1]
     return out
-
-
-def _tridiagonals(H: np.ndarray):
-    """(main, upper, lower) diagonals of H; ValueError if H has a nonzero entry off them."""
-    diag, upper, lower = np.diagonal(H), np.diagonal(H, 1), np.diagonal(H, -1)
-    if np.count_nonzero(H) != sum(np.count_nonzero(d) for d in (diag, upper, lower)):
-        raise ValueError("discretized Hamiltonian is not tridiagonal")
-    return diag, upper, lower
 
 
 def biorthonormalize(ham: DiscretizedHamiltonian) -> BiorthonormalSystem:
     """Biorthonormal eigensystem of a discretized Hamiltonian.
 
-    Validates the eigen-relations H psi = E psi and H^dag phi = conj(E) phi
-    to a relative residual of 1e-8, with banded products on the three
-    diagonals of H.  Raises ValueError if H has a nonzero entry off them.
+    The dense matrix is built here for the eigen-solve only.  The
+    eigen-relations H psi = E psi and H^dag phi = conj(E) phi are then
+    validated to a relative residual of 1e-8, with banded products on
+    the two diagonals of H.
     """
-    H = ham.matrix
-    diag, upper, lower = _tridiagonals(H)
-    energies, right, left, defect = pair_eigensystem(H, ham.grid.h)
-    hnorm = max(1.0, float(np.max(np.abs(H))))
-    r_right = np.max(np.abs(_tridiagonal_product(diag, upper, lower, right)
+    energies, right, left, defect = pair_eigensystem(ham.dense(), ham.grid.h)
+    diag, off = ham.diag, ham.off
+    hnorm = max(1.0, ham.max_abs)
+    r_right = np.max(np.abs(_tridiagonal_product(diag, off, right)
                             - right * energies[None, :]))
-    r_left = np.max(np.abs(_tridiagonal_product(diag.conj(), lower.conj(), upper.conj(), left)
+    r_left = np.max(np.abs(_tridiagonal_product(diag.conj(), off.conj(), left)
                            - left * np.conj(energies)[None, :]))
     rel = max(r_right, r_left) / (hnorm * max(1.0, float(np.max(np.abs(right)))))
     if rel >= 1e-8:

@@ -17,7 +17,7 @@ exactly PT-symmetric (P conj(M) P = M, P the reversal of the node order,
 as the oracle's metric is) is folded to a real symmetric matrix U^dag M U
 first, so that eigvalsh runs in real arithmetic.  An M that is not
 exactly Hermitian takes an SVD for invertibility.  The intertwining
-commutator H^dag M - M H is formed with banded products on the three
+commutator H^dag M - M H is formed with banded products on the two
 diagonals of the finite-difference H.
 
 The residual checks (the wave-operator residual, the sup of the mass term
@@ -37,13 +37,7 @@ import numpy as np
 
 from qmetric.kernels import Grid, Kernel, hermiticity_defect
 from qmetric.potentials import PotentialSpec, eval_mass_term, eval_potential
-from qmetric.spectral import (
-    DiscretizedHamiltonian,
-    _fold,
-    _is_pt_symmetric,
-    _tridiagonal_product,
-    _tridiagonals,
-)
+from qmetric.spectral import DiscretizedHamiltonian, _fold, _is_pt_symmetric, _tridiagonal_product
 
 __all__ = [
     "CheckReport",
@@ -141,8 +135,6 @@ def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
     reported in the metadata, not folded into the verdict.  The residual
     is formed for _BLOCK interior rows at a time.
     """
-    if grid.n < 33:
-        raise ValueError(f"grid too coarse for residual stencils: n={grid.n}")
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
     S = k.smooth
@@ -178,30 +170,26 @@ def pseudo_hermiticity_residual(k: Kernel, ham: DiscretizedHamiltonian,
                                 tolerance: float = 1e-6) -> CheckReport:
     """Sup norm of H^dag M - M H for the kernel's interior matrix M.
 
-    Both products are banded, on the three diagonals of H, and formed
-    for _BLOCK columns of M at a time; raises ValueError if H has a
-    nonzero entry off the three diagonals.
+    Both products are banded, on the two diagonals of H, and formed for
+    _BLOCK columns of M at a time.
     """
     if not _grids_match(k.grid, ham.grid):
         raise ValueError("kernel and Hamiltonian grids do not match")
     M = kernel_matrix(k)
-    diag, upper, lower = _tridiagonals(ham.matrix)
+    diag, off = ham.diag, ham.off
     m = M.shape[0]
-    # H^dag has diagonals (conj diag, conj lower, conj upper); M H = (H^T M^T)^T
-    hdag = (diag.conj(), lower.conj(), upper.conj())
+    # H is complex symmetric: H^dag has diagonals (conj diag, conj off), M H = (H M^T)^T
+    hdag = (diag.conj(), off.conj())
     comm_maxima, m_maxima = [], []
     for c0 in range(0, m, _BLOCK):
         c1 = min(c0 + _BLOCK, m)
         lo, hi = max(c0 - 1, 0), min(c1 + 1, m)  # M H on c0:c1 reads one column either side
-        mh = _tridiagonal_product(diag[lo:hi], lower[lo:hi - 1], upper[lo:hi - 1],
-                                  M[:, lo:hi].T)[c0 - lo:c1 - lo].T
+        mh = _tridiagonal_product(diag[lo:hi], off[lo:hi - 1], M[:, lo:hi].T)[c0 - lo:c1 - lo].T
         comm = _tridiagonal_product(*hdag, M[:, c0:c1]) - mh
         comm_maxima.append(np.max(np.abs(comm)))
         m_maxima.append(np.max(np.abs(M[:, c0:c1])))
     residual = float(np.max(comm_maxima))
-    # every entry of H off the three diagonals is zero
-    h_max = float(np.max(np.abs(np.concatenate((diag, upper, lower)))))
-    denom = max(float(np.max(m_maxima)), _TINY) * max(h_max, _TINY)
+    denom = max(float(np.max(m_maxima)), _TINY) * max(ham.max_abs, _TINY)
     relative = residual / denom
     return CheckReport(
         check="pseudo_hermiticity",

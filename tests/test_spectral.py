@@ -1,16 +1,19 @@
 """Spectral-oracle tests against the exact discrete box spectrum."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from qmetric.cli import _spectral_artifacts
 from qmetric.kernels import Grid, hermiticity_defect, kernel_from_csv, kernel_to_csv
 from qmetric.potentials import (
     Domain,
     PotentialSpec,
     constants_preset,
     delta_potential,
+    eval_potential,
     pt_delta_pairs,
     scattering_potential,
     square_well,
@@ -41,7 +44,8 @@ class TestDiscretize:
         pot = square_well(0.3, np.pi, BT)
         grid = Grid.for_box(np.pi, 65)
         ham = discretize(pot, grid)
-        H = ham.matrix
+        assert ham.diag.shape == (63,) and ham.off.shape == (62,)
+        H = ham.dense()
         assert H.shape == (63, 63)
         assert ham.bc == "dirichlet"
         np.testing.assert_array_equal(H, H.T)  # complex symmetric, not Hermitian
@@ -62,7 +66,7 @@ class TestDiscretize:
         grid = Grid(half_width=2.0, n=65)
         ham0 = discretize(PotentialSpec(constants=NAT, domain=Domain.line()), grid)
         ham = discretize(delta_potential([(0.0, 0.5)], NAT), grid)
-        diff = ham.matrix - ham0.matrix
+        diff = ham.dense() - ham0.dense()
         j = np.argmin(np.abs(ham.interior_nodes))
         assert diff[j, j] == pytest.approx(0.5j / grid.h, abs=1e-15)
         diff[j, j] = 0.0
@@ -79,17 +83,51 @@ class TestDiscretize:
 
     def test_zero_coupling_reduces_to_free_case(self):
         pot0, grid = free_box(65)
-        np.testing.assert_array_equal(discretize(square_well(0.0, np.pi, BT), grid).matrix,
-                                      discretize(pot0, grid).matrix)
+        np.testing.assert_array_equal(discretize(square_well(0.0, np.pi, BT), grid).dense(),
+                                      discretize(pot0, grid).dense())
 
     def test_box_grid_mismatch(self):
         with pytest.raises(ValueError, match="half-width"):
             discretize(square_well(0.3, np.pi, BT), Grid(half_width=2.0, n=65))
 
-    def test_unknown_bc(self):
-        pot, grid = free_box(65)
-        with pytest.raises(ValueError, match="boundary"):
-            discretize(pot, grid, bc="periodic")
+    def test_two_diagonals_allocate_no_matrix(self):
+        pot, grid = square_well(0.068931, np.pi, BT), Grid.for_box(np.pi, 769)
+        tracemalloc.start()
+        try:
+            discretize(pot, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = grid.n - 2
+        assert peak < 0.01 * m * m * np.dtype(complex).itemsize
+
+    @staticmethod
+    def _index_assignment_matrix(pot, grid):
+        """The dense matrix as an index-assignment builder writes it, entry by entry."""
+        h, m = grid.h, grid.n - 2
+        kappa = pot.constants.hbar**2 / (2.0 * pot.constants.mass)
+        x = grid.nodes[1:-1]
+        H = np.zeros((m, m), dtype=complex)
+        idx = np.arange(m)
+        H[idx, idx] = 2.0 * kappa / h**2 + eval_potential(pot, x)
+        H[idx[:-1], idx[:-1] + 1] = -kappa / h**2
+        H[idx[:-1] + 1, idx[:-1]] = -kappa / h**2
+        for a, zeta in pot.deltas:
+            j = int(np.argmin(np.abs(x - a)))
+            H[j, j] += 1j * zeta / h
+        return H
+
+    @pytest.mark.parametrize("pot, grid", [
+        (square_well(0.3, np.pi, BT), Grid.for_box(np.pi, 65)),
+        (scattering_potential(0.7, 1.0, NAT), Grid(half_width=3.0, n=129)),
+        (delta_potential([(0.3 + 0.1 / 32, 0.5)], NAT), Grid(half_width=2.0, n=129)),
+    ], ids=["well", "scattering", "off-node-coupling"])
+    def test_dense_equals_the_index_assignment_builder(self, pot, grid):
+        ham = discretize(pot, grid)
+        assert ham.diag.dtype == ham.off.dtype == np.complex128
+        H = ham.dense()
+        assert H.tobytes() == self._index_assignment_matrix(pot, grid).tobytes()
+        assert ham.max_abs == np.max(np.abs(H))
 
 
 class TestFreeSpectrum:
@@ -191,12 +229,6 @@ class TestBiorthonormalize:
         sys = biorthonormalize(discretize(square_well(0.9, np.pi, BT), grid))
         assert sys.defect < 1e-13
 
-    def test_banded_residual_rejects_entries_off_the_three_diagonals(self):
-        ham = discretize(square_well(0.3, np.pi, BT), Grid.for_box(np.pi, 33))
-        ham.matrix[0, 2] = 1e-3
-        with pytest.raises(ValueError, match="not tridiagonal"):
-            biorthonormalize(ham)
-
 
 def _direct_eig(matrix, h):
     """Reference from one complex np.linalg.eig, sorted and scaled as pair_eigensystem does."""
@@ -230,14 +262,32 @@ PT_INPUTS = {
 }
 
 
+# 0.390625 = 12.5 h on the n = 129 grid: each coupling sits midway between
+# two nodes and takes the lower one, so the pair lands on nodes that are
+# not mirror images
+PT_READ_INPUTS = dict(PT_INPUTS, **{
+    "general-deltas": (delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT),
+                       Grid(half_width=2.0, n=129)),
+    "pt-deltas-midway": (pt_delta_pairs([(0.390625, 0.5)], NAT), Grid(half_width=2.0, n=129)),
+})
+
+
+@pytest.mark.parametrize("name", PT_READ_INPUTS)
+def test_pt_real_from_the_diagonals_equals_the_dense_test(tmp_path, name):
+    pot, grid = PT_READ_INPUTS[name]
+    _, summary = _spectral_artifacts(pot, grid, 1, tmp_path)
+    assert summary["pt_real"] == _is_pt_symmetric(discretize(pot, grid).dense())
+    assert summary["pt_real"] == (name in PT_INPUTS)
+
+
 class TestPTRealPath:
     @pytest.mark.parametrize("name", PT_INPUTS)
     def test_matches_complex_solve(self, name):
         pot, grid = PT_INPUTS[name]
         ham = discretize(pot, grid)
-        assert _is_pt_symmetric(ham.matrix)
+        assert _is_pt_symmetric(ham.dense())
         sys = biorthonormalize(ham)
-        energies, _, left = _direct_eig(ham.matrix, grid.h)
+        energies, _, left = _direct_eig(ham.dense(), grid.h)
         assert np.max(np.abs(sys.energies - energies)) <= 1e-13 * np.max(np.abs(energies))
         reference = left @ left.conj().T
         reference = 0.5 * (reference + reference.conj().T)
@@ -253,9 +303,10 @@ class TestPTRealPath:
     def test_general_input_keeps_complex_solve(self):
         grid = Grid(half_width=2.0, n=129)
         ham = discretize(delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT), grid)
-        assert not _is_pt_symmetric(ham.matrix)
-        energies, right, left, _ = pair_eigensystem(ham.matrix, grid.h)
-        ref_energies, ref_right, ref_left = _direct_eig(ham.matrix, grid.h)
+        H = ham.dense()
+        assert not _is_pt_symmetric(H)
+        energies, right, left, _ = pair_eigensystem(H, grid.h)
+        ref_energies, ref_right, ref_left = _direct_eig(H, grid.h)
         np.testing.assert_array_equal(energies, ref_energies)
         np.testing.assert_array_equal(right, ref_right)
         np.testing.assert_array_equal(left, ref_left)
