@@ -151,12 +151,14 @@ class SeedPair:
     @staticmethod
     def from_table(x: np.ndarray, u_plus_vals: np.ndarray,
                    u_minus_vals: np.ndarray, label: str = "tabulated") -> "SeedPair":
-        """Linear interpolation through tabulated values; 0 outside the table."""
+        """Linear interpolation through tabulated values at strictly increasing x; 0 outside."""
         x = np.asarray(x, dtype=float)
         up = np.asarray(u_plus_vals, dtype=complex)
         um = np.asarray(u_minus_vals, dtype=complex)
         if x.ndim != 1 or up.shape != x.shape or um.shape != x.shape:
             raise ValueError("tabulated seed arrays must be 1-d and of equal length")
+        if not np.all(np.diff(x) > 0.0):
+            raise ValueError("tabulated seed x must be strictly increasing")
 
         def interp(vals):
             def f(t):

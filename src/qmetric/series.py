@@ -474,7 +474,7 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
             nxt = apply_K(iterates[-1], pot, cfg, grid, stats)
             iterates.append(nxt)
             sup_norms.append(nxt.sup_smooth)
-            if nxt.sup_smooth < cfg.stop_tol:
+            if sup_norms[-1] < cfg.stop_tol:
                 break
     smooth = np.zeros((grid.n, grid.n), dtype=complex)
     for k in iterates:

@@ -490,3 +490,100 @@ class TestParser:
 
     def test_missing_subcommand(self):
         assert run() == 2
+
+
+SEED_HEADER = "x,up_re,up_im,um_re,um_im\n"
+
+
+def seed_rows(um_im_at_zero=0.0):
+    """Seed rows on x = -4, -2, 0, 2, 4 with u+ = x^2, u- = 0 (+ i um_im_at_zero at x = 0)."""
+    return "".join(f"{x},{x * x},0.0,0.0,{um_im_at_zero if x == 0.0 else 0.0}\n"
+                   for x in (-4.0, -2.0, 0.0, 2.0, 4.0))
+
+
+class TestInputErrors:
+    """Each malformed input exits 2 with its own message and writes nothing."""
+
+    CASES = {
+        "non_numeric_coupling": (("--model", "deltas", "--deltas", "0.5:x"), {},
+                                 "bad coupling entry '0.5:x'"),
+        "comma_alone": (("--model", "deltas", "--deltas", ","), {}, "empty --deltas list"),
+        "deltas_without_list": (("--model", "deltas"), {},
+                                "the deltas model needs a --deltas list"),
+        "missing_potential": (("--potential", "{dir}/absent.json"), {},
+                              "cannot read potential file"),
+        "invalid_json": (("--potential", "{dir}/doc.json"), {"doc.json": "{\"segments\": ["},
+                         "invalid JSON in"),
+        "json_array": (("--potential", "{dir}/doc.json"), {"doc.json": "[1, 2]"},
+                       "must be a JSON object"),
+        "missing_seed": (("--seed", "{dir}/absent.csv"), {}, "cannot read seed file"),
+        "wrong_seed_header": (("--seed", "{dir}/seed.csv"),
+                              {"seed.csv": "x,u_plus,u_minus\n" + seed_rows()},
+                              "must start with x,up_re,up_im,um_re,um_im"),
+        "non_numeric_seed_row": (("--seed", "{dir}/seed.csv"),
+                                 {"seed.csv": SEED_HEADER + "0.0,one,0.0,0.0,0.0\n"},
+                                 "malformed seed file"),
+        "four_column_seed": (("--seed", "{dir}/seed.csv"),
+                             {"seed.csv": SEED_HEADER + "-1.0,1.0,0.0,0.0\n1.0,1.0,0.0,0.0\n"},
+                             "has 4 columns, expected 5"),
+        "header_only_seed": (("--seed", "{dir}/seed.csv"), {"seed.csv": SEED_HEADER},
+                             "has no data rows"),
+        # np.interp needs increasing x: this table interpolated to 0 everywhere
+        "descending_seed": (("--seed", "{dir}/seed.csv"),
+                            {"seed.csv": SEED_HEADER + "".join(f"{x},{x * x},0.0,0.0,0.0\n"
+                                                               for x in (1, 0.5, 0, -0.5, -1))},
+                            "tabulated seed x must be strictly increasing"),
+        # defect 2 * 5e-11 = 1e-10 at t = 0: beyond the 1e-12 rule of seed_to_kernel
+        "seed_defect_1e-10": (("--seed", "{dir}/seed.csv"),
+                              {"seed.csv": SEED_HEADER + seed_rows(5e-11)},
+                              "seed violates reality constraints"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_compute_exits_2_and_writes_nothing(self, tmp_path, capsys, case):
+        argv, files, message = self.CASES[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy's "input contained no data"
+            code = run("compute", *(a.format(dir=tmp_path) for a in argv),
+                       "--n", "33", "--order", "1", "--out", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_trailing_comma_in_deltas_is_accepted(self, tmp_path):
+        model = ("compute", "--model", "deltas", "--n", "33", "--order", "1")
+        assert run(*model, "--deltas", "0.5:0,", "--out", str(tmp_path / "comma")) == 0
+        assert run(*model, "--deltas", "0.5:0", "--out", str(tmp_path / "plain")) == 0
+        for name in ("kernel.csv", "manifest.json"):
+            assert (tmp_path / "comma" / name).read_bytes() \
+                == (tmp_path / "plain" / name).read_bytes()
+
+    def test_seed_within_the_reality_rule_runs_without_a_seed_warning(self, tmp_path):
+        # defect 2 * 4e-13 = 8e-13 <= 1e-12
+        (tmp_path / "seed.csv").write_text(SEED_HEADER + seed_rows(4e-13))
+        out = tmp_path / "run"
+        assert run("compute", "--model", "square-well", "--seed", str(tmp_path / "seed.csv"),
+                   "--n", "33", "--order", "1", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not any("seed" in w for w in manifest["warnings"])
+
+    def test_verify_rejects_a_wrong_column_header(self, tmp_path, capsys):
+        kernel = tmp_path / "kernel.csv"
+        kernel_to_csv(identity_kernel(Grid.for_box(np.pi, 33)), kernel)
+        lines = kernel.read_text().splitlines(keepends=True)
+        assert lines[3] == "x,y,re,im\n"
+        kernel.write_text("".join(lines[:3] + ["x,y,real,imag\n"] + lines[4:]))
+        out = tmp_path / "checks"
+        capsys.readouterr()
+        assert run("verify", "--model", "square-well", "--kernel", str(kernel),
+                   "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "unexpected column header 'x,y,real,imag'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

@@ -95,6 +95,14 @@ def test_seed_to_kernel_rejects_bad_seed():
         seed_to_kernel(bad_minus, g)
 
 
+@pytest.mark.parametrize("x", [[1.0, 0.5, 0.0, -0.5, -1.0], [-1.0, 0.0, 0.0, 1.0],
+                               [-1.0, np.nan, 1.0]], ids=["descending", "repeated", "nan"])
+def test_tabulated_seed_needs_strictly_increasing_x(x):
+    vals = np.square(x)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SeedPair.from_table(x, vals, np.zeros_like(vals))
+
+
 def test_seed_to_kernel_structure():
     g = Grid(half_width=2.0, n=33)
     seed = gaussian_seed()

@@ -122,6 +122,13 @@ def test_segment_validation():
         PotentialSpec(const, Domain.box(2.0), segments=(((0.0, 3.0), 1.0),))
     with pytest.raises(ValueError, match="strictly inside"):
         PotentialSpec(const, Domain.box(2.0), deltas=((1.0, 0.5),))
+    for bad in (np.inf, -np.inf, np.nan):
+        for value in (complex(bad, 0.0), complex(0.0, bad)):
+            with pytest.raises(ValueError, match="segment value must be finite"):
+                PotentialSpec(const, Domain.line(), segments=(((0.0, 1.0), value),))
+        for term in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="delta term must be finite"):
+                PotentialSpec(const, Domain.line(), deltas=(term,))
 
 
 def test_midpoint_convention_random_steps():

@@ -850,3 +850,7 @@ class TestConvergenceBound:
             convergence_bound(scattering_potential(0.4, 1.0, NAT), grid, 1)
         with pytest.raises(ValueError):
             convergence_bound(delta_potential([(0.0, 0.5)], NAT), grid, 0)
+        with pytest.raises(ValueError, match="pure point coupling only"):
+            convergence_bound(PotentialSpec(constants=NAT, domain=Domain.line(),
+                                            segments=(((-0.5, 0.5), 0.2j),),
+                                            deltas=((0.0, 0.5),)), grid, 1)

@@ -9,13 +9,14 @@ import pytest
 
 from qmetric.cli import KG_HEADROOM, _kg_tolerance, _run_checks
 from qmetric.closed_forms import square_well_eta1
-from qmetric.kernels import Grid, Kernel, identity_kernel, parity_kernel
+from qmetric.kernels import Grid, Kernel, hermiticity_defect, identity_kernel, parity_kernel
 from qmetric.potentials import (
     Domain,
     PotentialSpec,
     constants_preset,
     delta_potential,
     eval_mass_term,
+    eval_potential,
     scattering_potential,
     square_well,
 )
@@ -35,6 +36,7 @@ from qmetric.verify import (
     invertibility_check,
     kernel_matrix,
     kg_residual,
+    mass_term_sup,
     positivity_check,
     pseudo_hermiticity_residual,
 )
@@ -57,6 +59,15 @@ class TestReportSerialization:
         line = rep.to_json_line()
         assert line == '{"check": "demo", "residual": 1.5, "relative": 0.25, "pass": true, "meta": {"n": 65}}'
         assert json.loads(line)["pass"] is True
+
+
+def test_numpy_scalar_tolerance_serializes_a_numpy_bool_pass():
+    # residual <= np.float64 gives np.bool_, which json only takes through the coerce hook
+    grid = Grid.for_box(np.pi, 33)
+    rep = kg_residual(identity_kernel(grid), real_well(), grid, tolerance=np.float64(1e-8))
+    assert type(rep.passed) is np.bool_
+    rec = json.loads(rep.to_json_line())
+    assert rec["pass"] is True and rec["meta"]["tolerance"] == 1e-8
 
 
 class TestKernelMatrix:
@@ -258,6 +269,21 @@ def _svd_report(k, tolerance=1e-10):
     return CheckReport(check="invertibility", residual=float(s[-1]), relative=float(ratio),
                        passed=bool(ratio > tolerance),
                        meta={"n": k.grid.n, "sigma_max": float(s[0]), "tolerance": tolerance})
+
+
+def test_near_hermitian_kernel_takes_the_hermitian_part_and_the_svd():
+    k = _hermitian_kernels()["random"]
+    smooth = k.smooth.copy()
+    smooth[10, 20] += 1e-13j  # Hermitian within 1e-12, not exactly
+    k = Kernel(grid=k.grid, c_diag=k.c_diag, smooth=smooth)
+    assert 0.0 < hermiticity_defect(k) <= 1e-12
+    assert hermitian_eigenvalues(k) is None
+    M = kernel_matrix(k)
+    lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    rep = positivity_check(k, k.grid)
+    assert rep.meta["min_eigenvalue"] == float(lam[0])
+    assert rep.meta["max_eigenvalue"] == float(lam[-1])
+    assert invertibility_check(k, k.grid).to_json_line() == _svd_report(k).to_json_line()
 
 
 class TestSharedEigenSolve:
@@ -483,6 +509,49 @@ class TestMassTermFromNodes:
                 got = kg_residual(k, pot, grid, tolerance=tol, band_exclude=band)
                 want = self._mesh_kg_residual(k, pot, grid, tol, band)
                 assert got.to_json_line() == want.to_json_line()
+
+
+def _node_pair_mass_term_sup(pot, grid):
+    """mass_term_sup as a scan of all n^2 node pairs, _BLOCK rows at a time."""
+    v = eval_potential(pot, grid.nodes)
+    c0 = pot.constants.c0
+    return float(np.max([np.max(np.abs(c0 * (np.conj(v[r:r + _BLOCK])[:, None] - v[None, :])))
+                         for r in range(0, grid.n, _BLOCK)]))
+
+
+def _random_segments(rng, n_segments, half_width=2.0):
+    """A line potential of n_segments random complex pieces, some sharing a value."""
+    cuts = np.sort(rng.uniform(-1.25 * half_width, 1.25 * half_width, n_segments + 1))
+    pool = rng.standard_normal(max(1, n_segments // 2)) \
+        + 1j * rng.standard_normal(max(1, n_segments // 2))
+    pool[::3] = pool[::3].real  # real and imaginary values too
+    pool[1::3] = 1j * pool[1::3].imag
+    values = rng.choice(pool, n_segments)
+    return PotentialSpec(constants=NAT, domain=Domain.line(),
+                         segments=tuple(((a, b), v) for a, b, v in
+                                        zip(cuts[:-1], cuts[1:], values) if b > a))
+
+
+class TestMassTermSupOverDistinctValues:
+    def test_equals_the_node_pair_scan(self):
+        cases = []
+        for n in (33, 101, 201):
+            box, line = Grid.for_box(np.pi, n), Grid(half_width=2.0, n=n)
+            cases += [(square_well(0.1, np.pi, BT), box), (square_well(3.0, np.pi, BT), box),
+                      (scattering_potential(0.7, 1.0, NAT), line),
+                      (delta_potential([(0.5, 0.3)], NAT), line)]
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            grid = Grid(half_width=2.0, n=2 * int(rng.integers(16, 101)) + 1)
+            cases.append((_random_segments(rng, int(rng.integers(1, 13))), grid))
+        for pot, grid in cases:
+            assert mass_term_sup(pot, grid) == _node_pair_mass_term_sup(pot, grid)
+
+    def test_hundreds_of_segments_span_several_blocks(self):
+        grid = Grid(half_width=2.0, n=1025)
+        pot = _random_segments(np.random.default_rng(23), 600)
+        assert np.unique(eval_potential(pot, grid.nodes)).size > 2 * _BLOCK
+        assert mass_term_sup(pot, grid) == _node_pair_mass_term_sup(pot, grid)
 
 
 def test_nan_in_an_interior_block_fails_both_residual_checks():
