@@ -344,11 +344,15 @@ def cmd_verify(args) -> int:
 def _spectral_artifacts(pot, grid: Grid, order, out: Path):
     """Write spectrum.csv and metric.csv to out; return (metric, summary).
 
-    The dense Hamiltonian lives only inside the eigen-solve, and the
-    eigenvectors are freed on return, before the cross-check.  The
-    eigen-solve sets the peak memory of `oracle`: the cross-check's
-    residual runs over row blocks and adds only O(block n) to the
-    kernels it compares.
+    The cross-check kernel, when given, is read before this runs and
+    stays alive throughout.  The dense Hamiltonian is freed inside the
+    eigen-solve once it is folded (on the complex branch, once solved),
+    so the solve peaks with about three m x m complex eigenvector arrays
+    alive; the system keeps only the left eigenvectors, and
+    spectral_metric peaks at about the same height with them, its real
+    Gram matrix and the metric.  The cross-check's residual after this
+    runs over row blocks and adds only O(block n) to the kernels it
+    compares.
     """
     ham = discretize(pot, grid)
     system = biorthonormalize(ham)

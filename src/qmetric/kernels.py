@@ -216,6 +216,21 @@ def hermiticity_defect(kernel: Kernel) -> float:
     return d + abs(kernel.c_diag.imag) + abs(kernel.c_anti.imag)
 
 
+_BLOCK = 32  # rows or columns per block of the blocked array checks and residuals
+
+
+def _conj_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.array_equal(a, b.conj()), compared over blocks of _BLOCK rows.
+
+    b is meant to be a view of a, a.T for Hermiticity (a == a^dag) or
+    np.flip(a) for PT symmetry, so that no full-size conjugate is formed.
+    A NaN compares unequal, as in np.array_equal.
+    """
+    return a.shape == b.shape and all(
+        np.array_equal(a[r:r + _BLOCK], b[r:r + _BLOCK].conj())
+        for r in range(0, a.shape[0], _BLOCK))
+
+
 @dataclass
 class OperatorForm:
     """Free-particle operator form eta = L(p) + K(p) P, tabulated over momentum."""

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from qmetric.kernels import Grid, Kernel, SeedPair, seed_to_kernel
+from qmetric.kernels import Grid, Kernel, SeedPair, _conj_equal, seed_to_kernel
 from qmetric.potentials import PotentialSpec, check_box_grid, eval_potential, unit_step
 
 __all__ = [
@@ -261,8 +261,9 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     Singular parts of the input are ignored here; the dispatcher
     apply_K adds their closed-form images.  On a Hermitian input the
     second term of K is the adjoint of the first, so one characteristic
-    term is computed and Hermiticity is preserved exactly.  Any other
-    input is split as S = S_h + i S_a into the Hermitian parts
+    term is computed and Hermiticity is preserved exactly; the exact
+    test S == S^dag runs over row blocks, without a copy of S^dag.  Any
+    other input is split as S = S_h + i S_a into the Hermitian parts
     S_h = (S + S^dag)/2 and S_a = (S - S^dag)/(2i), and K, being linear,
     gives K(S_h) + i K(S_a).  On the line, n of the 2n-1 characteristics
     of each family leave the grid square inside each of the n-1 cells;
@@ -274,10 +275,10 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     if len(j0_hits) == 0:
         raise ValueError(f"series base point r0={cfg.r0} must coincide with a grid node")
     j0, w, S = int(j0_hits[0]), _cell_weights(pot, grid), kernel.smooth
-    adjoint = S.conj().T
-    if np.array_equal(S, adjoint):
+    if _conj_equal(S, S.T):
         out = _hermitian_image(S, w, grid, j0)
     else:
+        adjoint = S.conj().T
         out = _hermitian_image(0.5 * (S + adjoint), w, grid, j0)
         out += 1j * _hermitian_image(-0.5j * (S - adjoint), w, grid, j0)
     out *= pot.constants.mass / pot.constants.hbar**2
@@ -437,16 +438,24 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
             stats: dict | None = None) -> Kernel:
     """One application of K, dispatching singular and smooth input parts.
 
+    The images of the parts are summed into a zeroed array, except that
+    the smooth image under a segment-only potential, when it is the only
+    term, is returned as it is.
+
     Raises:
         ValueError: for a parity singular part under a segment
             potential (no closed-form rule exists for that channel).
     """
     check_box_grid(pot, grid)
-    out = np.zeros((grid.n, grid.n), dtype=complex)
     if pot.has_segments:
         if kernel.c_anti != 0.0:
             raise ValueError(
                 "parity singular part is not supported under a segment potential")
+        if kernel.c_diag == 0.0 and not pot.has_deltas and kernel.sup_smooth > 0.0:
+            # its zeros are +0.0 (see _hermitian_image), as zeros + image leaves them
+            return apply_K_smooth(kernel, pot, cfg, grid, stats)
+    out = np.zeros((grid.n, grid.n), dtype=complex)
+    if pot.has_segments:
         if kernel.c_diag != 0.0:
             out += kernel.c_diag * apply_K_to_identity(pot, grid, cfg).smooth
         if kernel.sup_smooth > 0.0:

@@ -6,15 +6,16 @@ truncated approximation on the line).  Second central differences make
 it complex symmetric and tridiagonal, and it is stored as its main
 diagonal and its one off-diagonal.  The dense matrix exists only
 inside biorthonormalize, as the input of the one dense eigen-solve,
-which gives the right eigenvectors; the left eigenvectors are their
-dual basis, which makes the pair a biorthonormal system under the grid
-inner product h * sum(conj(a) * b) by construction.  A matrix with
-exact PT symmetry, P conj(H) P = H with P the reversal of the node
-order, is similar to a real matrix (Mostafazadeh, J. Math. Phys. 43,
-3944 (2002)): folded by a unitary U with PT-invariant columns it is
-solved, inverted and checked in that real basis, and only the
-eigenvectors are mapped back; every other matrix gets a complex solve.  The metric kernel is then the
-resolved sum of left projectors
+which frees it once folded or solved and gives the right eigenvectors;
+the left eigenvectors are their dual basis, which makes the pair a
+biorthonormal system under the grid inner product h * sum(conj(a) * b)
+by construction.  Only the left ones are kept.  A matrix with exact PT
+symmetry, P conj(H) P = H with P the reversal of the node order, is
+similar to a real matrix (Mostafazadeh, J. Math. Phys. 43, 3944
+(2002)): folded by a unitary U with PT-invariant columns it is solved,
+inverted and checked in that real basis, and only the eigenvectors are
+mapped back; every other matrix gets a complex solve.  The metric
+kernel is then the resolved sum of left projectors
 
     M(x, y) = sum_n phi_n(x) * conj(phi_n(y))
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qmetric.kernels import FLOAT_FMT, Grid, Kernel
+from qmetric.kernels import _BLOCK, FLOAT_FMT, Grid, Kernel, _conj_equal
 from qmetric.potentials import PhysConstants, PotentialSpec, check_box_grid, eval_potential
 
 __all__ = [
@@ -92,16 +93,17 @@ class DiscretizedHamiltonian:
 
 @dataclass
 class BiorthonormalSystem:
-    """Paired eigenvalues with right/left eigenvectors as matrix columns.
+    """Paired eigenvalues with the left eigenvectors as matrix columns.
 
-    Normalization: h * right[:, n].conj() @ left[:, m] = delta_nm, with
-    sqrt(h) * ||right[:, n]|| = 1.  Energies are sorted by real part,
-    ties by imaginary part.
+    Normalization: h * psi_n^dag left[:, m] = delta_nm for the right
+    eigenvectors psi_n, scaled to sqrt(h) * ||psi_n|| = 1.
+    biorthonormalize checks the psi_n and does not keep them, so the
+    system holds one m x m complex array.  Energies are sorted by real
+    part, ties by imaginary part.
     """
 
     grid: Grid
     energies: np.ndarray
-    right: np.ndarray
     left: np.ndarray
     defect: float
 
@@ -155,7 +157,7 @@ def _is_pt_symmetric(a: np.ndarray) -> bool:
     np.flip reverses every axis: both index orders of a matrix, the one
     order of a diagonal stored as a vector.
     """
-    return bool(np.array_equal(np.flip(a).conj(), a))
+    return _conj_equal(a, np.flip(a))
 
 
 def _fold(matrix: np.ndarray) -> np.ndarray:
@@ -213,23 +215,30 @@ def pair_eigensystem(matrix: np.ndarray, h: float):
     product all act on the eigenvectors V of the folded matrix, in real
     arithmetic unless the spectrum has complex-conjugate pairs, and only
     the results are mapped back, R = U V and L = U V^{-dag} / h; U is
-    unitary, so the normalization and the defect carry over.  Returns
-    (energies, right, left, defect) with the normalization of
-    BiorthonormalSystem.  Raises ExceptionalPointError for eigenvalue gaps
-    below 1e-9 (relative), an eigenvector 1-norm condition number
-    ||R||_1 ||R^{-1}||_1 = ||R||_1 h ||L||_inf above 1e6, or a
-    biorthonormality defect >= 1e-8.
+    unitary, so the normalization and the defect carry over.  No m x m
+    matrix outlives the eig: the complex input is dropped once folded
+    (a caller's temporary, as in biorthonormalize, is then freed) and the
+    solved matrix once eig returns.  The peak comes when L is mapped
+    back, with R, V^{-dag} / h and the complex L alive, about three m x m
+    complex arrays on the real branch.  Returns (energies, right, left,
+    defect) with the normalization of BiorthonormalSystem.  Raises
+    ExceptionalPointError for eigenvalue gaps below 1e-9 (relative), an
+    eigenvector 1-norm condition number ||R||_1 ||R^{-1}||_1 =
+    ||R||_1 h ||L||_inf above 1e6, or a biorthonormality defect >= 1e-8.
     """
     matrix = np.asarray(matrix, dtype=complex)
     m = matrix.shape[0]
     folded = _is_pt_symmetric(matrix)
-    wr, vr = np.linalg.eig(_fold(matrix) if folded else matrix)
+    if folded:
+        matrix = _fold(matrix)  # drops the last reference to the complex input
+    wr, vr = np.linalg.eig(matrix)
+    del matrix  # eig worked on its own copy, and nothing below reads this one
     scale = max(1.0, float(np.abs(wr).max()))
     if m > 1:
-        dist = np.abs(wr[:, None] - wr[None, :]) + np.diag(np.full(m, np.inf))
-        if dist.min() < 1e-9 * scale:
+        gap = (np.abs(wr[:, None] - wr[None, :]) + np.diag(np.full(m, np.inf))).min()
+        if gap < 1e-9 * scale:
             raise ExceptionalPointError(
-                f"eigenvalue gap {dist.min():.3g} below threshold; "
+                f"eigenvalue gap {gap:.3g} below threshold; "
                 "eigenvectors are coalescing")
     order = np.lexsort((wr.imag, wr.real))
     energies = wr[order].astype(complex)
@@ -263,23 +272,30 @@ def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np
 def biorthonormalize(ham: DiscretizedHamiltonian) -> BiorthonormalSystem:
     """Biorthonormal eigensystem of a discretized Hamiltonian.
 
-    The dense matrix is built here for the eigen-solve only.  The
+    The dense matrix is built here as a temporary for the eigen-solve,
+    which frees it once folded (or, on the complex branch, solved).  The
     eigen-relations H psi = E psi and H^dag phi = conj(E) phi are then
-    validated to a relative residual of 1e-8, with banded products on
-    the two diagonals of H.
+    validated to a relative residual below 1e-8 (a NaN residual fails),
+    with banded products on the two diagonals of H formed for _BLOCK
+    columns at a time, so the check holds R, L and O(_BLOCK m) besides.
+    R is not kept: the system holds L alone.
     """
     energies, right, left, defect = pair_eigensystem(ham.dense(), ham.grid.h)
     diag, off = ham.diag, ham.off
     hnorm = max(1.0, ham.max_abs)
-    r_right = np.max(np.abs(_tridiagonal_product(diag, off, right)
-                            - right * energies[None, :]))
-    r_left = np.max(np.abs(_tridiagonal_product(diag.conj(), off.conj(), left)
-                           - left * np.conj(energies)[None, :]))
-    rel = max(r_right, r_left) / (hnorm * max(1.0, float(np.max(np.abs(right)))))
-    if rel >= 1e-8:
+    residuals, r_max = [], []
+    for c0 in range(0, energies.size, _BLOCK):
+        cols = slice(c0, c0 + _BLOCK)
+        psi, phi, e = right[:, cols], left[:, cols], energies[cols]
+        residuals.append(np.max(np.abs(_tridiagonal_product(diag, off, psi)
+                                       - psi * e[None, :])))
+        residuals.append(np.max(np.abs(_tridiagonal_product(diag.conj(), off.conj(), phi)
+                                       - phi * np.conj(e)[None, :])))
+        r_max.append(np.max(np.abs(psi)))
+    rel = np.max(residuals) / (hnorm * max(1.0, float(np.max(r_max))))
+    if not rel < 1e-8:  # a NaN residual fails as well
         raise ExceptionalPointError(f"eigenpair residual {rel:.3g} >= 1e-8")
-    return BiorthonormalSystem(grid=ham.grid, energies=energies,
-                               right=right, left=left, defect=defect)
+    return BiorthonormalSystem(grid=ham.grid, energies=energies, left=left, defect=defect)
 
 
 def spectral_metric(sys: BiorthonormalSystem, n_modes: int) -> Kernel:

@@ -21,7 +21,8 @@ commutator H^dag M - M H is formed with banded products on the two
 diagonals of the finite-difference H.
 
 The wave-operator residual and the commutator run over blocks of _BLOCK
-rows or columns, and the sup of the mass term mu^2(x, y) over blocks of
+rows or columns, the exact Hermiticity and PT tests of M over blocks of
+_BLOCK rows, and the sup of the mass term mu^2(x, y) over blocks of
 _BLOCK distinct node values of v (mu^2 sees a node pair only through v(x)
 and v(y)), so their memory beyond the kernel and M is O(_BLOCK n).  The
 per-block maxima are reduced with np.max, which keeps a NaN (Python's max
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qmetric.kernels import Grid, Kernel, hermiticity_defect
+from qmetric.kernels import _BLOCK, Grid, Kernel, _conj_equal, hermiticity_defect
 from qmetric.potentials import PotentialSpec, eval_mass_term, eval_potential
 from qmetric.spectral import DiscretizedHamiltonian, _fold, _is_pt_symmetric, _tridiagonal_product
 
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_BLOCK = 32  # rows (kg_residual), distinct v values (mass_term_sup) or columns per block
 
 # default tolerances of kg_residual, pseudo_hermiticity_residual and invertibility_check
 KG_TOL = 1e-8
@@ -104,10 +104,11 @@ def hermitian_eigenvalues(k: Kernel) -> np.ndarray | None:
     positivity_check and invertibility_check both accept the result, so
     one eigvalsh serves the two checks.  An M that is also exactly
     PT-symmetric has the same eigenvalues as its real symmetric fold
-    U^dag M U, whose eigvalsh is taken instead.
+    U^dag M U, whose eigvalsh is taken instead.  Both exact tests run over
+    row blocks, so M is the only full-size array held before the fold.
     """
     M = kernel_matrix(k)
-    if not np.array_equal(M, M.conj().T):
+    if not _conj_equal(M, M.T):
         return None
     return np.linalg.eigvalsh(_fold(M) if _is_pt_symmetric(M) else M)
 

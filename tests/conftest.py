@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -31,6 +32,22 @@ def property_suite():
         return outcome, seconds
 
     return run
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(call) -> the peak traced allocation, in bytes, while call() runs."""
+    return _traced_peak
 
 
 @pytest.fixture(autouse=True)

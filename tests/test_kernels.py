@@ -134,6 +134,30 @@ def test_hermiticity_defect_detects_violations():
     assert hermiticity_defect(smooth_kernel(g, herm)) < 1e-15
 
 
+@pytest.mark.parametrize("row", [0, kernels._BLOCK + 3, 2 * kernels._BLOCK + 4],
+                         ids=["first", "middle", "last_short"])
+@pytest.mark.parametrize("value", [1e-12, np.nan], ids=["small", "nan"])
+def test_blocked_conjugate_test_equals_array_equal(row, value):
+    # 2 full blocks and a short one of 5 rows; a is exactly Hermitian and PT-symmetric
+    m = 2 * kernels._BLOCK + 5
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    a += a.conj().T
+    a = 0.5 * (a + np.flip(a).conj())
+    diagonal = np.diagonal(a).copy()  # a PT-symmetric vector
+    cases = [a, a.copy(), a[:, :-1], diagonal, diagonal.copy()]
+    cases[1][row, (row + 7) % m] += value  # one defect, in the chosen block of rows
+    cases[4][row] += value
+    for b in cases:
+        assert kernels._conj_equal(b, b.T) == np.array_equal(b, b.conj().T)
+        assert kernels._conj_equal(b, np.flip(b)) == np.array_equal(b, np.flip(b).conj())
+    assert kernels._conj_equal(a, a.T) and kernels._conj_equal(a, np.flip(a))
+    assert kernels._conj_equal(diagonal, np.flip(diagonal))
+    assert not kernels._conj_equal(cases[1], cases[1].T)
+    assert not kernels._conj_equal(cases[1], np.flip(cases[1]))
+    assert not kernels._conj_equal(cases[4], np.flip(cases[4]))
+
+
 def test_tabulated_seed_interpolation():
     g = Grid(half_width=2.0, n=33)
     t = g.diff_nodes

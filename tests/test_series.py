@@ -749,6 +749,31 @@ class TestDispatch:
         out = apply_K(identity_kernel(grid), pot, CFG, grid)
         assert out.sup_smooth == 0.0 and out.c_diag == 0.0
 
+    def test_lone_smooth_image_has_the_bytes_of_a_sum_with_zeros(self):
+        # apply_K returns the image itself: it holds no -0.0 that zeros + image would flip
+        grid = Grid.for_box(np.pi, 65)
+        pot = square_well(0.5, np.pi, BT)
+        rng = np.random.default_rng(33)
+        raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+        real = raw.real + raw.real.T
+        # real, imaginary (the 0 - x branch), complex Hermitian and general inputs
+        for S in (real, 1j * real, raw + raw.conj().T, raw,
+                  apply_K_to_identity(pot, grid, CFG).smooth):
+            k = smooth_kernel(grid, S)
+            image = apply_K_smooth(k, pot, CFG, grid).smooth
+            summed = np.zeros_like(image) + image
+            assert apply_K(k, pot, CFG, grid).smooth.tobytes() == summed.tobytes()
+
+    def test_smooth_image_peak_memory(self, traced_peak):
+        # the float64 prefix table (3.0 of the input's bytes), the cell sums (1.0), the
+        # real term (0.5) and the complex image (1.0): 7.05 with a full S^dag copy for
+        # the Hermiticity test, and apply_K 8.05 when it added the image to zeros
+        grid = Grid.for_box(np.pi, 513)
+        pot = square_well(0.092467, np.pi, BT)
+        k = apply_K(identity_kernel(grid), pot, CFG, grid)
+        for call in (apply_K_smooth, apply_K):
+            assert traced_peak(lambda: call(k, pot, CFG, grid)) / k.smooth.nbytes < 6.3
+
 
 class TestNeumannSeries:
     def test_single_coupling_two_orders(self):

@@ -1,11 +1,13 @@
 """Spectral-oracle tests against the exact discrete box spectrum."""
 
-import tracemalloc
+import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from qmetric import spectral
 from qmetric.cli import _spectral_artifacts
 from qmetric.kernels import Grid, hermiticity_defect, kernel_from_csv, kernel_to_csv
 from qmetric.potentials import (
@@ -90,15 +92,10 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="half-width"):
             discretize(square_well(0.3, np.pi, BT), Grid(half_width=2.0, n=65))
 
-    def test_two_diagonals_allocate_no_matrix(self):
+    def test_two_diagonals_allocate_no_matrix(self, traced_peak):
         pot, grid = square_well(0.068931, np.pi, BT), Grid.for_box(np.pi, 769)
-        tracemalloc.start()
-        try:
-            discretize(pot, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         m = grid.n - 2
+        peak = traced_peak(lambda: discretize(pot, grid))
         assert peak < 0.01 * m * m * np.dtype(complex).itemsize
 
     @staticmethod
@@ -167,17 +164,45 @@ class TestBiorthonormalize:
         e = sys.energies[:10]
         assert np.all(np.abs(e.imag) < 1e-6 * np.abs(e.real))
 
+    # the system keeps no right eigenvectors: R comes from pair_eigensystem,
+    # whose energies, L and defect the system holds unchanged
+    def test_system_is_the_pair_without_right_vectors(self):
+        ham = discretize(square_well(0.3, np.pi, BT), Grid.for_box(np.pi, 65))
+        sys = biorthonormalize(ham)
+        energies, _, left, defect = pair_eigensystem(ham.dense(), ham.grid.h)
+        np.testing.assert_array_equal(sys.energies, energies)
+        np.testing.assert_array_equal(sys.left, left)
+        assert sys.defect == defect
+        assert not hasattr(sys, "right")
+
+    @pytest.mark.parametrize("column", [0, 40, 62], ids=["first_block", "second_block", "last"])
+    @pytest.mark.parametrize("which", [1, 2], ids=["right", "left"])
+    def test_nan_eigenvector_fails_the_residual_check(self, monkeypatch, which, column):
+        pair = pair_eigensystem
+
+        def with_nan(matrix, h):
+            result = list(pair(matrix, h))
+            result[which] = result[which].copy()
+            result[which][5, column] = np.nan
+            return tuple(result)
+
+        monkeypatch.setattr(spectral, "pair_eigensystem", with_nan)
+        with pytest.raises(ExceptionalPointError, match="residual nan"):
+            biorthonormalize(discretize(square_well(0.3, np.pi, BT), Grid.for_box(np.pi, 65)))
+
     def test_hermitian_limit_left_equals_right(self):
         pot, grid = free_box(65)
-        sys = biorthonormalize(discretize(pot, grid))
-        np.testing.assert_allclose(sys.left, sys.right, atol=1e-8)
-        gram = grid.h * (sys.right.conj().T @ sys.right)
+        _, right, left, _ = pair_eigensystem(discretize(pot, grid).dense(), grid.h)
+        np.testing.assert_allclose(left, right, atol=1e-8)
+        gram = grid.h * (right.conj().T @ right)
         np.testing.assert_allclose(gram, np.eye(63), atol=1e-10)
 
     def test_biorthonormality_defect(self):
         grid = Grid.for_box(np.pi, 65)
-        sys = biorthonormalize(discretize(square_well(0.3, np.pi, BT), grid))
-        overlap = grid.h * (sys.right.conj().T @ sys.left)
+        ham = discretize(square_well(0.3, np.pi, BT), grid)
+        sys = biorthonormalize(ham)
+        _, right, _, _ = pair_eigensystem(ham.dense(), grid.h)
+        overlap = grid.h * (right.conj().T @ sys.left)
         assert np.max(np.abs(overlap - np.eye(63))) < 1e-8
         assert sys.defect < 1e-8
 
@@ -185,11 +210,12 @@ class TestBiorthonormalize:
         # for a complex-symmetric matrix the left vectors are conjugates
         # of the right ones up to normalization
         grid = Grid.for_box(np.pi, 65)
-        sys = biorthonormalize(discretize(square_well(0.3, np.pi, BT), grid))
+        ham = discretize(square_well(0.3, np.pi, BT), grid)
+        _, right, left, _ = pair_eigensystem(ham.dense(), grid.h)
         for k in (0, 5, 20, 40):
-            psi = sys.right[:, k]
+            psi = right[:, k]
             shortcut = np.conj(psi) / (grid.h * (psi.conj() @ np.conj(psi)))
-            np.testing.assert_allclose(sys.left[:, k], shortcut,
+            np.testing.assert_allclose(left[:, k], shortcut,
                                        atol=1e-7 * np.max(np.abs(shortcut)))
 
     def test_sorted_by_real_part(self):
@@ -395,10 +421,55 @@ class TestFoldedMetric:
             return inv(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "inv", spy)
-        sys = biorthonormalize(ham)
+        _, right, left, defect = pair_eigensystem(ham.dense(), grid.h)
         assert seen == [dtype]
-        assert sys.right.dtype == sys.left.dtype == np.complex128
-        assert sys.defect < 1e-13
+        assert right.dtype == left.dtype == np.complex128
+        assert defect < 1e-13
+
+
+class TestEigenSolveMemory:
+    """No m x m matrix outlives its use in pair_eigensystem."""
+
+    def test_traced_peak_at_n_769(self, traced_peak):
+        # R, V^{-dag} / h and the complex L when L is mapped back: 3.03 m x m complex
+        # arrays; 4.53 with the input, the folded matrix and the gap matrix kept
+        ham = discretize(square_well(0.068931, np.pi, BT), Grid.for_box(np.pi, 769))
+        peak = traced_peak(lambda: pair_eigensystem(ham.dense(), ham.grid.h))
+        assert peak / (ham.dim**2 * np.dtype(complex).itemsize) < 3.2
+
+    # CPython 3.11 moves a call's arguments into the callee's frame, so the
+    # caller's ham.dense() temporary goes when pair_eigensystem drops it
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller holds its arguments")
+    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "complex"])
+    def test_matrices_are_unreachable_once_used(self, monkeypatch, folded):
+        if folded:
+            pot, grid = PT_INPUTS["well-unbroken"]
+        else:
+            pot, grid = delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT), Grid(half_width=2.0, n=129)
+        refs, dead_at_eig, dead_at_inv = [], [], []
+        fold, eig, inv = spectral._fold, np.linalg.eig, np.linalg.inv
+
+        def fold_spy(a):
+            refs.append(weakref.ref(a))
+            return fold(a)
+
+        def eig_spy(a):
+            dead_at_eig.extend(ref() is None for ref in refs)
+            refs.append(weakref.ref(a))
+            return eig(a)
+
+        def inv_spy(a):
+            dead_at_inv.extend(ref() is None for ref in refs)
+            return inv(a)
+
+        monkeypatch.setattr(spectral, "_fold", fold_spy)
+        monkeypatch.setattr(np.linalg, "eig", eig_spy)
+        monkeypatch.setattr(np.linalg, "inv", inv_spy)
+        biorthonormalize(discretize(pot, grid))
+        # the dense input is gone when its fold is solved, and the solved matrix
+        # when the inverse runs
+        assert dead_at_eig == ([True] if folded else [])
+        assert dead_at_inv == ([True, True] if folded else [True])
 
 
 class TestSpectralMetric:

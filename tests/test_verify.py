@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,25 +586,24 @@ class TestResidualMemory:
         pot = square_well(0.3, np.pi, BT)
         return k, pot, discretize(pot, grid)
 
-    @staticmethod
-    def _peak(call, nbytes):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1] / nbytes
-        finally:
-            tracemalloc.stop()
-
-    def test_kg_residual(self, case):
+    def test_kg_residual(self, case, traced_peak):
         k, pot, _ = case
-        assert self._peak(lambda: kg_residual(k, pot, k.grid), k.smooth.nbytes) < 1.0
+        assert traced_peak(lambda: kg_residual(k, pot, k.grid)) / k.smooth.nbytes < 1.0
 
-    def test_mass_term_sup(self, case):
+    def test_mass_term_sup(self, case, traced_peak):
         # through its caller: the kg tolerance also takes sup|smooth| (0.5 of the bytes)
         k, pot, _ = case
-        assert self._peak(lambda: _kg_tolerance(pot, k.grid, k), k.smooth.nbytes) < 1.0
+        assert traced_peak(lambda: _kg_tolerance(pot, k.grid, k)) / k.smooth.nbytes < 1.0
 
-    def test_pseudo_hermiticity_residual(self, case):
+    def test_pseudo_hermiticity_residual(self, case, traced_peak):
         # one copy of the interior matrix M is kept
         k, _, ham = case
-        assert self._peak(lambda: pseudo_hermiticity_residual(k, ham), k.smooth.nbytes) < 2.0
+        assert traced_peak(lambda: pseudo_hermiticity_residual(k, ham)) / k.smooth.nbytes < 2.0
+
+    def test_hermitian_eigenvalues(self, traced_peak):
+        # the copy of M, its real fold and eigvalsh's own copy of that; no conjugate
+        # of M for the two exact tests (2.08 with whole-array tests)
+        grid = Grid.for_box(np.pi, 513)
+        k = spectral_metric(biorthonormalize(discretize(square_well(0.068931, np.pi, BT), grid)),
+                            grid.n - 2)
+        assert traced_peak(lambda: hermitian_eigenvalues(k)) / k.smooth.nbytes < 1.85
