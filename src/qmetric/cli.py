@@ -349,8 +349,8 @@ def _spectral_artifacts(pot, grid: Grid, order, out: Path):
     eigen-solve once it is folded (on the complex branch, once solved),
     so the solve peaks with about three m x m complex eigenvector arrays
     alive; the system keeps only the left eigenvectors, and
-    spectral_metric peaks at about the same height with them, its real
-    Gram matrix and the metric.  The cross-check's residual after this
+    spectral_metric peaks below that with them, its real Gram matrix
+    and the metric.  The cross-check's residual after this
     runs over row blocks and adds only O(block n) to the kernels it
     compares.
     """

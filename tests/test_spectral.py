@@ -190,6 +190,24 @@ class TestBiorthonormalize:
         with pytest.raises(ExceptionalPointError, match="residual nan"):
             biorthonormalize(discretize(square_well(0.3, np.pi, BT), Grid.for_box(np.pi, 65)))
 
+    @pytest.mark.parametrize("name", ["well-unbroken", "general"])
+    def test_nan_inverse_raises(self, monkeypatch, name):
+        # a NaN in L makes the condition number and the defect NaN: both guards fail
+        if name == "general":
+            pot, grid = delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT), Grid(half_width=2.0, n=129)
+        else:
+            pot, grid = PT_INPUTS[name]
+        inv = np.linalg.inv
+
+        def with_nan(a):
+            out = inv(a)
+            out[3, 7] = np.nan
+            return out
+
+        monkeypatch.setattr(np.linalg, "inv", with_nan)
+        with pytest.raises(ExceptionalPointError, match="nan"):
+            pair_eigensystem(discretize(pot, grid).dense(), grid.h)
+
     def test_hermitian_limit_left_equals_right(self):
         pot, grid = free_box(65)
         _, right, left, _ = pair_eigensystem(discretize(pot, grid).dense(), grid.h)
@@ -369,6 +387,157 @@ class TestPTRealPath:
                         pair_eigensystem(h, 1.0)
 
 
+def _extended_precision_levels(ham, shifts, sweeps=3):
+    """Levels of the tridiagonal H near the given shifts, in np.clongdouble.
+
+    Inverse iteration at the fixed shifts (one Thomas solve per sweep,
+    all shifts at once), then the complex-symmetric Rayleigh quotient
+    x^T H x / x^T x of the converged vectors.
+    """
+    d, e = ham.diag.astype(np.clongdouble), ham.off.astype(np.clongdouble)
+    m = d.size
+    pivots = d[:, None] - np.asarray(shifts).astype(np.clongdouble)[None, :]
+    for i in range(m - 1):
+        pivots[i + 1] -= e[i] ** 2 / pivots[i]
+    x = np.ones((m, len(shifts)), dtype=np.clongdouble)
+    for _ in range(sweeps):
+        for i in range(m - 1):
+            x[i + 1] -= (e[i] / pivots[i]) * x[i]
+        x[m - 1] /= pivots[m - 1]
+        for i in range(m - 2, -1, -1):
+            x[i] = (x[i] - e[i] * x[i + 1]) / pivots[i]
+        x /= np.sqrt(np.sum(np.abs(x) ** 2, axis=0))
+    hx = d[:, None] * x
+    hx[:-1] += e[:, None] * x[1:]
+    hx[1:] += e[:, None] * x[:-1]
+    return np.sum(x * hx, axis=0) / np.sum(x * x, axis=0)
+
+
+def _fallback_bits(monkeypatch, matrix, h):
+    """pair_eigensystem with the iteration switched off: the real eig of the fold."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_rqi_fold", lambda *args: None)
+        return pair_eigensystem(matrix, h)
+
+
+def _assert_same_bits(result, reference):
+    for got, want in zip(result, reference):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestRayleighQuotientPath:
+    """Batched Rayleigh-quotient iteration on the diagonals of a PT-symmetric H."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        """Patch owner.name with a spy; return the list it appends one entry to per call."""
+        calls, target = [], getattr(owner, name)
+
+        def spy(*args):
+            calls.append(1)
+            return target(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["well-unbroken", "scattering", "pt-deltas"])
+    def test_unbroken_inputs_need_no_eig(self, monkeypatch, name):
+        pot, grid = PT_INPUTS[name]
+        eig_calls = self._count(monkeypatch, np.linalg, "eig")
+        energies, _, _, defect = pair_eigensystem(discretize(pot, grid).dense(), grid.h)
+        assert eig_calls == []
+        assert np.all(energies.imag == 0.0) and defect < 1e-13
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_fold_undoes_the_phase_of_pt_invariant_vectors(self, m):
+        # columns e^{i theta} phi with P conj(phi) = phi fold to the unit real
+        # columns U^dag phi / ||phi||, up to sign, whatever theta they carry
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
+        phi = phi + phi[::-1].conj()
+        U = spectral._unfold(np.eye(m))
+        expected = (U.conj().T @ phi).real / np.linalg.norm(phi, axis=0)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 5)
+        got = spectral._fold_vectors(phi * np.exp(1j * theta))
+        np.testing.assert_allclose(got * np.sign(np.sum(got * expected, axis=0)), expected,
+                                   atol=1e-14)
+
+    # at these couplings a solve at a converged shift leaves some vectors at a
+    # phase near pi/2; folded without undoing it, they shrink to round-off
+    @pytest.mark.parametrize("zeta", [0.039933, 0.554783, 0.650569])
+    def test_converged_phase_does_not_spoil_the_fold(self, monkeypatch, zeta):
+        ham = discretize(square_well(zeta, np.pi, BT), Grid.for_box(np.pi, 129))
+        eig_calls = self._count(monkeypatch, np.linalg, "eig")
+        biorthonormalize(ham)
+        assert eig_calls == []
+
+    def test_lowest_levels_match_extended_precision(self, monkeypatch):
+        pot, grid = PT_INPUTS["well-unbroken"]
+        ham = discretize(pot, grid)
+        shifts = np.sort(np.linalg.eigvals(ham.dense()).real)[:3]  # independent of the iteration
+        reference = _extended_precision_levels(ham, shifts)
+        eig_calls = self._count(monkeypatch, np.linalg, "eig")
+        energies = pair_eigensystem(ham.dense(), grid.h)[0]
+        assert eig_calls == []
+        error = np.abs(energies[:3] - reference) / np.abs(reference)
+        assert np.all(error <= 1e-12), error
+
+    def test_broken_spectrum_falls_back_after_one_block(self, monkeypatch):
+        pot, grid = PT_INPUTS["well-broken"]
+        H = discretize(pot, grid).dense()
+        reference = _fallback_bits(monkeypatch, H, grid.h)
+        sweeps = self._count(monkeypatch, spectral, "_thomas")
+        result = pair_eigensystem(H, grid.h)
+        # the lowest block holds the complex pairs: it fails, and no other block runs
+        assert 0 < len(sweeps) <= spectral._RQI_SWEEPS
+        _assert_same_bits(result, reference)
+        assert np.any(result[0].imag != 0.0)
+
+    def test_starts_on_one_level_fall_back(self, monkeypatch):
+        # the second start is made a copy of the first: both converge to the
+        # ground level, and the iteration must give way to eig rather than
+        # report a false exceptional point from the repeated level
+        pot, grid = PT_INPUTS["well-unbroken"]
+        H = discretize(pot, grid).dense()
+        reference = _fallback_bits(monkeypatch, H, grid.h)
+        rayleigh, starts = spectral._rayleigh, []
+
+        def one_level(diag, off, vectors):
+            if not starts:
+                starts.append(1)
+                vectors[:, 1] = vectors[:, 0]
+            return rayleigh(diag, off, vectors)
+
+        monkeypatch.setattr(spectral, "_rayleigh", one_level)
+        eig_calls = self._count(monkeypatch, np.linalg, "eig")
+        result = pair_eigensystem(H, grid.h)
+        assert eig_calls == [1]
+        _assert_same_bits(result, reference)
+
+    def test_dense_input_falls_back(self, monkeypatch):
+        # a real symmetric perturbation that commutes with the reversal keeps
+        # P conj(H) P = H exact but fills the matrix: the iteration solves the
+        # diagonals only, and the check against the whole fold rejects it
+        pot, grid = PT_INPUTS["well-unbroken"]
+        H = discretize(pot, grid).dense()
+        rng = np.random.default_rng(2)
+        s = rng.standard_normal(H.shape)
+        s = s + s.T
+        H = H + 1e-3 * (s + s[::-1, ::-1])
+        assert _is_pt_symmetric(H)
+        reference = _fallback_bits(monkeypatch, H, grid.h)
+        rqi_fold, solved = spectral._rqi_fold, []
+
+        def rqi_spy(*args):
+            solved.append(rqi_fold(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(spectral, "_rqi_fold", rqi_spy)
+        result = pair_eigensystem(H, grid.h)
+        assert solved == [None]
+        _assert_same_bits(result, reference)
+
+
 def _exactly_hermitian_and_pt_symmetric(M):
     return np.array_equal(M, M.conj().T) and np.array_equal(M[::-1, ::-1].conj(), M)
 
@@ -440,36 +609,47 @@ class TestEigenSolveMemory:
     # CPython 3.11 moves a call's arguments into the callee's frame, so the
     # caller's ham.dense() temporary goes when pair_eigensystem drops it
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller holds its arguments")
-    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "complex"])
-    def test_matrices_are_unreachable_once_used(self, monkeypatch, folded):
-        if folded:
-            pot, grid = PT_INPUTS["well-unbroken"]
-        else:
+    @pytest.mark.parametrize("case", ["folded", "broken", "complex"])
+    def test_matrices_are_unreachable_once_used(self, monkeypatch, case):
+        if case == "complex":
             pot, grid = delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT), Grid(half_width=2.0, n=129)
-        refs, dead_at_eig, dead_at_inv = [], [], []
-        fold, eig, inv = spectral._fold, np.linalg.eig, np.linalg.inv
+        else:
+            pot, grid = PT_INPUTS["well-unbroken" if case == "folded" else "well-broken"]
+        inputs, solved = [], []  # weak references: dense inputs to _fold, matrices solved
+        dead_at_rqi, dead_at_eig, dead_at_inv = [], [], []
+        fold, rqi_fold = spectral._fold, spectral._rqi_fold
+        eig, inv = np.linalg.eig, np.linalg.inv
 
         def fold_spy(a):
-            refs.append(weakref.ref(a))
+            inputs.append(weakref.ref(a))
             return fold(a)
 
+        def rqi_spy(a, diag, off):
+            dead_at_rqi.extend(ref() is None for ref in inputs)
+            solved.append(weakref.ref(a))
+            return rqi_fold(a, diag, off)
+
         def eig_spy(a):
-            dead_at_eig.extend(ref() is None for ref in refs)
-            refs.append(weakref.ref(a))
+            dead_at_eig.extend(ref() is None for ref in inputs)
+            solved.append(weakref.ref(a))
             return eig(a)
 
         def inv_spy(a):
-            dead_at_inv.extend(ref() is None for ref in refs)
+            dead_at_inv.extend(ref() is None for ref in inputs + solved)
             return inv(a)
 
         monkeypatch.setattr(spectral, "_fold", fold_spy)
+        monkeypatch.setattr(spectral, "_rqi_fold", rqi_spy)
         monkeypatch.setattr(np.linalg, "eig", eig_spy)
         monkeypatch.setattr(np.linalg, "inv", inv_spy)
         biorthonormalize(discretize(pot, grid))
-        # the dense input is gone when its fold is solved, and the solved matrix
+        # the dense input is gone when its fold is solved, by the iteration and,
+        # on a broken spectrum, by eig after it; every solved matrix is gone
         # when the inverse runs
-        assert dead_at_eig == ([True] if folded else [])
-        assert dead_at_inv == ([True, True] if folded else [True])
+        assert dead_at_rqi == ([] if case == "complex" else [True])
+        assert dead_at_eig == ([True] if case == "broken" else [])
+        assert dead_at_inv == {"folded": [True, True], "broken": [True, True, True],
+                               "complex": [True]}[case]
 
 
 class TestSpectralMetric:
