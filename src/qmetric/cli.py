@@ -346,13 +346,18 @@ def _spectral_artifacts(pot, grid: Grid, order, out: Path):
 
     The cross-check kernel, when given, is read before this runs and
     stays alive throughout.  The dense Hamiltonian is freed inside the
-    eigen-solve once it is folded (on the complex branch, once solved),
-    so the solve peaks with about three m x m complex eigenvector arrays
-    alive; the system keeps only the left eigenvectors, and
-    spectral_metric peaks below that with them, its real Gram matrix
-    and the metric.  The cross-check's residual after this
-    runs over row blocks and adds only O(block n) to the kernels it
-    compares.
+    eigen-solve once its diagonals are read (once folded, or on the
+    complex branch once solved).  On an exactly PT-symmetric H with real
+    levels no m x m complex eigenvector array exists: the solve peaks at
+    the inverse, with the right eigenvectors, the inverse and LAPACK's
+    two m x m work arrays alive, all real, and the system keeps the left
+    vectors as one m x m real array X.  spectral_metric then holds X, its
+    real Gram matrix X X^T and the metric on the full grid, the peak of
+    the run; the system is dropped before metric.csv is written.  A
+    PT-broken or non-PT H keeps complex eigenvectors, about three m x m
+    complex arrays at the solve's peak.  The cross-check's residual after
+    this runs over row blocks on the difference, formed in place in the
+    cross-check kernel, and adds only O(block n).
     """
     ham = discretize(pot, grid)
     system = biorthonormalize(ham)
@@ -360,14 +365,15 @@ def _spectral_artifacts(pot, grid: Grid, order, out: Path):
     metric = spectral_metric(system, n_modes)
 
     spectrum_to_csv(system, out / "spectrum.csv")
+    e, defect = system.energies, system.defect
+    del system  # its left vectors are summed into the metric
     kernel_to_csv(metric, out / "metric.csv")
 
-    e = system.energies
     all_real = bool(np.all(np.abs(e.imag) <= 1e-6 * np.maximum(np.abs(e.real), 1e-30)))
     summary = {
         "all_real": all_real,
         "n_modes": int(n_modes),
-        "pairing_defect": float(system.defect),
+        "pairing_defect": float(defect),
         "pt_real": _is_pt_symmetric(ham.diag) and _is_pt_symmetric(ham.off),
         "ground_energy_re": float(e[0].real),
         "ground_energy_im": float(e[0].imag),
@@ -392,12 +398,16 @@ def cmd_oracle(args) -> int:
 
     failed = False
     if series_kernel is not None:
+        # the tolerance scales with the series kernel, so it is taken before
+        # the difference overwrites that kernel's smooth part in place
+        tolerance = _kg_tolerance(pot, grid, series_kernel)
+        series_kernel.smooth -= metric.smooth
         diff = Kernel(grid=grid,
                       c_diag=series_kernel.c_diag - metric.c_diag,
                       c_anti=series_kernel.c_anti - metric.c_anti,
-                      smooth=series_kernel.smooth - metric.smooth)
-        rep = kg_residual(diff, pot, grid,
-                          tolerance=_kg_tolerance(pot, grid, series_kernel))
+                      smooth=series_kernel.smooth)
+        del metric  # kg_residual reads the difference alone
+        rep = kg_residual(diff, pot, grid, tolerance=tolerance)
         rep = dataclasses.replace(rep, check="difference-kg")
         line = rep.to_json_line()
         print(line)

@@ -213,12 +213,12 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
 
 
 def _one_component(a: np.ndarray):
-    """(part, phase) with a = phase * part, part real and phase 1 or 1j, when
-    one component of a is zero throughout; (a, None) otherwise."""
+    """(part, phase) with a = phase * part, part a real view of a and phase 1 or 1j,
+    when one component of a is zero throughout; (a, None) otherwise."""
     if not a.imag.any():
-        return np.ascontiguousarray(a.real), 1
+        return a.real, 1
     if not a.real.any():
-        return np.ascontiguousarray(a.imag), 1j
+        return a.imag, 1j
     return a, None
 
 
@@ -242,7 +242,7 @@ def _hermitian_image(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> np.nd
         term = _characteristic_term(S, w, grid, j0)
         term += term.conj().T
         return term
-    t = _characteristic_term(s, v, grid, j0)
+    t = _characteristic_term(np.ascontiguousarray(s), np.ascontiguousarray(v), grid, j0)
     out = np.zeros(S.shape, dtype=complex)
     phase = s_phase * w_phase
     if phase == 1j:
@@ -366,9 +366,12 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     once per call, and only when a singular part is present.
 
     A finite smooth part that is exactly real or exactly imaginary is
-    sliced in float64.  The factor iz_n/2 is imaginary, so the image of a
-    real part is added to the imaginary half of the result and that of an
-    imaginary part, negated, to the real half.
+    sliced in float64, through a real view of it, without a copy.  The
+    factor iz_n/2 is imaginary, so the image of a real part is added to
+    the imaginary half of the result and that of an imaginary part,
+    negated, to the real half.  Each coupling's image is formed in place,
+    in the array of its first slice integral, so a coupling adds the two
+    n x n slice integrals to the result and the input.
     """
     check_box_grid(pot, grid)
     n, h, half = grid.n, grid.h, grid.half_width
@@ -419,16 +422,21 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
             col_dif = col_model.antiderivative(t_dif)
             row_sum = row_model.antiderivative(t_sum)
             row_dif = row_model.antiderivative(t_dif)
-            I1 = _skew(col_sum, 0, (n, n), (1, 1)) - _skew(col_dif, n - 1, (n, n), (1, -1))
+            # image = step(y) I1 - step(x) I2, scaled, formed in I1's array
+            image = _skew(col_sum, 0, (n, n), (1, 1)) - _skew(col_dif, n - 1, (n, n), (1, -1))
             I2 = _skew(row_sum, 0, (n, n), (1, 1)) - _skew(row_dif, n - 1, (n, n), (-1, 1))
             step = unit_step(nodes - a)
-            image = step * I1 - step[:, None] * I2
+            image *= step
+            I2 *= step[:, None]
+            image -= I2
+            del I2
+            image *= 0.5j * z if phase is None else 0.5 * z
             if phase is None:
-                out += (0.5j * z) * image
+                out += image
             elif phase == 1:  # (iz/2) s lands in the imaginary part
-                out.imag += (0.5 * z) * image
+                out.imag += image
             else:  # (iz/2) i s = -(z/2) s
-                out.real -= (0.5 * z) * image
+                out.real -= image
     if stats is not None:
         stats["truncated_evals"] = stats.get("truncated_evals", 0) + clamped
     return Kernel(grid=grid, smooth=out)

@@ -1,5 +1,6 @@
 """End-to-end command tests driven through the in-process entry point."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from qmetric.closed_forms import delta_second_iterate, square_well_eta1
 from qmetric.kernels import (
     FLOAT_FMT,
     Grid,
+    Kernel,
     identity_kernel,
     kernel_from_csv,
     kernel_to_csv,
@@ -24,6 +26,7 @@ from qmetric.kernels import (
 from qmetric.potentials import constants_preset
 from qmetric.series import neumann_series
 from qmetric.spectral import ExceptionalPointError
+from qmetric.verify import kg_residual
 
 BT = constants_preset("bender-tan")
 
@@ -419,6 +422,27 @@ class TestOracle:
         rec = json.loads((out / "cross_check.json").read_text())
         assert rec["check"] == "difference-kg"
         assert rec["pass"] is True
+
+    def test_cross_check_difference_in_place_matches_a_copy(self, tmp_path):
+        # oracle forms series - metric in the cross-check kernel's own array,
+        # after reading the tolerance from it: the report is the one a copied
+        # difference gives, byte for byte
+        model = ["--model", "square-well", "--zeta", "0.1", "--gauge", "bender-tan", "--n", "65"]
+        run_dir, out = tmp_path / "run", tmp_path / "orc"
+        assert run("compute", *model, "--order", "1", "--preset-seed", "bender-tan",
+                   "--out", str(run_dir)) == 0
+        assert run("oracle", *model, "--cross-check", str(run_dir / "kernel.csv"),
+                   "--out", str(out)) == 0
+        args = cli.build_parser().parse_args(["oracle", *model, "--out", str(out)])
+        pot, doc = cli._build_potential(args)
+        grid = cli._build_grid(args, pot, doc)
+        series = kernel_from_csv(run_dir / "kernel.csv")
+        metric, _ = cli._spectral_artifacts(pot, grid, None, tmp_path)
+        diff = Kernel(grid=grid, c_diag=series.c_diag - metric.c_diag,
+                      c_anti=series.c_anti - metric.c_anti, smooth=series.smooth - metric.smooth)
+        rep = kg_residual(diff, pot, grid, tolerance=cli._kg_tolerance(pot, grid, series))
+        rep = dataclasses.replace(rep, check="difference-kg")
+        assert (out / "cross_check.json").read_text() == rep.to_json_line() + "\n"
 
     def test_cross_check_grid_mismatch(self, tmp_path):
         run_dir = tmp_path / "run"

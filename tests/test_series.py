@@ -774,6 +774,17 @@ class TestDispatch:
         for call in (apply_K_smooth, apply_K):
             assert traced_peak(lambda: call(k, pot, CFG, grid)) / k.smooth.nbytes < 6.3
 
+    def test_delta_rule_peak_memory(self, traced_peak):
+        # an imaginary iterate on three couplings: the result (1.0 of the input's
+        # bytes) and per coupling its two float64 slice integrals (0.5 each), the
+        # image formed in the first: 2.06; 4.04 with the image's temporaries and
+        # a contiguous copy of the imaginary part
+        grid = Grid(half_width=2.0, n=513)
+        pot = delta_potential([(-0.5, 0.7), (0.25, -0.4), (0.75, 0.5)], NAT)
+        k = apply_K_delta_rule(identity_kernel(grid), pot, grid)
+        assert not k.smooth.real.any()
+        assert traced_peak(lambda: apply_K_delta_rule(k, pot, grid)) / k.smooth.nbytes < 2.3
+
 
 class TestNeumannSeries:
     def test_single_coupling_two_orders(self):

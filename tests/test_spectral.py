@@ -165,13 +165,15 @@ class TestBiorthonormalize:
         assert np.all(np.abs(e.imag) < 1e-6 * np.abs(e.real))
 
     # the system keeps no right eigenvectors: R comes from pair_eigensystem,
-    # whose energies, L and defect the system holds unchanged
+    # whose energies, L and defect the system holds unchanged; on this PT-real
+    # input L comes as real coordinates, which the system keeps as X = [a; b; c]
     def test_system_is_the_pair_without_right_vectors(self):
         ham = discretize(square_well(0.3, np.pi, BT), Grid.for_box(np.pi, 65))
         sys = biorthonormalize(ham)
         energies, _, left, defect = pair_eigensystem(ham.dense(), ham.grid.h)
+        assert left.dtype == sys.coords.dtype == np.float64
         np.testing.assert_array_equal(sys.energies, energies)
-        np.testing.assert_array_equal(sys.left, left)
+        np.testing.assert_array_equal(sys.left, spectral._unfold(left))
         assert sys.defect == defect
         assert not hasattr(sys, "right")
 
@@ -219,7 +221,7 @@ class TestBiorthonormalize:
         grid = Grid.for_box(np.pi, 65)
         ham = discretize(square_well(0.3, np.pi, BT), grid)
         sys = biorthonormalize(ham)
-        _, right, _, _ = pair_eigensystem(ham.dense(), grid.h)
+        right = spectral._unfold(pair_eigensystem(ham.dense(), grid.h)[1])
         overlap = grid.h * (right.conj().T @ sys.left)
         assert np.max(np.abs(overlap - np.eye(63))) < 1e-8
         assert sys.defect < 1e-8
@@ -230,6 +232,7 @@ class TestBiorthonormalize:
         grid = Grid.for_box(np.pi, 65)
         ham = discretize(square_well(0.3, np.pi, BT), grid)
         _, right, left, _ = pair_eigensystem(ham.dense(), grid.h)
+        right, left = spectral._unfold(right), spectral._unfold(left)
         for k in (0, 5, 20, 40):
             psi = right[:, k]
             shortcut = np.conj(psi) / (grid.h * (psi.conj() @ np.conj(psi)))
@@ -448,22 +451,45 @@ class TestRayleighQuotientPath:
         assert eig_calls == []
         assert np.all(energies.imag == 0.0) and defect < 1e-13
 
-    @pytest.mark.parametrize("m", [6, 7])
-    def test_fold_undoes_the_phase_of_pt_invariant_vectors(self, m):
-        # columns e^{i theta} phi with P conj(phi) = phi fold to the unit real
-        # columns U^dag phi / ||phi||, up to sign, whatever theta they carry
-        rng = np.random.default_rng(3)
-        phi = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
-        phi = phi + phi[::-1].conj()
-        U = spectral._unfold(np.eye(m))
-        expected = (U.conj().T @ phi).real / np.linalg.norm(phi, axis=0)
-        theta = rng.uniform(0.0, 2.0 * np.pi, 5)
-        got = spectral._fold_vectors(phi * np.exp(1j * theta))
-        np.testing.assert_allclose(got * np.sign(np.sum(got * expected, axis=0)), expected,
-                                   atol=1e-14)
+    @staticmethod
+    def _random_pt_chain(m, seed):
+        """Diagonals of a random exactly PT-symmetric tridiagonal matrix, and PT-invariant columns."""
+        rng = np.random.default_rng(seed)
+        diag = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        off = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
+        x = rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4))
+        diag, off, x = (0.5 * (a + a[::-1].conj()) for a in (diag, off, x))
+        assert _is_pt_symmetric(spectral._dense(diag, off))
+        return diag, off, x, rng.standard_normal(4)
 
-    # at these couplings a solve at a converged shift leaves some vectors at a
-    # phase near pi/2; folded without undoing it, they shrink to round-off
+    # the half-chain solve and product give the top rows of the full ones, for
+    # odd m (a real middle row) and even m (a 2 x 2 real system in the middle)
+    @pytest.mark.parametrize("m", [1, 2, 6, 7, 64, 65])
+    def test_twisted_solve_is_the_full_solve(self, m):
+        diag, off, x, shifts = self._random_pt_chain(m, m)
+        A = spectral._dense(diag, off)
+        q = m - m // 2
+        full = np.stack([np.linalg.solve(A - s * np.eye(m), x[:, j]) for j, s in enumerate(shifts)],
+                        axis=1)
+        half = spectral._twisted(diag, off, shifts, x[:q].copy())
+        np.testing.assert_allclose(half, full[:q], rtol=1e-10, atol=1e-10 * np.max(np.abs(full)))
+        if m % 2:
+            assert np.all(half[-1].imag == 0.0)
+        np.testing.assert_allclose(spectral._half_product(diag, off, x[:q]), (A @ x)[:q],
+                                   rtol=1e-13, atol=1e-13 * np.max(np.abs(A @ x)))
+
+    def test_converged_middle_pivot_is_guarded(self):
+        # a shift at an exact level of the middle row alone zeroes the real
+        # middle pivot: without the guard the solve divides by zero
+        diag = np.array([2.0, 3.0, 2.0], dtype=complex)
+        off = np.zeros(2, dtype=complex)
+        with np.errstate(all="raise"):
+            x = spectral._twisted(diag, off, np.array([3.0]), np.ones((2, 1), dtype=complex))
+        assert np.all(np.isfinite(x)) and x[1, 0] == 1.0 / (1e-15 * 3.0)
+
+    # at these couplings a full-chain solve at a converged shift left some
+    # vectors at a phase near pi/2, which folded them to round-off; iterates
+    # kept as the top half of a PT-invariant vector carry no such phase
     @pytest.mark.parametrize("zeta", [0.039933, 0.554783, 0.650569])
     def test_converged_phase_does_not_spoil_the_fold(self, monkeypatch, zeta):
         ham = discretize(square_well(zeta, np.pi, BT), Grid.for_box(np.pi, 129))
@@ -471,25 +497,49 @@ class TestRayleighQuotientPath:
         biorthonormalize(ham)
         assert eig_calls == []
 
-    def test_lowest_levels_match_extended_precision(self, monkeypatch):
-        pot, grid = PT_INPUTS["well-unbroken"]
-        ham = discretize(pot, grid)
+    def _assert_lowest_levels_match_extended_precision(self, monkeypatch, ham, bound):
         shifts = np.sort(np.linalg.eigvals(ham.dense()).real)[:3]  # independent of the iteration
         reference = _extended_precision_levels(ham, shifts)
         eig_calls = self._count(monkeypatch, np.linalg, "eig")
-        energies = pair_eigensystem(ham.dense(), grid.h)[0]
+        energies = pair_eigensystem(ham.dense(), ham.grid.h)[0]
         assert eig_calls == []
         error = np.abs(energies[:3] - reference) / np.abs(reference)
-        assert np.all(error <= 1e-12), error
+        assert np.all(error <= bound), error
+
+    def test_lowest_levels_match_extended_precision(self, monkeypatch):
+        pot, grid = PT_INPUTS["well-unbroken"]
+        self._assert_lowest_levels_match_extended_precision(monkeypatch, discretize(pot, grid),
+                                                            1e-14)
+
+    # the levels are quotients summed by parts: x^T (A x) loses up to 4e-13
+    # at n 769 to its cancelling O(1/h^2) terms, and eig about 1e-10
+    @pytest.mark.parametrize("zeta", [0.068931, 0.9])
+    def test_lowest_levels_at_n_769_match_extended_precision(self, monkeypatch, zeta):
+        ham = discretize(square_well(zeta, np.pi, BT), Grid.for_box(np.pi, 769))
+        self._assert_lowest_levels_match_extended_precision(monkeypatch, ham, 1e-14)
 
     def test_broken_spectrum_falls_back_after_one_block(self, monkeypatch):
         pot, grid = PT_INPUTS["well-broken"]
         H = discretize(pot, grid).dense()
         reference = _fallback_bits(monkeypatch, H, grid.h)
-        sweeps = self._count(monkeypatch, spectral, "_thomas")
+        sweeps = self._count(monkeypatch, spectral, "_twisted")
         result = pair_eigensystem(H, grid.h)
         # the lowest block holds the complex pairs: it fails, and no other block runs
         assert 0 < len(sweeps) <= spectral._RQI_SWEEPS
+        _assert_same_bits(result, reference)
+        assert np.any(result[0].imag != 0.0)
+
+    def test_broken_starts_on_real_levels_fall_back_after_one_block(self, monkeypatch):
+        # complex pairs at sorted levels 1, 2, 5, 6 and 760-765: the starts there
+        # converge onto neighbouring real levels instead of stalling, so the
+        # first block ends with a repeated level and the margin check stops it
+        grid = Grid(half_width=2.0, n=769)
+        H = discretize(pt_delta_pairs([(1.0, 5.0)], NAT), grid).dense()
+        reference = _fallback_bits(monkeypatch, H, grid.h)
+        sweeps = self._count(monkeypatch, spectral, "_twisted")
+        eig_calls = self._count(monkeypatch, np.linalg, "eig")
+        result = pair_eigensystem(H, grid.h)
+        assert 0 < len(sweeps) <= spectral._RQI_SWEEPS and eig_calls == [1]
         _assert_same_bits(result, reference)
         assert np.any(result[0].imag != 0.0)
 
@@ -514,28 +564,72 @@ class TestRayleighQuotientPath:
         assert eig_calls == [1]
         _assert_same_bits(result, reference)
 
-    def test_dense_input_falls_back(self, monkeypatch):
-        # a real symmetric perturbation that commutes with the reversal keeps
-        # P conj(H) P = H exact but fills the matrix: the iteration solves the
-        # diagonals only, and the check against the whole fold rejects it
+    @staticmethod
+    def _not_tridiagonal(H, kind):
+        """H plus a real PT-symmetric perturbation: dense, or on the off-diagonals but unsymmetric."""
+        rng = np.random.default_rng(2)
+        if kind == "dense":
+            s = rng.standard_normal(H.shape)
+            s = s + s.T
+            return H + 1e-3 * (s + s[::-1, ::-1])
+        m = H.shape[0]
+        k = np.arange(m - 1)
+        r = 1e-3 * rng.standard_normal(m - 1)  # upper (k, k+1) and its PT image (m-1-k, m-2-k)
+        H = H.copy()
+        H[k, k + 1] += r
+        H[m - 1 - k, m - 2 - k] += r
+        return H
+
+    def test_unconverged_block_fails_the_unfolded_check(self, monkeypatch):
+        # a residual reported as zero ends every block after one sweep from the
+        # sine starts; the check of the unfolded vectors on the two diagonals
+        # must still send the input to eig
         pot, grid = PT_INPUTS["well-unbroken"]
         H = discretize(pot, grid).dense()
-        rng = np.random.default_rng(2)
-        s = rng.standard_normal(H.shape)
-        s = s + s.T
-        H = H + 1e-3 * (s + s[::-1, ::-1])
-        assert _is_pt_symmetric(H)
         reference = _fallback_bits(monkeypatch, H, grid.h)
-        rqi_fold, solved = spectral._rqi_fold, []
+        rayleigh = spectral._rayleigh
 
-        def rqi_spy(*args):
-            solved.append(rqi_fold(*args))
-            return solved[-1]
+        def overclaimed(diag, off, z):
+            return *rayleigh(diag, off, z)[:2], 0.0
 
-        monkeypatch.setattr(spectral, "_rqi_fold", rqi_spy)
+        monkeypatch.setattr(spectral, "_rayleigh", overclaimed)
+        eig_calls = self._count(monkeypatch, np.linalg, "eig")
         result = pair_eigensystem(H, grid.h)
-        assert solved == [None]
+        assert eig_calls == [1]
         _assert_same_bits(result, reference)
+
+    def _assert_falls_back_before_the_iteration(self, monkeypatch, kind):
+        pot, grid = PT_INPUTS["well-unbroken"]
+        H = self._not_tridiagonal(discretize(pot, grid).dense(), kind)
+        assert _is_pt_symmetric(H) and not spectral._is_tridiagonal(H)
+        reference = _fallback_bits(monkeypatch, H, grid.h)
+        rqi_calls = self._count(monkeypatch, spectral, "_rqi_fold")
+        eig_calls = self._count(monkeypatch, np.linalg, "eig")
+        result = pair_eigensystem(H, grid.h)
+        assert rqi_calls == [] and eig_calls == [1]
+        _assert_same_bits(result, reference)
+
+    # the iteration solves the two diagonals of a symmetric tridiagonal matrix
+    # only: the exact tridiagonality test sends any other PT-symmetric input,
+    # here one a real symmetric perturbation fills, to eig at once
+    def test_dense_input_falls_back(self, monkeypatch):
+        self._assert_falls_back_before_the_iteration(monkeypatch, "dense")
+
+    def test_unsymmetric_tridiagonal_input_falls_back(self, monkeypatch):
+        self._assert_falls_back_before_the_iteration(monkeypatch, "unsymmetric")
+
+    @pytest.mark.parametrize("name", PT_READ_INPUTS)
+    def test_tridiagonality_test_is_exact(self, name):
+        pot, grid = PT_READ_INPUTS[name]
+        H = discretize(pot, grid).dense()
+        assert spectral._is_tridiagonal(H)
+        for i, j in [(0, 2), (grid.n - 3, 0), (5, 9)]:
+            G = H.copy()
+            G[i, j] = 1e-300
+            assert not spectral._is_tridiagonal(G)
+        G = H.copy()
+        G[3, 4] *= 1.0 + 2.0**-52
+        assert not spectral._is_tridiagonal(G)
 
 
 def _exactly_hermitian_and_pt_symmetric(M):
@@ -592,7 +686,8 @@ class TestFoldedMetric:
         monkeypatch.setattr(np.linalg, "inv", spy)
         _, right, left, defect = pair_eigensystem(ham.dense(), grid.h)
         assert seen == [dtype]
-        assert right.dtype == left.dtype == np.complex128
+        # real levels keep the real coordinates; complex pairs are mapped back
+        assert right.dtype == left.dtype == dtype
         assert defect < 1e-13
 
 
@@ -600,11 +695,21 @@ class TestEigenSolveMemory:
     """No m x m matrix outlives its use in pair_eigensystem."""
 
     def test_traced_peak_at_n_769(self, traced_peak):
-        # R, V^{-dag} / h and the complex L when L is mapped back: 3.03 m x m complex
-        # arrays; 4.53 with the input, the folded matrix and the gap matrix kept
+        # the dense input, freed before the iteration, then at most right, left,
+        # the half-size moduli of the condition number and O(128 m) blocks:
+        # 1.27 m x m complex arrays (3.03 with the complex eigenvectors mapped
+        # back, 4.03 with a caller's frame keeping the input alive)
         ham = discretize(square_well(0.068931, np.pi, BT), Grid.for_box(np.pi, 769))
         peak = traced_peak(lambda: pair_eigensystem(ham.dense(), ham.grid.h))
-        assert peak / (ham.dim**2 * np.dtype(complex).itemsize) < 3.2
+        assert peak / (ham.dim**2 * np.dtype(complex).itemsize) < 1.4
+
+    def test_oracle_solve_and_metric_traced_peak_at_n_769(self, traced_peak):
+        # as oracle runs them: the peak comes in spectral_metric, with X held by
+        # the system, eta = X X^T and the metric on the full grid, 2.27 m x m
+        # complex arrays; 3.03 with complex eigenvector arrays in the solve
+        ham = discretize(square_well(0.068931, np.pi, BT), Grid.for_box(np.pi, 769))
+        peak = traced_peak(lambda: spectral_metric(biorthonormalize(ham), ham.dim))
+        assert peak / (ham.dim**2 * np.dtype(complex).itemsize) < 2.4
 
     # CPython 3.11 moves a call's arguments into the callee's frame, so the
     # caller's ham.dense() temporary goes when pair_eigensystem drops it
@@ -615,19 +720,27 @@ class TestEigenSolveMemory:
             pot, grid = delta_potential([(0.0, 1.0), (-0.3, 0.5)], NAT), Grid(half_width=2.0, n=129)
         else:
             pot, grid = PT_INPUTS["well-unbroken" if case == "folded" else "well-broken"]
-        inputs, solved = [], []  # weak references: dense inputs to _fold, matrices solved
+        # weak references: dense matrices (the input, a matrix rebuilt for the
+        # fold) and what was solved (the iteration's vectors, eig's input)
+        inputs, solved = [], []
         dead_at_rqi, dead_at_eig, dead_at_inv = [], [], []
-        fold, rqi_fold = spectral._fold, spectral._rqi_fold
+        pt_test, fold, rqi_fold = spectral._is_pt_symmetric, spectral._fold, spectral._rqi_fold
         eig, inv = np.linalg.eig, np.linalg.inv
+
+        def pt_spy(a):
+            inputs.append(weakref.ref(a))
+            return pt_test(a)
 
         def fold_spy(a):
             inputs.append(weakref.ref(a))
             return fold(a)
 
-        def rqi_spy(a, diag, off):
+        def rqi_spy(diag, off):
             dead_at_rqi.extend(ref() is None for ref in inputs)
-            solved.append(weakref.ref(a))
-            return rqi_fold(a, diag, off)
+            result = rqi_fold(diag, off)
+            if result is not None:
+                solved.append(weakref.ref(result[1]))
+            return result
 
         def eig_spy(a):
             dead_at_eig.extend(ref() is None for ref in inputs)
@@ -638,18 +751,19 @@ class TestEigenSolveMemory:
             dead_at_inv.extend(ref() is None for ref in inputs + solved)
             return inv(a)
 
+        monkeypatch.setattr(spectral, "_is_pt_symmetric", pt_spy)
         monkeypatch.setattr(spectral, "_fold", fold_spy)
         monkeypatch.setattr(spectral, "_rqi_fold", rqi_spy)
         monkeypatch.setattr(np.linalg, "eig", eig_spy)
         monkeypatch.setattr(np.linalg, "inv", inv_spy)
         biorthonormalize(discretize(pot, grid))
-        # the dense input is gone when its fold is solved, by the iteration and,
-        # on a broken spectrum, by eig after it; every solved matrix is gone
-        # when the inverse runs
+        # the dense input is gone when the iteration runs on its diagonals; on
+        # a broken spectrum, the matrix rebuilt from them is gone when eig
+        # solves its fold; everything solved is gone when the inverse runs
         assert dead_at_rqi == ([] if case == "complex" else [True])
-        assert dead_at_eig == ([True] if case == "broken" else [])
+        assert dead_at_eig == {"folded": [], "broken": [True, True], "complex": [False]}[case]
         assert dead_at_inv == {"folded": [True, True], "broken": [True, True, True],
-                               "complex": [True]}[case]
+                               "complex": [True, True]}[case]
 
 
 class TestSpectralMetric:
