@@ -144,11 +144,14 @@ def _cell_weights(pot: PotentialSpec, grid: Grid) -> np.ndarray:
     and Simpson's rule is exact.  An unsplit cell gets v h (1/6, 4/6, 1/6, 0).
     """
     n, h, nodes = grid.n, grid.h, grid.nodes
-    t = np.union1d(nodes, [c for (a, b), _ in pot.segments for c in (a, b)
-                           if nodes[0] < c < nodes[-1]])
+    # np.union1d and np.isin without np.unique, whose first call imports numpy.ma
+    t = np.sort(np.concatenate([nodes, [c for (a, b), _ in pot.segments for c in (a, b)
+                                        if nodes[0] < c < nodes[-1]]]))
+    t = t[np.concatenate([[True], t[1:] != t[:-1]])]
     cell = np.searchsorted(nodes, t[:-1], side="right") - 1
+    on_node = nodes[np.minimum(np.searchsorted(nodes, t[1:]), n - 1)] == t[1:]
     lo = (t[:-1] - nodes[cell]) / h
-    hi = np.where(np.isin(t[1:], nodes), 1.0, (t[1:] - nodes[cell]) / h)
+    hi = np.where(on_node, 1.0, (t[1:] - nodes[cell]) / h)
     v = eval_potential(pot, 0.5 * (t[:-1] + t[1:]))
 
     def basis(lam):  # Lagrange basis on lam = 0, 1/2, 1, and the cubic vanishing there

@@ -68,7 +68,8 @@ class CheckReport:
     passed: bool
     meta: dict = field(default_factory=dict)
 
-    def to_json_line(self) -> str:
+    def to_json_line(self, **fields) -> str:
+        """One JSON object; `fields` (e.g. config_sha256) follow meta."""
         def coerce(value):
             if isinstance(value, (bool, np.bool_)):
                 return bool(value)
@@ -78,7 +79,7 @@ class CheckReport:
 
         return json.dumps({"check": self.check, "residual": self.residual,
                            "relative": self.relative, "pass": self.passed,
-                           "meta": self.meta}, default=coerce)
+                           "meta": self.meta, **fields}, default=coerce)
 
 
 def kernel_matrix(k: Kernel) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qmetric.cli as cli
+import qmetric.commands as commands
 from qmetric.closed_forms import delta_second_iterate, square_well_eta1
 from qmetric.kernels import (
     FLOAT_FMT,
@@ -186,10 +187,10 @@ def serial_artifacts(model_args, out):
     """Write the kernel artifacts of `compute model_args` one after another in
     this process; return their file names."""
     args = cli.build_parser().parse_args(["compute", *model_args, "--out", str(out)])
-    pot, doc = cli._build_potential(args)
-    grid = cli._build_grid(args, pot, doc)
-    state = neumann_series(cli._build_seed(args, pot), pot,
-                           cli._build_series_config(args, doc), grid)
+    pot, doc = commands._build_potential(args)
+    grid = commands._build_grid(args, pot, doc)
+    state = neumann_series(commands._build_seed(args, pot), pot,
+                           commands._build_series_config(args, doc), grid)
     out.mkdir()
     kernel_to_csv(state.partial_sum, out / "kernel.csv")
     for k, it in enumerate(state.iterates):
@@ -240,33 +241,62 @@ class TestParallelArtifacts:
             assert (out / name).read_bytes() == (tmp_path / "good" / name).read_bytes(), name
 
 
-def test_cli_import_loads_no_process_pool(tmp_path):
+# One fresh interpreter per start-up path.  Each snippet may set rc (main's
+# exit code), tables (the CSV formatter's cached tables) and star (the
+# names `from qmetric import *` binds, and whether an unknown name raises).
+FOOTPRINT_RUNS = {
+    "import_package": "import qmetric",
+    "import_cli": "import qmetric.cli",
+    "help": "import qmetric.cli; rc = qmetric.cli.main(['--help'])",
+    "usage_error": "import qmetric.cli; rc = qmetric.cli.main(['compute', '--bogus'])",
+    "import_kernels": ("import qmetric.kernels as k; "
+                       "tables = k._format_tables.cache_info().currsize"),
+    "star_import": ("import qmetric; names = {}; exec('from qmetric import *', names)\n"
+                    "try:\n    qmetric.no_such_name\nexcept AttributeError:\n"
+                    "    star = [sorted(set(names) - {'__builtins__'}) == sorted(qmetric.__all__),"
+                    " True]"),
+    "compute": ("import qmetric.cli; rc = qmetric.cli.main(['compute', '--model', 'square-well', "
+                "'--n', '65', '--order', '2', '--out', OUT])"),
+}
+
+
+@pytest.mark.parametrize("case", list(FOOTPRINT_RUNS))
+def test_import_footprint(tmp_path, monkeypatch, case):
+    code = FOOTPRINT_RUNS[case].replace("OUT", repr(str(tmp_path / "run"))) + (
+        "\nimport json, sys\nprint(json.dumps({key: globals().get(key) for key in "
+        "('rc', 'tables', 'star')} | {'modules': sorted(sys.modules)}))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    *printed, last = done.stdout.splitlines(keepends=True)
+    report = json.loads(last)
+    modules = report["modules"]
     # the pool modules cost every `qmetric` start, and the forked writes and
-    # reads need none of them
-    code = ("import sys, qmetric.cli; "
-            "assert qmetric.cli.main(['compute', '--model', 'square-well', '--n', '65', "
-            f"'--order', '2', '--out', {str(tmp_path / 'run')!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m == 'multiprocessing' "
-            "or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip().splitlines()[-1] == "[]"
+    # reads need none of them; np.unique imports numpy.ma
+    assert [m for m in modules if m in ("multiprocessing", "numpy.ma") or m.startswith(
+        ("multiprocessing.", "concurrent.futures.process"))] == []
+    # the CSV formatter's tables are built on the first write, not at import
+    assert "fractions" not in modules or case == "compute"
+    if case == "compute":
+        assert report["rc"] == 0
+    elif case == "import_kernels":
+        assert report["tables"] == 0
+    elif case == "star_import":
+        assert report["star"] == [True, True]
+    else:
+        # the parser answers before numpy or a numerical module loads
+        assert [m for m in modules if m.split(".")[0] == "numpy"
+                or m.startswith("qmetric.") and m != "qmetric.cli"] == []
+        if case == "help":
+            monkeypatch.setenv("COLUMNS", "80")
+            assert report["rc"] == 0
+            assert "".join(printed) == cli.build_parser().format_help()
+        elif case == "usage_error":
+            assert report["rc"] == 2
+            assert "unrecognized arguments: --bogus" in done.stderr
 
-
-
-def test_cli_import_builds_no_format_tables():
-    # the CSV formatter's tables are built on the first write, not at start-up
-    code = ("import sys, qmetric.cli, qmetric.kernels as k; "
-            "print('fractions' in sys.modules, k._format_tables.cache_info().currsize)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False 0"
 
 class TestVerify:
     def test_identity_kernel_real_well_all_pass(self, tmp_path):
@@ -361,13 +391,82 @@ class TestVerify:
         assert run("verify", "--model", "square-well", "--checks", "bogus",
                    "--out", str(out)) == 2
 
+    def test_run_is_checked_against_its_own_potential(self, tmp_path, capsys):
+        # with no flags the checks used to rebuild the zeta 0.1 default
+        run_dir, foreign = tmp_path / "run", tmp_path / "foreign"
+        assert run("compute", "--model", "square-well", "--zeta", "3", "--n", "65",
+                   "--order", "1", "--out", str(run_dir)) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert run("verify", "--checks", "kg", "--out", str(run_dir)) == 0
+        own = json.loads((run_dir / "checks.jsonl").read_text())
+        assert own["config_sha256"] == manifest["config_sha256"]
+        assert run("verify", "--model", "square-well", "--zeta", "3", "--checks", "kg",
+                   "--out", str(run_dir)) == 0
+        assert json.loads((run_dir / "checks.jsonl").read_text()) == own
+        # the same kernel with no run record beside it is checked at the flags' model
+        foreign.mkdir()
+        (foreign / "kernel.csv").write_bytes((run_dir / "kernel.csv").read_bytes())
+        run("verify", "--checks", "kg", "--out", str(foreign))
+        default = json.loads((foreign / "checks.jsonl").read_text())
+        assert default["residual"] != own["residual"]
+        assert len(default["config_sha256"]) == 64 != manifest["config_sha256"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [("--zeta", "0.1"), ("--model", "scattering", "--zeta", "3"),
+                                       ("--model", "square-well", "--zeta", "3",
+                                        "--gauge", "natural")],
+                             ids=["zeta", "model", "gauge"])
+    def test_disagreeing_model_flags_exit_2_and_write_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        assert run("compute", "--model", "square-well", "--zeta", "3", "--n", "65",
+                   "--order", "1", "--out", str(out)) == 0
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert run("verify", *flags, "--checks", "kg", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the model flags do not match the potential")
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_deltas_flags_agree_with_their_run(self, tmp_path):
+        # the recorded couplings are lists in JSON and tuples in the spec
+        out = tmp_path / "run"
+        model = ("--model", "deltas", "--deltas", "0.5:0,0.25:0.5", "--extent", "2")
+        assert run("compute", *model, "--n", "65", "--order", "1", "--out", str(out)) == 0
+        assert run("verify", *model[:4], "--checks", "invertibility", "--out", str(out)) == 0
+        assert run("verify", "--checks", "invertibility", "--out", str(out)) == 0
+
+    def test_oracle_metric_is_checked_against_the_oracle_potential(self, tmp_path):
+        orc = tmp_path / "orc"
+        assert run("oracle", "--model", "square-well", "--zeta", "0.3", "--n", "65",
+                   "--out", str(orc)) == 0
+        summary = json.loads((orc / "oracle.json").read_text())
+        assert summary["config"]["potential"]["segments"][0]["im"] == 0.3
+        assert run("verify", "--kernel", str(orc / "metric.csv"), "--out", str(orc)) == 0
+        recs = [json.loads(s) for s in (orc / "checks.jsonl").read_text().splitlines()]
+        assert len(recs) == 4
+        assert all(rec["config_sha256"] == summary["config_sha256"] for rec in recs)
+        assert run("verify", "--kernel", str(orc / "metric.csv"), "--zeta", "0.1",
+                   "--out", str(orc)) == 2
+
+    def test_kernel_on_another_grid_than_the_run_record_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("compute", "--model", "square-well", "--n", "65", "--order", "1",
+                   "--out", str(out)) == 0
+        other = tmp_path / "other.csv"
+        kernel_to_csv(identity_kernel(Grid.for_box(np.pi, 33)), other)
+        capsys.readouterr()
+        assert run("verify", "--kernel", str(other), "--out", str(out)) == 2
+        assert "does not match the grid recorded in" in capsys.readouterr().err
+        assert not (out / "checks.jsonl").exists()
+
     @pytest.mark.parametrize("checks", ["positivity,bogus", "", " , "])
     def test_check_names_are_validated_before_the_kernel_is_read(self, tmp_path, monkeypatch,
                                                                  capsys, checks):
         def no_read(path):
             raise AssertionError(f"kernel read from {path}")
 
-        monkeypatch.setattr(cli, "kernel_from_csv", no_read)
+        monkeypatch.setattr(commands, "kernel_from_csv", no_read)
         out = tmp_path / "missing"  # no kernel here: the check list must fail first
         capsys.readouterr()
         assert run("verify", "--model", "square-well", "--checks", checks,
@@ -434,13 +533,13 @@ class TestOracle:
         assert run("oracle", *model, "--cross-check", str(run_dir / "kernel.csv"),
                    "--out", str(out)) == 0
         args = cli.build_parser().parse_args(["oracle", *model, "--out", str(out)])
-        pot, doc = cli._build_potential(args)
-        grid = cli._build_grid(args, pot, doc)
+        pot, doc = commands._build_potential(args)
+        grid = commands._build_grid(args, pot, doc)
         series = kernel_from_csv(run_dir / "kernel.csv")
-        metric, _ = cli._spectral_artifacts(pot, grid, None, tmp_path)
+        metric, _ = commands._spectral_artifacts(pot, grid, None, tmp_path)
         diff = Kernel(grid=grid, c_diag=series.c_diag - metric.c_diag,
                       c_anti=series.c_anti - metric.c_anti, smooth=series.smooth - metric.smooth)
-        rep = kg_residual(diff, pot, grid, tolerance=cli._kg_tolerance(pot, grid, series))
+        rep = kg_residual(diff, pot, grid, tolerance=commands._kg_tolerance(pot, grid, series))
         rep = dataclasses.replace(rep, check="difference-kg")
         assert (out / "cross_check.json").read_text() == rep.to_json_line() + "\n"
 
@@ -455,7 +554,7 @@ class TestOracle:
     def test_exceptional_point_exit_code(self, tmp_path, monkeypatch):
         def boom(ham):
             raise ExceptionalPointError("coalescing pair")
-        monkeypatch.setattr(cli, "biorthonormalize", boom)
+        monkeypatch.setattr(commands, "biorthonormalize", boom)
         assert run("oracle", "--model", "square-well", "--n", "65",
                    "--out", str(tmp_path / "orc")) == 3
 
@@ -495,7 +594,7 @@ def test_bad_cross_check_writes_nothing(tmp_path, monkeypatch, capsys, case):
     def no_solve(pot, grid):
         raise AssertionError("discretized before the cross-check kernel was read")
 
-    monkeypatch.setattr(cli, "discretize", no_solve)
+    monkeypatch.setattr(commands, "discretize", no_solve)
     out = tmp_path / "orc"
     assert run("oracle", "--model", "square-well", "--n", "65",
                "--cross-check", str(kernel), "--out", str(out)) == 2

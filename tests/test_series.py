@@ -655,6 +655,36 @@ def complex_well(half_width=0.5 * np.pi):
                                    ((0.3, half_width), -0.5 + 0.2j)))
 
 
+def union1d_cell_weights(pot, grid):
+    """series._cell_weights as written with np.union1d and np.isin."""
+    n, h, nodes = grid.n, grid.h, grid.nodes
+    t = np.union1d(nodes, [c for (a, b), _ in pot.segments for c in (a, b)
+                           if nodes[0] < c < nodes[-1]])
+    cell = np.searchsorted(nodes, t[:-1], side="right") - 1
+    lo = (t[:-1] - nodes[cell]) / h
+    hi = np.where(np.isin(t[1:], nodes), 1.0, (t[1:] - nodes[cell]) / h)
+    v = eval_potential(pot, 0.5 * (t[:-1] + t[1:]))
+
+    def basis(lam):
+        return np.stack([2.0 * (lam - 0.5) * (lam - 1.0), 4.0 * lam * (1.0 - lam),
+                         lam * (2.0 * lam - 1.0), lam * (lam - 0.5) * (lam - 1.0)])
+
+    piece = h * (hi - lo) / 6.0 * (basis(lo) + 4.0 * basis(0.5 * (lo + hi)) + basis(hi))
+    w = np.zeros((n - 1, 4), dtype=complex)
+    np.add.at(w, cell, (piece * v).T)
+    return w.T
+
+
+@pytest.mark.parametrize("pot, grid", [
+    (square_well(0.1, np.pi, BT), Grid.for_box(np.pi, 65)),
+    (scattering_potential(0.3, 1.0, NAT), Grid(half_width=2.0, n=65)),
+    (real_well(), Grid.for_box(np.pi, 65)),  # a breakpoint at 0.3, between two nodes
+], ids=["well", "scattering_barrier", "off_node_breakpoint"])
+def test_cell_weights_bit_equal_to_the_union1d_form(pot, grid):
+    w = series._cell_weights(pot, grid)
+    assert w.tobytes() == union1d_cell_weights(pot, grid).tobytes()
+
+
 def smooth_inputs(n, seed):
     """Real, imaginary and general inputs, Hermitian and not, some with exact zeros."""
     rng = np.random.default_rng(seed)

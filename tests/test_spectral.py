@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmetric import spectral
-from qmetric.cli import _spectral_artifacts
+from qmetric.commands import _spectral_artifacts
 from qmetric.kernels import Grid, hermiticity_defect, kernel_from_csv, kernel_to_csv
 from qmetric.potentials import (
     Domain,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmetric.cli import KG_HEADROOM, _kg_tolerance, _run_checks
+from qmetric.commands import KG_HEADROOM, _kg_tolerance, _run_checks
 from qmetric.closed_forms import square_well_eta1
 from qmetric.kernels import Grid, Kernel, hermiticity_defect, identity_kernel, parity_kernel
 from qmetric.potentials import (
