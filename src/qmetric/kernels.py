@@ -607,26 +607,33 @@ _GRAY_TEXT = np.array([str(v).encode() for v in range(256)], dtype=object)
 
 
 def kernel_to_pgm(kernel: Kernel, path) -> None:
-    """Write |smooth| as an ASCII portable graymap with min/max in the header."""
-    mag = np.abs(kernel.smooth)
-    lo, hi = float(mag.min()), float(mag.max())
-    if hi > lo:
-        img = np.rint(255.0 * (mag - lo) / (hi - lo)).astype(int)
-    else:
-        img = np.zeros_like(mag, dtype=int)
-    text = _GRAY_TEXT
-    if img.min() < 0 or img.max() > 255:
-        # an infinite |smooth| beside finite ones casts nan to an arbitrary int
-        levels, img = np.unique(img, return_inverse=True)
-        text = np.array([str(v).encode() for v in levels], dtype=object)
-        img = img.reshape(mag.shape)
+    """Write |smooth| as an ASCII portable graymap with min/max in the header.
+
+    |smooth| is formed for _BLOCK rows at a time, once for its min and max
+    (a NaN propagates to both) and once to scale and write the block.
+    """
     n = kernel.grid.n
+    blocks = [slice(r, r + _BLOCK) for r in range(0, n, _BLOCK)]
+    ends = [(m.min(), m.max()) for m in (np.abs(kernel.smooth[b]) for b in blocks)]
+    lo, hi = float(np.min([e[0] for e in ends])), float(np.max([e[1] for e in ends]))
     with open(path, "wb") as f:
         f.write(b"P2\n")
         f.write(("# |smooth| min=" + FLOAT_FMT % lo + " max=" + FLOAT_FMT % hi + "\n").encode())
         f.write(f"{n} {n}\n255\n".encode())
-        for row in img:
-            f.write(b" ".join(text[row]) + b"\n")
+        for b in blocks:
+            mag = np.abs(kernel.smooth[b])
+            if hi > lo:
+                img = np.rint(255.0 * (mag - lo) / (hi - lo)).astype(int)
+            else:
+                img = np.zeros_like(mag, dtype=int)
+            text = _GRAY_TEXT
+            if img.min() < 0 or img.max() > 255:
+                # an infinite |smooth| beside finite ones casts nan to an arbitrary int
+                levels, img = np.unique(img, return_inverse=True)
+                text = np.array([str(v).encode() for v in levels], dtype=object)
+                img = img.reshape(mag.shape)
+            for row in img:
+                f.write(b" ".join(text[row]) + b"\n")
 
 
 def write_kernel_files(jobs) -> None:

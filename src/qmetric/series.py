@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from qmetric.kernels import Grid, Kernel, SeedPair, _conj_equal, seed_to_kernel
+from qmetric.kernels import _BLOCK, Grid, Kernel, SeedPair, _conj_equal, seed_to_kernel
 from qmetric.potentials import PotentialSpec, check_box_grid, eval_potential, unit_step
 
 __all__ = [
@@ -121,16 +121,20 @@ def apply_K_to_identity(pot: PotentialSpec, grid: Grid, cfg: KConfig | None = No
 
         (m/hbar^2) [ int_{r0}^{(x+y)/2} Re v + i sign(y-x) int_{r0}^{(x+y)/2} Im v ]
 
-    with both integrals evaluated exactly for piecewise-constant v.
+    with both integrals evaluated exactly for piecewise-constant v.  It is
+    formed for _BLOCK rows x at a time, so the scratch is O(_BLOCK n).
     """
     check_box_grid(pot, grid)
     r0 = 0.0 if cfg is None else cfg.r0
-    X, Y = grid.mesh()
-    pref = _segment_prefix(pot, 0.5 * (X + Y))
+    Y = grid.nodes
     base = _segment_prefix(pot, np.asarray(r0))
     c = pot.constants.mass / pot.constants.hbar**2
-    smooth = c * ((pref.real - base.real)
-                  + 1j * np.sign(Y - X) * (pref.imag - base.imag))
+    smooth = np.empty((grid.n, grid.n), dtype=complex)
+    for r in range(0, grid.n, _BLOCK):
+        X = Y[r:r + _BLOCK, None]
+        pref = _segment_prefix(pot, 0.5 * (X + Y))
+        smooth[r:r + _BLOCK] = c * ((pref.real - base.real)
+                                    + 1j * np.sign(Y - X) * (pref.imag - base.imag))
     return Kernel(grid=grid, smooth=smooth)
 
 
@@ -179,39 +183,57 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
     r_c + h/2 (odd columns).  The query t = x-+y+-r at r = r_c + lam h sits
     at s-index u -+ c -+ lam (u indexes x-+y), so g(0), g(1/2), g(1) of all
     (u, c) are skew views; cell integrals, summed over r in `acc`, too.
+
+    `prefix` is built for _BLOCK cell columns c0..c1-1 at a time: node
+    columns c0..c1 and midpoint columns c0..c1-1 over all 3n-2 padded rows,
+    so the scratch beside `acc` and `out` is O(_BLOCK n).  The cumulative
+    sum over r carries from block to block: accumulate adds in sequence, so
+    the carry gives the bits of one cumsum over all cells.  Each family
+    builds its blocks afresh, since `acc` serves both in turn.
     """
     n, h = grid.n, grid.h
     width = 2 * n - 1
     dtype = np.result_type(S, w)
-    prefix = np.empty((3 * n - 2, width), dtype=dtype)
+    pw = 2 * _BLOCK + 1
+    prefix = np.empty((3 * n - 2, pw), dtype=dtype)
     acc = np.empty((width, n), dtype=dtype)
-    node, mid = prefix[:, 0::2], prefix[:, 1::2]
-    node[:n] = 0.0
-    np.cumsum(0.5 * h * (S[:-1] + S[1:]), axis=0, out=node[n:width])
-    node[width:] = node[width - 1]
-    np.add(node[:, :-1], node[:, 1:], out=mid)
-    mid *= 0.5
-    mid[n - 1:width - 1] += h / 16 * (3 * (S[:-1, :-1] + S[:-1, 1:]) + S[1:, :-1] + S[1:, 1:])
     c = np.flatnonzero(w[3])  # split cells, where g3 = (h/2) twist enters
     twist = np.zeros((3 * n - 2, c.size), dtype=S.dtype)
     twist[n - 1:width - 1] = S[1:, c + 1] - S[:-1, c + 1] - S[1:, c] + S[:-1, c]
     out = np.zeros((n, n), dtype=dtype)
-    cells = acc[:, 1:]
     # sgn = -1: t = x+y-r, the cell spans s-rows u-c-1 (lam = 1) to u-c; read at u = i+j.
     # sgn = +1: t = x-y+r, it spans u+c-n+1 (lam = 0) to u+c-n+2; read at u = i-j+n-1.
     for sgn, node_row, cell_row, first in ((-1, n - 1, n - 2, 0), (1, 0, 0, (n - 1) * n)):
-        steps = (width, sgn * width + 2)
-        g_node = _skew(prefix, node_row * width, (width, n), steps)
-        g_mid = _skew(prefix, cell_row * width + 1, (width, n - 1), steps)
-        np.multiply(g_mid, w[1], out=cells)
-        cells += g_node[:, :-1] * w[0]
-        cells += g_node[:, 1:] * w[2]
-        rows = np.arange(width)[:, None] + sgn * c + cell_row
-        cells[:, c] += 0.5 * h * w[3, c] * twist[rows, np.arange(c.size)]
         acc[:, 0] = 0.0
-        np.cumsum(cells, axis=1, out=cells)
+        for c0 in range(0, n - 1, _BLOCK):
+            c1 = min(c0 + _BLOCK, n - 1)
+            node, mid = prefix[:, 0:2 * (c1 - c0) + 1:2], prefix[:, 1:2 * (c1 - c0):2]
+            node[:n] = 0.0
+            np.cumsum(0.5 * h * (S[:-1, c0:c1 + 1] + S[1:, c0:c1 + 1]), axis=0,
+                      out=node[n:width])
+            node[width:] = node[width - 1]
+            np.add(node[:, :-1], node[:, 1:], out=mid)
+            mid *= 0.5
+            left, right = slice(c0, c1), slice(c0 + 1, c1 + 1)
+            mid[n - 1:width - 1] += h / 16 * (3 * (S[:-1, left] + S[:-1, right])
+                                              + S[1:, left] + S[1:, right])
+            steps = (pw, sgn * pw + 2)
+            g_node = _skew(prefix, (node_row + sgn * c0) * pw, (width, c1 - c0 + 1), steps)
+            g_mid = _skew(prefix, (cell_row + sgn * c0) * pw + 1, (width, c1 - c0), steps)
+            cells = acc[:, c0 + 1:c1 + 1]
+            np.multiply(g_mid, w[1, left], out=cells)
+            cells += g_node[:, :-1] * w[0, left]
+            cells += g_node[:, 1:] * w[2, left]
+            k = np.flatnonzero((c0 <= c) & (c < c1))
+            rows = np.arange(width)[:, None] + sgn * c[k] + cell_row
+            cells[:, c[k] - c0] += 0.5 * h * w[3, c[k]] * twist[rows, k]
+            if c0:
+                cells[:, 0] += acc[:, c0]
+            np.cumsum(cells, axis=1, out=cells)
         acc -= acc[:, [j0]]
-        out -= sgn * _skew(acc, first, (n, n), (n, 1 - sgn * n))
+        for r in range(0, n, _BLOCK):
+            out[r:r + _BLOCK] -= sgn * _skew(acc, first + r * n, (min(_BLOCK, n - r), n),
+                                             (n, 1 - sgn * n))
     return out
 
 
@@ -245,7 +267,7 @@ def _hermitian_image(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> np.nd
         term = _characteristic_term(S, w, grid, j0)
         term += term.conj().T
         return term
-    t = _characteristic_term(np.ascontiguousarray(s), np.ascontiguousarray(v), grid, j0)
+    t = _characteristic_term(s, np.ascontiguousarray(v), grid, j0)
     out = np.zeros(S.shape, dtype=complex)
     phase = s_phase * w_phase
     if phase == 1j:
@@ -343,7 +365,7 @@ class _SliceModel:
 
 
 def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
-                       stats: dict | None = None) -> Kernel:
+                       stats: dict | None = None, sup: float | None = None) -> Kernel:
     """Action of the point couplings i*zeta_n*delta(x - a_n) under K.
 
     For each coupling, with z_n = 2 m zeta_n / hbar^2:
@@ -375,6 +397,8 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     negated, to the real half.  Each coupling's image is formed in place,
     in the array of its first slice integral, so a coupling adds the two
     n x n slice integrals to the result and the input.
+
+    sup is kernel.sup_smooth, when the caller has measured it already.
     """
     check_box_grid(pot, grid)
     n, h, half = grid.n, grid.h, grid.half_width
@@ -385,7 +409,8 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     clamped = 0
     count = not pot.domain.is_box
     locations = [a for a, _ in pot.deltas]
-    sup = kernel.sup_smooth
+    if sup is None:
+        sup = kernel.sup_smooth
     S, phase = kernel.smooth, None
     if sup > 0.0 and np.isfinite(sup):  # complex arithmetic turns inf into nan
         S, phase = _one_component(S)
@@ -446,33 +471,36 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
 
 
 def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
-            stats: dict | None = None) -> Kernel:
+            stats: dict | None = None, sup: float | None = None) -> Kernel:
     """One application of K, dispatching singular and smooth input parts.
 
     The images of the parts are summed into a zeroed array, except that
     the smooth image under a segment-only potential, when it is the only
-    term, is returned as it is.
+    term, is returned as it is.  sup is kernel.sup_smooth, when the caller
+    has measured it already; otherwise it is taken here, once.
 
     Raises:
         ValueError: for a parity singular part under a segment
             potential (no closed-form rule exists for that channel).
     """
     check_box_grid(pot, grid)
-    if pot.has_segments:
-        if kernel.c_anti != 0.0:
-            raise ValueError(
-                "parity singular part is not supported under a segment potential")
-        if kernel.c_diag == 0.0 and not pot.has_deltas and kernel.sup_smooth > 0.0:
-            # its zeros are +0.0 (see _hermitian_image), as zeros + image leaves them
-            return apply_K_smooth(kernel, pot, cfg, grid, stats)
+    if pot.has_segments and kernel.c_anti != 0.0:
+        raise ValueError("parity singular part is not supported under a segment potential")
+    if sup is None:
+        sup = kernel.sup_smooth
+    if pot.has_segments and kernel.c_diag == 0.0 and not pot.has_deltas and sup > 0.0:
+        # its zeros are +0.0 (see _hermitian_image), as zeros + image leaves them
+        return apply_K_smooth(kernel, pot, cfg, grid, stats)
     out = np.zeros((grid.n, grid.n), dtype=complex)
     if pot.has_segments:
         if kernel.c_diag != 0.0:
-            out += kernel.c_diag * apply_K_to_identity(pot, grid, cfg).smooth
-        if kernel.sup_smooth > 0.0:
+            image = apply_K_to_identity(pot, grid, cfg).smooth
+            out += np.multiply(kernel.c_diag, image, out=image)
+            del image
+        if sup > 0.0:
             out += apply_K_smooth(kernel, pot, cfg, grid, stats).smooth
     if pot.has_deltas:
-        out += apply_K_delta_rule(kernel, pot, grid, stats).smooth
+        out += apply_K_delta_rule(kernel, pot, grid, stats, sup).smooth
     return Kernel(grid=grid, smooth=out)
 
 
@@ -491,7 +519,7 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
     stats: dict = {}
     if pot.has_segments or pot.has_deltas:
         for _ in range(cfg.max_order):
-            nxt = apply_K(iterates[-1], pot, cfg, grid, stats)
+            nxt = apply_K(iterates[-1], pot, cfg, grid, stats, sup_norms[-1])
             iterates.append(nxt)
             sup_norms.append(nxt.sup_smooth)
             if sup_norms[-1] < cfg.stop_tol:

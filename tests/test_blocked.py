@@ -1,0 +1,186 @@
+"""The blocked characteristic term and K on the identity against whole-array
+references, and the peak memory of the whole compute path.
+
+The references are the whole-array forms these functions had before they
+ran over blocks; the blocked forms must give the same bits on every path.
+The blocked PGM writer has its whole-array reference in test_kernels.
+"""
+
+import numpy as np
+import pytest
+
+from qmetric import kernels, series
+from qmetric.cli import main
+from qmetric.kernels import Grid, Kernel, smooth_kernel
+from qmetric.potentials import (
+    Domain,
+    PotentialSpec,
+    constants_preset,
+    scattering_potential,
+    square_well,
+)
+from qmetric.series import (
+    KConfig,
+    _characteristic_term,
+    _skew,
+    apply_K,
+    apply_K_smooth,
+    apply_K_to_identity,
+)
+
+BT = constants_preset("bender-tan")
+CFG = KConfig()
+
+
+# --------------------------------------------------------------------------
+# Whole-array references
+
+
+def reference_characteristic_term(S, w, grid, j0):
+    n, h = grid.n, grid.h
+    width = 2 * n - 1
+    dtype = np.result_type(S, w)
+    prefix = np.empty((3 * n - 2, width), dtype=dtype)
+    acc = np.empty((width, n), dtype=dtype)
+    node, mid = prefix[:, 0::2], prefix[:, 1::2]
+    node[:n] = 0.0
+    np.cumsum(0.5 * h * (S[:-1] + S[1:]), axis=0, out=node[n:width])
+    node[width:] = node[width - 1]
+    np.add(node[:, :-1], node[:, 1:], out=mid)
+    mid *= 0.5
+    mid[n - 1:width - 1] += h / 16 * (3 * (S[:-1, :-1] + S[:-1, 1:]) + S[1:, :-1] + S[1:, 1:])
+    c = np.flatnonzero(w[3])
+    twist = np.zeros((3 * n - 2, c.size), dtype=S.dtype)
+    twist[n - 1:width - 1] = S[1:, c + 1] - S[:-1, c + 1] - S[1:, c] + S[:-1, c]
+    out = np.zeros((n, n), dtype=dtype)
+    cells = acc[:, 1:]
+    for sgn, node_row, cell_row, first in ((-1, n - 1, n - 2, 0), (1, 0, 0, (n - 1) * n)):
+        steps = (width, sgn * width + 2)
+        g_node = _skew(prefix, node_row * width, (width, n), steps)
+        g_mid = _skew(prefix, cell_row * width + 1, (width, n - 1), steps)
+        np.multiply(g_mid, w[1], out=cells)
+        cells += g_node[:, :-1] * w[0]
+        cells += g_node[:, 1:] * w[2]
+        rows = np.arange(width)[:, None] + sgn * c + cell_row
+        cells[:, c] += 0.5 * h * w[3, c] * twist[rows, np.arange(c.size)]
+        acc[:, 0] = 0.0
+        np.cumsum(cells, axis=1, out=cells)
+        acc -= acc[:, [j0]]
+        out -= sgn * _skew(acc, first, (n, n), (n, 1 - sgn * n))
+    return out
+
+
+def reference_apply_K_to_identity(pot, grid, cfg=None):
+    r0 = 0.0 if cfg is None else cfg.r0
+    X, Y = grid.mesh()
+    pref = series._segment_prefix(pot, 0.5 * (X + Y))
+    base = series._segment_prefix(pot, np.asarray(r0))
+    c = pot.constants.mass / pot.constants.hbar**2
+    smooth = c * ((pref.real - base.real)
+                  + 1j * np.sign(Y - X) * (pref.imag - base.imag))
+    return Kernel(grid=grid, smooth=smooth)
+
+
+# --------------------------------------------------------------------------
+# Cases
+
+
+def split_cell_well(n):
+    """A well whose walls lie between nodes: split cells and a twist."""
+    segments = (((-1.0, -0.3), 0.0), ((-0.3, 0.7), 0.35j), ((0.7, 1.0), 0.0))
+    return PotentialSpec(constants=BT, domain=Domain.box(2.0), segments=segments), \
+        Grid(half_width=1.0, n=n)
+
+
+def well(n):
+    return square_well(0.092467, np.pi, BT), Grid.for_box(np.pi, n)
+
+
+def scattering(n):
+    return scattering_potential(0.1, 1.0, constants_preset("natural")), Grid(2.0, n)
+
+
+CASES = {"well": well, "scattering": scattering, "split-cell": split_cell_well}
+# n - 1 a multiple of the block, one block exactly, and a ragged last block
+SIZES = (65, kernels._BLOCK + 1, 2 * kernels._BLOCK + 19)
+
+
+def hermitian_inputs(grid):
+    rng = np.random.default_rng(grid.n)
+    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    real = raw.real + raw.real.T
+    return {"real": real + 0j, "imaginary": 1j * real, "complex": raw + raw.conj().T,
+            "general": raw}
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_characteristic_term_bits(case, n):
+    pot, grid = CASES[case](n)
+    w = series._cell_weights(pot, grid)
+    assert case != "split-cell" or w[3].any()
+    image = apply_K_to_identity(pot, grid, CFG).smooth
+    # the float64 path on a strided real view and on a copy, and the complex path
+    inputs = ((image.imag, w.imag), (np.ascontiguousarray(image.imag), w.imag.copy()),
+              (image, w), (hermitian_inputs(grid)["complex"], w))
+    for j0 in ((n - 1) // 2, 3):  # r0 at the centre, and off it
+        for S, weights in inputs:
+            got = _characteristic_term(S, weights, grid, j0)
+            assert got.tobytes() == reference_characteristic_term(S, weights, grid, j0).tobytes()
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_apply_K_smooth_bits(case, n, monkeypatch):
+    pot, grid = CASES[case](n)
+    inputs = hermitian_inputs(grid)
+    inputs["iterate"] = apply_K_to_identity(pot, grid, CFG).smooth
+    got = {}
+    for name, S in inputs.items():
+        stats = {}
+        got[name] = (apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid, stats).smooth,
+                     stats)
+    monkeypatch.setattr(series, "_characteristic_term", reference_characteristic_term)
+    for name, S in inputs.items():
+        stats = {}
+        ref = apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid, stats).smooth
+        assert got[name][0].tobytes() == ref.tobytes(), name
+        assert got[name][1] == stats == {
+            "truncated_evals": (not pot.domain.is_box) * 4 * n * (n - 1)}
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_apply_K_to_identity_bits(case, n):
+    pot, grid = CASES[case](n)
+    for cfg in (CFG, KConfig(r0=float(grid.nodes[3]))):
+        got = apply_K_to_identity(pot, grid, cfg).smooth
+        assert got.tobytes() == reference_apply_K_to_identity(pot, grid, cfg).smooth.tobytes()
+
+
+def test_apply_K_identity_channel_bits():
+    # the identity image is scaled in its own array, as c_diag * image would be
+    pot, grid = split_cell_well(83)
+    k = Kernel(grid=grid, c_diag=0.3 - 0.7j, smooth=hermitian_inputs(grid)["complex"])
+    ref = np.zeros((grid.n, grid.n), dtype=complex)
+    ref += k.c_diag * reference_apply_K_to_identity(pot, grid, CFG).smooth
+    ref += apply_K_smooth(k, pot, CFG, grid).smooth
+    assert apply_K(k, pot, CFG, grid).smooth.tobytes() == ref.tobytes()
+
+
+# --------------------------------------------------------------------------
+# Memory of the whole compute path, in units of one complex n x n array
+
+
+def test_compute_peak_is_the_kept_kernels(tmp_path, traced_peak, monkeypatch):
+    # iterates 0..4 and their sum stay alive until written: 6.0 units, and
+    # the CSV writer's line buffer of 32 grid rows adds 1.0 at n = 513 (2.0
+    # at n = 257, where a unit is a quarter the size).  With the writes in
+    # this process, any n x n scratch array beyond 2 units in compute fails.
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
+    n, order = 513, 4
+    argv = ["compute", "--model", "square-well", "--zeta", "0.092467", "--n", str(n),
+            "--order", str(order), "--out", str(tmp_path)]
+    peak = traced_peak(lambda: main(argv))
+    assert peak / (16 * n * n) < (order + 2) + 2.0
+    assert (tmp_path / f"iter_{order}.csv").exists()

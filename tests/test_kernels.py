@@ -770,17 +770,28 @@ def _str_join_pgm(kernel, path):
             f.write(" ".join(str(v) for v in row) + "\n")
 
 
+def test_pgm_peak_memory(tmp_path, traced_peak):
+    # |smooth|, its scaled levels and text for one block of rows: 0.13 of the
+    # kernel's bytes at n = 513; 1.5 with them over the whole kernel
+    g = Grid(half_width=1.0, n=513)
+    rng = np.random.default_rng(12)
+    k = smooth_kernel(g, rng.standard_normal((513, 513)) + 1j * rng.standard_normal((513, 513)))
+    assert traced_peak(lambda: kernel_to_pgm(k, tmp_path / "k.pgm")) / k.smooth.nbytes < 0.3
+
+
 @pytest.mark.parametrize("case", ["random", "constant", "infinite"])
 def test_pgm_bytes_match_str_join_writer(tmp_path, case):
-    g = Grid(half_width=1.0, n=65)
-    rng = np.random.default_rng(41)
-    smooth = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
-    if case == "constant":  # hi == lo: a black image
-        smooth = np.full((65, 65), 0.5 - 2.0j)
-    elif case == "infinite":  # inf pixels cast nan to an int outside 0..255
-        smooth[rng.random((65, 65)) < 0.02] = np.inf
-    k = smooth_kernel(g, smooth)
-    with np.errstate(invalid="ignore"):
-        kernel_to_pgm(k, tmp_path / "new.pgm")
-        _str_join_pgm(k, tmp_path / "old.pgm")
-    assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
+    # n - 1 a multiple of the writer's block of rows, one block, and a ragged last block
+    for n in (65, kernels._BLOCK + 1, 2 * kernels._BLOCK + 19):
+        g = Grid(half_width=1.0, n=n)
+        rng = np.random.default_rng(41)
+        smooth = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if case == "constant":  # hi == lo: a black image
+            smooth = np.full((n, n), 0.5 - 2.0j)
+        elif case == "infinite":  # inf pixels cast nan to an int outside 0..255
+            smooth[rng.random((n, n)) < 0.02] = np.inf
+        k = smooth_kernel(g, smooth)
+        with np.errstate(invalid="ignore"):
+            kernel_to_pgm(k, tmp_path / "new.pgm")
+            _str_join_pgm(k, tmp_path / "old.pgm")
+        assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes(), n

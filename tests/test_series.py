@@ -794,15 +794,33 @@ class TestDispatch:
             summed = np.zeros_like(image) + image
             assert apply_K(k, pot, CFG, grid).smooth.tobytes() == summed.tobytes()
 
-    def test_smooth_image_peak_memory(self, traced_peak):
-        # the float64 prefix table (3.0 of the input's bytes), the cell sums (1.0), the
-        # real term (0.5) and the complex image (1.0): 7.05 with a full S^dag copy for
-        # the Hermiticity test, and apply_K 8.05 when it added the image to zeros
+    @pytest.fixture(scope="class")
+    def well_iterate(self):
         grid = Grid.for_box(np.pi, 513)
         pot = square_well(0.092467, np.pi, BT)
-        k = apply_K(identity_kernel(grid), pot, CFG, grid)
+        return pot, grid, apply_K(identity_kernel(grid), pot, CFG, grid)
+
+    def test_smooth_image_peak_memory(self, well_iterate, traced_peak):
+        # the float64 cell sums (1.0 of the input's bytes), the real term (0.5) and
+        # the complex image (1.0), with prefix blocks of O(_BLOCK n) beside them:
+        # 2.03; 6.05 with the whole padded prefix table (3.0) and its temporaries
+        pot, grid, k = well_iterate
         for call in (apply_K_smooth, apply_K):
-            assert traced_peak(lambda: call(k, pot, CFG, grid)) / k.smooth.nbytes < 6.3
+            assert traced_peak(lambda: call(k, pot, CFG, grid)) / k.smooth.nbytes < 2.5
+
+    def test_complex_hermitian_image_peak_memory(self, well_iterate, traced_peak):
+        # complex cell sums (2.0) and term (1.0), then the term and its adjoint:
+        # 3.61; 11.1 with the whole complex prefix table
+        pot, grid, k = well_iterate
+        raw = k.smooth + 1e-3 * np.random.default_rng(5).standard_normal(k.smooth.shape)
+        h = smooth_kernel(grid, raw + raw.conj().T)
+        assert traced_peak(lambda: apply_K_smooth(h, pot, CFG, grid)) / h.smooth.nbytes < 5.0
+
+    def test_identity_image_peak_memory(self, well_iterate, traced_peak):
+        # the complex result and one block of rows: 1.28; 4.03 over the whole mesh
+        pot, grid, k = well_iterate
+        peak = traced_peak(lambda: apply_K_to_identity(pot, grid, CFG))
+        assert peak / k.smooth.nbytes < 1.5
 
     def test_delta_rule_peak_memory(self, traced_peak):
         # an imaginary iterate on three couplings: the result (1.0 of the input's
@@ -817,6 +835,20 @@ class TestDispatch:
 
 
 class TestNeumannSeries:
+    @pytest.mark.parametrize("model, order, calls", [("well", 4, 5), ("deltas", 6, 7)])
+    def test_each_sup_norm_is_taken_once(self, model, order, calls, monkeypatch):
+        # apply_K takes the norm neumann_series has just recorded for sup_norms
+        taken = []
+        sup = Kernel.sup_smooth.fget
+        monkeypatch.setattr(Kernel, "sup_smooth", property(lambda k: taken.append(k) or sup(k)))
+        if model == "well":
+            grid, pot = Grid.for_box(np.pi, 65), square_well(0.092467, np.pi, BT)
+        else:
+            grid = Grid(half_width=2.0, n=65)
+            pot = delta_potential([(-0.5, 0.7), (0.25, -0.4), (0.75, 0.5)], NAT)
+        state = neumann_series(SeedPair.zero(), pot, KConfig(max_order=order), grid)
+        assert len(state.iterates) == calls == len(taken)
+
     def test_single_coupling_two_orders(self):
         grid = Grid(half_width=2.0, n=161)
         X, Y = grid.mesh()
