@@ -186,18 +186,32 @@ def seed_to_kernel(seed: SeedPair, grid: Grid, include_identity: bool = True,
                    include_parity: bool = False, tol: float = 1e-12) -> Kernel:
     """Build the seed kernel u = [delta] + u_plus(x-y) + u_minus(x+y).
 
+    The profiles are evaluated over blocks of _BLOCK rows, on the same
+    x_i - y_j and x_i + y_j that grid.mesh() gives, into a zeroed array
+    allocated before any block.  A block is copied in only when it holds
+    a nonzero bit (so -0.0 and NaN are kept), and a vanishing seed never
+    writes the array's pages.
+
     Raises:
         ValueError: if the seed violates its reality constraints by more
-            than tol on the difference grid.
+            than tol on the difference grid, or if its values do not
+            have the shape of the grid.
     """
     defect = seed_reality_defect(seed, grid)
     if defect > tol:
         raise ValueError(
             f"seed violates reality constraints: max violation {defect:.3e} > {tol:.1e}"
         )
-    X, Y = grid.mesh()
-    smooth = np.asarray(seed.u_plus(X - Y), dtype=complex) \
-        + np.asarray(seed.u_minus(X + Y), dtype=complex)
+    n, nodes = grid.n, grid.nodes
+    smooth = np.zeros((n, n), dtype=complex)
+    for r in range(0, n, _BLOCK):
+        x = nodes[r:r + _BLOCK, None]
+        block = np.asarray(seed.u_plus(x - nodes), dtype=complex) \
+            + np.asarray(seed.u_minus(x + nodes), dtype=complex)
+        if block.shape != (x.shape[0], n):
+            raise ValueError(f"smooth part must have shape {(n, n)}, got {block.shape}")
+        if block.view(np.uint64).any():
+            smooth[r:r + _BLOCK] = block
     return Kernel(
         grid=grid,
         c_diag=1.0 if include_identity else 0.0,

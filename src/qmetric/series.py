@@ -475,9 +475,10 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
     """One application of K, dispatching singular and smooth input parts.
 
     The images of the parts are summed into a zeroed array, except that
-    the smooth image under a segment-only potential, when it is the only
-    term, is returned as it is.  sup is kernel.sup_smooth, when the caller
-    has measured it already; otherwise it is taken here, once.
+    an image that is the only term is returned as it is: the smooth image
+    under a segment-only potential, and the point-coupling image when the
+    couplings are the whole potential.  sup is kernel.sup_smooth, when
+    the caller has measured it already; otherwise it is taken here, once.
 
     Raises:
         ValueError: for a parity singular part under a segment
@@ -488,9 +489,12 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
         raise ValueError("parity singular part is not supported under a segment potential")
     if sup is None:
         sup = kernel.sup_smooth
+    # each image's zeros are +0.0 (see _hermitian_image; the slice rule sums
+    # from +0.0), as zeros + image leaves them
     if pot.has_segments and kernel.c_diag == 0.0 and not pot.has_deltas and sup > 0.0:
-        # its zeros are +0.0 (see _hermitian_image), as zeros + image leaves them
         return apply_K_smooth(kernel, pot, cfg, grid, stats)
+    if pot.has_deltas and not pot.has_segments:
+        return apply_K_delta_rule(kernel, pot, grid, stats, sup)
     out = np.zeros((grid.n, grid.n), dtype=complex)
     if pot.has_segments:
         if kernel.c_diag != 0.0:

@@ -1,10 +1,15 @@
 """Session fixtures shared by the test modules."""
 
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+import qmetric
 
 from test_properties import PROPERTY_SUITES
 
@@ -48,6 +53,53 @@ def _traced_peak(call) -> int:
 def traced_peak():
     """traced_peak(call) -> the peak traced allocation, in bytes, while call() runs."""
     return _traced_peak
+
+
+# Runs qmetric.cli.main(argv) (or, with no argv, only imports the commands)
+# and prints the high-water mark of this process's own address space.
+_RESIDENT_PEAK = """
+import sys
+if sys.argv[1:]:
+    from qmetric.cli import main
+    rc = main(sys.argv[1:])
+    if rc:
+        sys.exit(f"qmetric exited {rc}")
+else:
+    import qmetric.commands
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def _has_vmhwm() -> bool:
+    try:
+        return "VmHWM:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+@pytest.fixture
+def resident_peak():
+    """resident_peak(argv=None) -> VmHWM in bytes of a fresh interpreter.
+
+    The interpreter runs qmetric.cli.main(argv), or with no argv only
+    imports qmetric.commands.  VmHWM belongs to that process's own address
+    space: unlike wait4's ru_maxrss it does not inherit the high-water mark
+    of the process that started it, and it does not count the children the
+    writers fork.  Skipped where /proc/self/status has no VmHWM.
+    """
+    if not _has_vmhwm():
+        pytest.skip("/proc/self/status has no VmHWM")
+    src = str(Path(qmetric.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def peak(argv=None) -> int:
+        done = subprocess.run([sys.executable, "-c", _RESIDENT_PEAK, *(argv or [])],
+                              env=env, capture_output=True, text=True, check=True)
+        return 1024 * int(done.stdout.split()[-1])
+
+    return peak
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,6 @@
-"""The blocked characteristic term and K on the identity against whole-array
-references, and the peak memory of the whole compute path.
+"""The blocked characteristic term, K on the identity and the seed kernel
+against whole-array references, and the peak memory of the whole compute
+path.
 
 The references are the whole-array forms these functions had before they
 ran over blocks; the blocked forms must give the same bits on every path.
@@ -11,11 +12,22 @@ import pytest
 
 from qmetric import kernels, series
 from qmetric.cli import main
-from qmetric.kernels import Grid, Kernel, smooth_kernel
+from qmetric.closed_forms import preset_seed
+from qmetric.kernels import (
+    Grid,
+    Kernel,
+    SeedPair,
+    identity_kernel,
+    parity_kernel,
+    seed_reality_defect,
+    seed_to_kernel,
+    smooth_kernel,
+)
 from qmetric.potentials import (
     Domain,
     PotentialSpec,
     constants_preset,
+    delta_potential,
     scattering_potential,
     square_well,
 )
@@ -24,6 +36,7 @@ from qmetric.series import (
     _characteristic_term,
     _skew,
     apply_K,
+    apply_K_delta_rule,
     apply_K_smooth,
     apply_K_to_identity,
 )
@@ -79,6 +92,24 @@ def reference_apply_K_to_identity(pot, grid, cfg=None):
     smooth = c * ((pref.real - base.real)
                   + 1j * np.sign(Y - X) * (pref.imag - base.imag))
     return Kernel(grid=grid, smooth=smooth)
+
+
+def reference_seed_to_kernel(seed, grid, include_identity=True, include_parity=False,
+                             tol=1e-12):
+    defect = seed_reality_defect(seed, grid)
+    if defect > tol:
+        raise ValueError(
+            f"seed violates reality constraints: max violation {defect:.3e} > {tol:.1e}"
+        )
+    X, Y = grid.mesh()
+    smooth = np.asarray(seed.u_plus(X - Y), dtype=complex) \
+        + np.asarray(seed.u_minus(X + Y), dtype=complex)
+    return Kernel(
+        grid=grid,
+        c_diag=1.0 if include_identity else 0.0,
+        c_anti=1.0 if include_parity else 0.0,
+        smooth=smooth,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -168,8 +199,114 @@ def test_apply_K_identity_channel_bits():
     assert apply_K(k, pot, CFG, grid).smooth.tobytes() == ref.tobytes()
 
 
+def _signed_zero(t):
+    # -0.0 + -0.0 is the only sum that keeps the sign: u_plus is -0.0 everywhere
+    # and u_minus on x + y < -2.5, the first rows of the pi box only
+    return np.where(np.asarray(t) < -2.5, complex(-0.0, -0.0), 0j)
+
+
+def _nan_corner(t):
+    return np.where(np.asarray(t) > 2.9, complex(np.nan, 0.0), 0j)
+
+
+def seeds():
+    x = np.linspace(-4.0, 4.0, 161)
+    return {
+        "zero": SeedPair.zero(),
+        "zero-preset": preset_seed("zero", 0.1, np.pi, BT),
+        "bender-tan": preset_seed("bender-tan", 0.1, np.pi, BT),
+        "jmp-2005": preset_seed("jmp-2005", 0.1, np.pi, BT),
+        "tabulated": SeedPair.from_table(x, np.exp(-x**2) + 0.3j * x * np.exp(-x**2),
+                                         0.2 * np.cos(x)),
+        "negative-zero": SeedPair(lambda t: np.full(np.shape(t), complex(-0.0, -0.0)),
+                                  _signed_zero),
+        "nan": SeedPair(lambda t: np.zeros(np.shape(t), complex), _nan_corner),
+    }
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("name", sorted(seeds()))
+def test_seed_kernel_bits(name, n):
+    seed, grid = seeds()[name], Grid.for_box(np.pi, n)
+    for identity in (True, False):
+        for parity in (True, False):
+            got = seed_to_kernel(seed, grid, identity, parity)
+            ref = reference_seed_to_kernel(seed, grid, identity, parity)
+            assert (got.c_diag, got.c_anti) == (ref.c_diag, ref.c_anti)
+            assert got.smooth.tobytes() == ref.smooth.tobytes()
+    smooth = seed_to_kernel(seed, grid).smooth
+    if name == "negative-zero":  # -0.0 on some rows only, kept there
+        signs = np.signbit(smooth.real).any(axis=1)
+        assert signs[0] and not signs.all()
+    if name == "nan":
+        assert np.isnan(smooth[-1, -1]) and not np.isnan(smooth[0]).any()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (SeedPair(u_plus=lambda t: np.exp(-t**2) * (1 + 0.01j),
+              u_minus=lambda t: np.zeros_like(t, dtype=complex)),
+     "seed violates reality constraints"),
+    # profiles that ignore their argument's shape are not broadcast
+    (SeedPair(u_plus=lambda t: 0j, u_minus=lambda t: 0j), "smooth part must have shape"),
+], ids=["reality", "scalar"])
+def test_seed_errors_are_unchanged(bad, message):
+    grid = Grid.for_box(np.pi, 65)
+    with pytest.raises(ValueError) as ref:
+        reference_seed_to_kernel(bad, grid)
+    with pytest.raises(ValueError) as got:
+        seed_to_kernel(bad, grid)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith(message)
+
+
+def couplings(n):
+    terms = [(-0.9375, 0.51632), (-0.75, 0.778181), (0.25, 0.852212)]
+    return delta_potential(terms, constants_preset("natural")), Grid(2.0, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_coupling_image_is_the_slice_rule_image(n):
+    # apply_K returns the slice rule's own array, as zeros + image: every bit,
+    # the sign of each zero included
+    pot, grid = couplings(n)
+    x = grid.nodes
+    inputs = {"identity": identity_kernel(grid), "parity": parity_kernel(grid),
+              "smooth": smooth_kernel(grid, np.exp(-np.subtract.outer(x, x)**2)
+                                      * (1.0 + 0.2j * np.sign(np.subtract.outer(x, x))))}
+    inputs["iterate"] = apply_K(inputs["identity"], pot, CFG, grid)
+    for name, k in inputs.items():
+        got_stats, ref_stats = {}, {}
+        got = apply_K(k, pot, CFG, grid, got_stats).smooth
+        ref = np.zeros((grid.n, grid.n), dtype=complex)
+        ref += apply_K_delta_rule(k, pot, grid, ref_stats).smooth
+        assert got.tobytes() == ref.tobytes(), name
+        assert got_stats == ref_stats, name
+        assert (got == 0.0).any(), name
+
+
 # --------------------------------------------------------------------------
 # Memory of the whole compute path, in units of one complex n x n array
+
+
+@pytest.mark.parametrize("name", ["zero", "bender-tan"])
+def test_seed_kernel_peak_memory(name, traced_peak):
+    # the kernel's array and block temporaries; the n x n meshes are gone
+    n = 513
+    seed, grid = seeds()[name], Grid.for_box(np.pi, n)
+    assert traced_peak(lambda: seed_to_kernel(seed, grid)) / (16 * n * n) < 1.5
+
+
+def test_coupling_image_peak_memory(traced_peak):
+    # the result and the one-component slice integrals; no zeroed copy beside them
+    n = 513
+    pot, grid = couplings(n)
+    iterate = apply_K(identity_kernel(grid), pot, CFG, grid)
+    assert traced_peak(lambda: apply_K(iterate, pot, CFG, grid)) / (16 * n * n) < 2.5
+
+
+def _well_compute(out, n=513, order=4):
+    return ["compute", "--model", "square-well", "--zeta", "0.092467", "--n", str(n),
+            "--order", str(order), "--out", str(out)]
 
 
 def test_compute_peak_is_the_kept_kernels(tmp_path, traced_peak, monkeypatch):
@@ -177,10 +314,22 @@ def test_compute_peak_is_the_kept_kernels(tmp_path, traced_peak, monkeypatch):
     # the CSV writer's line buffer of 32 grid rows adds 1.0 at n = 513 (2.0
     # at n = 257, where a unit is a quarter the size).  With the writes in
     # this process, any n x n scratch array beyond 2 units in compute fails.
+    # tracemalloc counts the zero seed's array as allocated, though no page
+    # of it is ever written; test_compute_resident_peak sees it go.
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
     n, order = 513, 4
-    argv = ["compute", "--model", "square-well", "--zeta", "0.092467", "--n", str(n),
-            "--order", str(order), "--out", str(tmp_path)]
-    peak = traced_peak(lambda: main(argv))
+    peak = traced_peak(lambda: main(_well_compute(tmp_path, n, order)))
     assert peak / (16 * n * n) < (order + 2) + 2.0
     assert (tmp_path / f"iter_{order}.csv").exists()
+
+
+def test_compute_resident_peak(tmp_path, resident_peak):
+    # the same run in a fresh process, above the import alone: the four
+    # iterates written by K and their sum, the writer's buffers and the
+    # series' block scratch.  The zero seed's array is never touched, so
+    # it adds nothing resident (7.1 units when it was built from meshes).
+    n = 513
+    base = resident_peak()
+    peak = resident_peak(_well_compute(tmp_path, n))
+    assert (peak - base) / (16 * n * n) < 6.6
+    assert (tmp_path / "iter_4.csv").exists()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmetric import spectral
+from qmetric.closed_forms import bender_tan_Q
 from qmetric.commands import _spectral_artifacts
 from qmetric.kernels import Grid, hermiticity_defect, kernel_from_csv, kernel_to_csv
 from qmetric.potentials import (
@@ -803,6 +804,49 @@ class TestSpectralMetric:
             spectral_metric(sys, 0)
         with pytest.raises(ValueError):
             spectral_metric(sys, 64)
+
+
+class TestNyquistMirror:
+    """The all-mode metric is a checkerboard: the pins of its exact structure.
+
+    With N = diag((-1)^i) and d = hbar^2 / (m h^2), the diagonal of the
+    kinetic part, N H N + conj(H) = 2d I for any purely imaginary
+    potential: the upper half of the spectrum mirrors the lower one, with
+    eigenvectors N conj(psi).  The sum over every mode then carries a
+    (-1)^(i - j) copy of the kernel at -zeta.
+    """
+
+    MODELS = {
+        "well": lambda n: (square_well(0.3, np.pi, BT), Grid.for_box(np.pi, n)),
+        "scattering": lambda n: (scattering_potential(0.1, 1.0, NAT), Grid(2.0, n)),
+        "couplings": lambda n: (delta_potential([(-0.5, 0.7), (0.25, -0.4)], NAT),
+                                Grid(2.0, n)),
+    }
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_mirror_identity_is_exact(self, model, n):
+        pot, grid = self.MODELS[model](n)
+        H = discretize(pot, grid).dense()
+        s = (-1.0) ** np.arange(H.shape[0])
+        d = pot.constants.hbar**2 / (pot.constants.mass * grid.h**2)
+        assert np.array_equal(s[:, None] * H * s[None, :] + H.conj(), 2.0 * d * np.eye(s.size))
+
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    def test_first_order_lives_on_the_odd_sublattice(self, n):
+        # dM/dzeta by central differences at zeta = +-1e-4 (error O(zeta^2)):
+        # twice the Bender-Tan kernel -Q on pairs with odd i - j, zero on even
+        grid, dz = Grid.for_box(np.pi, n), 1e-4
+        M = [spectral_metric(biorthonormalize(discretize(square_well(z, np.pi, BT), grid)),
+                             n - 2).smooth[1:-1, 1:-1] for z in (dz, -dz)]
+        dM = (M[0] - M[1]) / (2.0 * dz)
+        x = grid.nodes[1:-1]
+        target = -2.0 * bender_tan_Q(1.0, x[:, None], x[None, :])
+        i = np.arange(n - 2)
+        odd = (i[:, None] - i[None, :]) % 2 == 1
+        sup = np.max(np.abs(target))
+        assert np.max(np.abs(dM - target)[odd]) < 1e-8 * sup
+        assert np.max(np.abs(dM)[~odd]) < 1e-11 * sup
 
 
 class TestSpectrumCsv:
