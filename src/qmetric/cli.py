@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="pseudo-metric kernel computation for 1-d non-Hermitian models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, with_order=True):
+    def add_shared(p, with_grid=True):
         group = p.add_mutually_exclusive_group()
         group.add_argument("--model", choices=["square-well", "scattering", "deltas"],
                            help="built-in potential family")
@@ -38,10 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="point couplings as scaled-strength:location pairs")
         p.add_argument("--gauge", choices=["natural", "bender-tan"], default=None,
                        help="constants preset (default bender-tan for square-well, else natural)")
-        if with_order:
+        if with_grid:  # verify reads its grid from the kernel file
             p.add_argument("--order", type=int, default=None)
-        p.add_argument("--n", type=int, default=None, help="grid nodes per axis (odd)")
-        p.add_argument("--extent", type=float, default=None, help="grid half-width")
+            p.add_argument("--n", type=int, default=None, help="grid nodes per axis (odd)")
+            p.add_argument("--extent", type=float, default=None, help="grid half-width")
         p.add_argument("--out", default="out", help="artifact directory")
 
     pc = sub.add_parser("compute", help="iterate the series and write kernel artifacts")
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None, help="named seed profile (default zero)")
 
     pv = sub.add_parser("verify", help="run residual checks on a stored kernel")
-    add_shared(pv, with_order=False)
+    add_shared(pv, with_grid=False)
     pv.add_argument("--checks", default=",".join(CHECK_NAMES),
                     help="comma list out of: " + ", ".join(CHECK_NAMES))
     pv.add_argument("--kernel", metavar="FILE", default=None,

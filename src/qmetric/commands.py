@@ -99,7 +99,12 @@ def _load_doc(path: str) -> dict:
 
 def _build_potential(args):
     """Return (potential, doc) where doc is the parsed JSON file, if any."""
-    if getattr(args, "potential", None):
+    if args.deltas is not None and args.model != "deltas":
+        raise ValueError("--deltas needs --model deltas")
+    if args.gauge is not None and args.potential:
+        raise ValueError("--gauge does not apply to a --potential file, "
+                         "whose constants section sets hbar and m")
+    if args.potential:
         doc = _load_doc(args.potential)
         return potential_from_dict(doc), doc
     model = args.model or "square-well"
@@ -131,9 +136,8 @@ def _build_grid(args, pot, doc) -> Grid:
 
 def _build_series_config(args, doc) -> KConfig:
     cfg = KConfig.from_dict((doc or {}).get("series", {})) if doc else KConfig()
-    order = getattr(args, "order", None)
-    if order is not None:
-        cfg = dataclasses.replace(cfg, max_order=order)
+    if args.order is not None:
+        cfg = dataclasses.replace(cfg, max_order=args.order)
     elif doc is None:
         cfg = dataclasses.replace(cfg, max_order=1)
     return cfg
@@ -314,11 +318,6 @@ def cmd_verify(args) -> int:
         pot = potential_from_dict(recorded)
     kernel = kernel_from_csv(out / "kernel.csv" if args.kernel is None else Path(args.kernel))
     grid = kernel.grid
-    if args.n is not None and args.n != grid.n:
-        raise ValueError(f"--n {args.n} does not match the stored kernel grid n={grid.n}")
-    if args.extent is not None and not _grids_match(grid, Grid(args.extent, grid.n)):
-        raise ValueError(f"--extent {args.extent} does not match the stored kernel "
-                         f"half-width {grid.half_width}")
     if record is None:
         config_sha256 = _config_sha256(_model_config(pot, grid))
     elif not _grids_match(grid, recorded_grid):

@@ -172,35 +172,37 @@ class SeedPair:
 
 
 def seed_reality_defect(seed: SeedPair, grid: Grid) -> float:
-    """Max violation of the seed reality constraints on the difference grid."""
+    """Max violation of the seed reality constraints on the difference grid:
+    NaN or inf when a value there is NaN or inf."""
     t = grid.diff_nodes
     up = np.asarray(seed.u_plus(t), dtype=complex)
     up_neg = np.asarray(seed.u_plus(-t), dtype=complex)
     um = np.asarray(seed.u_minus(t), dtype=complex)
-    d_plus = float(np.max(np.abs(np.conj(up) - up_neg)))
-    d_minus = float(np.max(np.abs(np.conj(um) - um)))
-    return max(d_plus, d_minus)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        d_plus = np.max(np.abs(np.conj(up) - up_neg))
+        d_minus = np.max(np.abs(np.conj(um) - um))
+    return float(np.maximum(d_plus, d_minus))  # keeps a NaN, which max() may drop
 
 
-def seed_to_kernel(seed: SeedPair, grid: Grid, include_identity: bool = True,
-                   include_parity: bool = False, tol: float = 1e-12) -> Kernel:
-    """Build the seed kernel u = [delta] + u_plus(x-y) + u_minus(x+y).
+def seed_to_kernel(seed: SeedPair, grid: Grid) -> Kernel:
+    """Build the seed kernel u = delta(x - y) + u_plus(x-y) + u_minus(x+y).
 
     The profiles are evaluated over blocks of _BLOCK rows, on the same
     x_i - y_j and x_i + y_j that grid.mesh() gives, into a zeroed array
     allocated before any block.  A block is copied in only when it holds
-    a nonzero bit (so -0.0 and NaN are kept), and a vanishing seed never
+    a nonzero bit (so -0.0 is kept), and a vanishing seed never
     writes the array's pages.
 
     Raises:
         ValueError: if the seed violates its reality constraints by more
-            than tol on the difference grid, or if its values do not
-            have the shape of the grid.
+            than 1e-12 on the difference grid (a NaN or inf value counts
+            as a violation), or if its values do not have the shape of
+            the grid.
     """
     defect = seed_reality_defect(seed, grid)
-    if defect > tol:
+    if not defect <= 1e-12:
         raise ValueError(
-            f"seed violates reality constraints: max violation {defect:.3e} > {tol:.1e}"
+            f"seed violates reality constraints: max violation {defect:.3e} > 1.0e-12"
         )
     n, nodes = grid.n, grid.nodes
     smooth = np.zeros((n, n), dtype=complex)
@@ -212,12 +214,7 @@ def seed_to_kernel(seed: SeedPair, grid: Grid, include_identity: bool = True,
             raise ValueError(f"smooth part must have shape {(n, n)}, got {block.shape}")
         if block.view(np.uint64).any():
             smooth[r:r + _BLOCK] = block
-    return Kernel(
-        grid=grid,
-        c_diag=1.0 if include_identity else 0.0,
-        c_anti=1.0 if include_parity else 0.0,
-        smooth=smooth,
-    )
+    return Kernel(grid=grid, c_diag=1.0, smooth=smooth)
 
 
 def hermiticity_defect(kernel: Kernel) -> float:
@@ -230,7 +227,7 @@ def hermiticity_defect(kernel: Kernel) -> float:
     return d + abs(kernel.c_diag.imag) + abs(kernel.c_anti.imag)
 
 
-_BLOCK = 32  # rows or columns per block of the blocked array checks and residuals
+_BLOCK = 32  # rows or columns per block of the blocked seed, checks, residuals and writers
 
 
 def _conj_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -324,7 +321,6 @@ _TEMPLATE = np.frombuffer(b"-0.000000000000e+000", dtype=np.uint8)
 # FLOAT_FMT % 0.0 is _TEMPLATE with NULs for the sign and the exponent's hundreds digit
 _ZERO_FIELD = _TEMPLATE.copy()
 _ZERO_FIELD[[0, 17]] = 0
-_BLOCK_ROWS = 32  # grid rows per written block: a 1.4 MB line buffer at n = 513
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +426,7 @@ def _write_rows(f, nodes: np.ndarray, values: np.ndarray) -> None:
 
     values[i] holds re, im of every (nodes[i], y) in turn.  Each line is
     laid out in four fixed columns of a NUL-marked field and its separator;
-    a block of _BLOCK_ROWS grid rows is written with one bytearray.translate
+    a block of _BLOCK grid rows is written with one bytearray.translate
     that deletes its NULs.  The separators and y column are filled once; re
     and im are formatted apart.  A column that is +0.0 throughout a block,
     with no sign bit set, gets _ZERO_FIELD unformatted, if the block before
@@ -439,13 +435,13 @@ def _write_rows(f, nodes: np.ndarray, values: np.ndarray) -> None:
     """
     n = len(nodes)
     node_chars = _format_values(nodes)
-    buf = np.empty((min(_BLOCK_ROWS, n), n, 4, _FIELD + 1), dtype=np.uint8)
+    buf = np.empty((min(_BLOCK, n), n, 4, _FIELD + 1), dtype=np.uint8)
     fields = buf[..., :_FIELD]
     buf[..., _FIELD] = np.frombuffer(b",,,\n", dtype=np.uint8)
     fields[:, :, 1] = node_chars
     zero_columns = set()  # the value columns that hold _ZERO_FIELD
-    for i in range(0, n, _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, i + _BLOCK)
         m = len(nodes[rows])
         fields[:m, :, 0] = node_chars[rows, None]
         block = values[rows].reshape(m, n, 2)
@@ -600,11 +596,11 @@ def kernel_from_csv(path) -> Kernel:
     # in cache; fresh n x n arrays cost twice as much in a new process.
     nodes, tol = grid.nodes, 0.25 * grid.h
     xy = data[:, :2].reshape(grid.n, grid.n, 2)
-    buf = np.empty((_BLOCK_ROWS, grid.n))
-    for i in range(0, grid.n, _BLOCK_ROWS):
-        block = xy[i:i + _BLOCK_ROWS]
+    buf = np.empty((_BLOCK, grid.n))
+    for i in range(0, grid.n, _BLOCK):
+        block = xy[i:i + _BLOCK]
         off = buf[:len(block)]
-        for axis, expected in enumerate((nodes[i:i + _BLOCK_ROWS, None], nodes)):
+        for axis, expected in enumerate((nodes[i:i + _BLOCK, None], nodes)):
             np.abs(np.subtract(block[..., axis], expected, out=off), out=off)
             if not off.max() <= tol:  # a nan fails too
                 k = i * grid.n + int(np.argmin(off <= tol))

@@ -8,7 +8,6 @@ returns the average of the one-sided values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,8 +28,6 @@ __all__ = [
     "scattering_potential",
     "delta_potential",
     "pt_delta_pairs",
-    "potential_to_json",
-    "potential_from_json",
 ]
 
 _BOUNDARY_ATOL = 1e-13
@@ -82,35 +79,30 @@ def constants_preset(name: str) -> PhysConstants:
 
 @dataclass(frozen=True)
 class Domain:
-    """Spatial domain: the full line, or a box with infinite walls.
+    """Spatial domain: a box with infinite walls at +-L/2, or the full line
+    when the length L is None."""
 
-    kind is "line" or "box"; L is the box length (walls at +-L/2) and is
-    None for the line.
-    """
-
-    kind: str
     L: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("line", "box"):
-            raise ValueError(f"domain kind must be 'line' or 'box', got {self.kind!r}")
-        if self.kind == "box":
-            if self.L is None or not (self.L > 0.0 and math.isfinite(self.L)):
-                raise ValueError(f"box domain needs a positive finite length, got {self.L}")
-        elif self.L is not None:
-            raise ValueError("line domain takes no length")
+        if self.L is not None and not (self.L > 0.0 and math.isfinite(self.L)):
+            raise ValueError(f"box domain needs a positive finite length, got {self.L}")
 
     @staticmethod
     def line() -> "Domain":
-        return Domain("line")
+        return Domain()
 
     @staticmethod
     def box(L: float) -> "Domain":
-        return Domain("box", float(L))
+        return Domain(float(L))
 
     @property
     def is_box(self) -> bool:
-        return self.kind == "box"
+        return self.L is not None
+
+    @property
+    def kind(self) -> str:
+        return "box" if self.is_box else "line"
 
     @property
     def half_width(self) -> float | None:
@@ -291,16 +283,3 @@ def potential_from_dict(data: dict) -> PotentialSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed potential specification: {exc}") from exc
     return PotentialSpec(constants=const, domain=dom, segments=segments, deltas=deltas)
-
-
-def potential_to_json(pot: PotentialSpec) -> str:
-    """Serialize to the canonical JSON form (stable for byte-exact round trips)."""
-    return json.dumps(potential_to_dict(pot), indent=2)
-
-
-def potential_from_json(text: str) -> PotentialSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    return potential_from_dict(data)

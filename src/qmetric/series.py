@@ -39,7 +39,7 @@ the optional stats dictionary and SeriesState.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -82,12 +82,11 @@ class KConfig:
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
 
     def to_dict(self) -> dict:
-        return {"r0": self.r0, "max_order": self.max_order, "stop_tol": self.stop_tol}
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "KConfig":
-        known = {"r0", "max_order", "stop_tol"}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(KConfig)}
         if extra:
             raise ValueError(f"unknown series config keys: {sorted(extra)}")
         return KConfig(**data)

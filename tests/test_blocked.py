@@ -94,22 +94,16 @@ def reference_apply_K_to_identity(pot, grid, cfg=None):
     return Kernel(grid=grid, smooth=smooth)
 
 
-def reference_seed_to_kernel(seed, grid, include_identity=True, include_parity=False,
-                             tol=1e-12):
+def reference_seed_to_kernel(seed, grid):
     defect = seed_reality_defect(seed, grid)
-    if defect > tol:
+    if not defect <= 1e-12:
         raise ValueError(
-            f"seed violates reality constraints: max violation {defect:.3e} > {tol:.1e}"
+            f"seed violates reality constraints: max violation {defect:.3e} > 1.0e-12"
         )
     X, Y = grid.mesh()
     smooth = np.asarray(seed.u_plus(X - Y), dtype=complex) \
         + np.asarray(seed.u_minus(X + Y), dtype=complex)
-    return Kernel(
-        grid=grid,
-        c_diag=1.0 if include_identity else 0.0,
-        c_anti=1.0 if include_parity else 0.0,
-        smooth=smooth,
-    )
+    return Kernel(grid=grid, c_diag=1.0, smooth=smooth)
 
 
 # --------------------------------------------------------------------------
@@ -228,18 +222,19 @@ def seeds():
 @pytest.mark.parametrize("name", sorted(seeds()))
 def test_seed_kernel_bits(name, n):
     seed, grid = seeds()[name], Grid.for_box(np.pi, n)
-    for identity in (True, False):
-        for parity in (True, False):
-            got = seed_to_kernel(seed, grid, identity, parity)
-            ref = reference_seed_to_kernel(seed, grid, identity, parity)
-            assert (got.c_diag, got.c_anti) == (ref.c_diag, ref.c_anti)
-            assert got.smooth.tobytes() == ref.smooth.tobytes()
-    smooth = seed_to_kernel(seed, grid).smooth
+    if name == "nan":  # a NaN value fails the reality constraints
+        with pytest.raises(ValueError, match="max violation nan"):
+            reference_seed_to_kernel(seed, grid)
+        with pytest.raises(ValueError, match="max violation nan"):
+            seed_to_kernel(seed, grid)
+        return
+    got = seed_to_kernel(seed, grid)
+    ref = reference_seed_to_kernel(seed, grid)
+    assert (got.c_diag, got.c_anti) == (ref.c_diag, ref.c_anti) == (1.0, 0.0)
+    assert got.smooth.tobytes() == ref.smooth.tobytes()
     if name == "negative-zero":  # -0.0 on some rows only, kept there
-        signs = np.signbit(smooth.real).any(axis=1)
+        signs = np.signbit(got.smooth.real).any(axis=1)
         assert signs[0] and not signs.all()
-    if name == "nan":
-        assert np.isnan(smooth[-1, -1]) and not np.isnan(smooth[0]).any()
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -1,8 +1,10 @@
 """End-to-end command tests driven through the in-process entry point."""
 
+import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -352,12 +354,18 @@ class TestVerify:
         assert run("verify", "--model", "square-well", "--kernel", str(orc / "kernel.csv"),
                    "--out", str(out)) == 2
 
-    def test_grid_flag_mismatch(self, tmp_path):
+    def test_grid_flag_mismatch(self, tmp_path, capsys):
+        # the grid is the kernel file's own: verify takes no grid flags
         out = tmp_path / "v"
         out.mkdir()
         kernel_to_csv(identity_kernel(Grid.for_box(np.pi, 65)), out / "kernel.csv")
-        assert run("verify", "--model", "square-well", "--n", "33",
-                   "--out", str(out)) == 2
+        namespace = vars(cli.build_parser().parse_args(["verify"]))
+        assert "n" not in namespace and "extent" not in namespace
+        for flag in ("--n", "--extent"):
+            capsys.readouterr()
+            assert run("verify", "--model", "square-well", flag, "33", "--out", str(out)) == 2
+            assert f"unrecognized arguments: {flag} 33" in capsys.readouterr().err
+        assert not (out / "checks.jsonl").exists()
 
     def test_extent_matches_its_own_stored_half_width(self, tmp_path, capsys):
         # the header keeps 13 digits of the half-width, 1.234567890123e+01
@@ -365,10 +373,8 @@ class TestVerify:
         model = ("--model", "deltas", "--deltas", "0.5:0", "--extent", "12.345678901234567")
         assert run("compute", *model, "--n", "65", "--order", "1", "--out", str(out)) == 0
         capsys.readouterr()
-        assert run("verify", *model, "--checks", "invertibility", "--out", str(out)) == 0
+        assert run("verify", *model[:4], "--checks", "invertibility", "--out", str(out)) == 0
         assert "does not match" not in capsys.readouterr().err
-        assert run("verify", *model[:4], "--extent", "12.3456789013", "--checks",
-                   "invertibility", "--out", str(out)) == 2
 
     def test_y_outer_kernel_csv_exits_2(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -614,6 +620,18 @@ class TestParser:
     def test_missing_subcommand(self):
         assert run() == 2
 
+    def test_readme_command_line_section_names_every_long_option(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        defined = {opt for p in (parser, *subparsers.choices.values()) for a in p._actions
+                   for opt in a.option_strings if opt.startswith("--")}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        assert sorted(defined - named) == [], "options the section does not name"
+        assert sorted(named - defined) == [], "flags the section names that the parser lacks"
+
 
 SEED_HEADER = "x,up_re,up_im,um_re,um_im\n"
 
@@ -660,6 +678,11 @@ class TestInputErrors:
         "seed_defect_1e-10": (("--seed", "{dir}/seed.csv"),
                               {"seed.csv": SEED_HEADER + seed_rows(5e-11)},
                               "seed violates reality constraints"),
+        # a NaN defect fails the rule: the series used to run it as the zero seed
+        "nan_seed_row": (("--seed", "{dir}/seed.csv"),
+                         {"seed.csv": SEED_HEADER + seed_rows().replace(
+                             "0.0,0.0,0.0,0.0,0.0", "0.0,nan,nan,nan,nan")},
+                         "max violation nan"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -678,6 +701,34 @@ class TestInputErrors:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "oracle"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--deltas", "1:0"), "--deltas needs --model deltas"),
+        (("--model", "scattering", "--deltas", "1:0"), "--deltas needs --model deltas"),
+        (("--potential", "{dir}/doc.json", "--gauge", "natural"),
+         "--gauge does not apply to a --potential file"),
+    ], ids=["deltas_default_model", "deltas_scattering", "gauge_potential"])
+    def test_ignored_model_flag_exits_2_before_writing(self, tmp_path, capsys, command, flags,
+                                                       message):
+        # each flag used to be dropped silently, with exit 0
+        write_real_well_doc(tmp_path / "doc.json")
+        out = tmp_path / "run"
+        argv = [command, *(a.format(dir=tmp_path) for a in flags), "--out", str(out)]
+        if command == "verify":  # a run to check, first with its record, then without
+            assert run("compute", "--model", "square-well", "--n", "33", "--order", "1",
+                       "--out", str(out)) == 0
+        else:
+            argv += ["--n", "33"]
+        for _ in range(2 if command == "verify" else 1):
+            before = sorted(p.name for p in out.iterdir()) if out.exists() else None
+            capsys.readouterr()
+            assert run(*argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {message}")
+            assert captured.out == ""
+            assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
+            (out / "manifest.json").unlink(missing_ok=True)
 
     def test_trailing_comma_in_deltas_is_accepted(self, tmp_path):
         model = ("compute", "--model", "deltas", "--n", "33", "--order", "1")

@@ -95,6 +95,17 @@ def test_seed_to_kernel_rejects_bad_seed():
         seed_to_kernel(bad_minus, g)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imag_inf"])
+def test_seed_to_kernel_rejects_non_finite_seed(value):
+    # a non-finite value makes the reality defect NaN, which no bound admits
+    g = Grid(half_width=2.0, n=33)
+    bad = SeedPair(u_plus=lambda t: np.zeros(np.shape(t), complex),
+                   u_minus=lambda t: np.where(np.abs(np.asarray(t)) < 0.5, value, 0j))
+    with pytest.raises(ValueError, match="seed violates reality constraints"):
+        seed_to_kernel(bad, g)
+
+
 @pytest.mark.parametrize("x", [[1.0, 0.5, 0.0, -0.5, -1.0], [-1.0, 0.0, 0.0, 1.0],
                                [-1.0, np.nan, 1.0]], ids=["descending", "repeated", "nan"])
 def test_tabulated_seed_needs_strictly_increasing_x(x):
@@ -106,14 +117,12 @@ def test_tabulated_seed_needs_strictly_increasing_x(x):
 def test_seed_to_kernel_structure():
     g = Grid(half_width=2.0, n=33)
     seed = gaussian_seed()
-    k = seed_to_kernel(seed, g, include_identity=True, include_parity=True)
-    assert k.c_diag == 1.0 and k.c_anti == 1.0
+    k = seed_to_kernel(seed, g)
+    assert k.c_diag == 1.0 and k.c_anti == 0.0
     i, j = 5, 20
     x, y = g.nodes[i], g.nodes[j]
     expected = seed.u_plus(np.array(x - y)) + seed.u_minus(np.array(x + y))
     np.testing.assert_allclose(k.smooth[i, j], expected)
-    k2 = seed_to_kernel(seed, g, include_identity=False)
-    assert k2.c_diag == 0.0 and k2.c_anti == 0.0
 
 
 def test_seed_kernel_is_hermitian():
@@ -376,8 +385,8 @@ def test_array_formatter_matches_percent_format():
     assert len(got) == len(want) and not bad, bad[:5]
 
 
-@pytest.mark.parametrize("n", [3, kernels._BLOCK_ROWS - 1, kernels._BLOCK_ROWS,
-                               kernels._BLOCK_ROWS + 1],
+@pytest.mark.parametrize("n", [3, kernels._BLOCK - 1, kernels._BLOCK,
+                               kernels._BLOCK + 1],
                          ids=["n3", "below_block", "block", "above_block"])
 def test_row_blocks_match_savetxt(n):
     rng = np.random.default_rng(n)
@@ -402,11 +411,11 @@ def one_component_kernels():
     negative_zero = np.zeros((g.n, g.n), dtype=complex)
     negative_zero[40, 7] = complex(0.0, -0.0)
     one_block = a + 1j * b
-    one_block[kernels._BLOCK_ROWS:2 * kernels._BLOCK_ROWS].imag = 0.0
+    one_block[kernels._BLOCK:2 * kernels._BLOCK].imag = 0.0
     # zero, then nonzero in the middle block only, then zero again
     outside_one_block = a + 0j
-    outside_one_block[kernels._BLOCK_ROWS:2 * kernels._BLOCK_ROWS].imag = \
-        b[kernels._BLOCK_ROWS:2 * kernels._BLOCK_ROWS]
+    outside_one_block[kernels._BLOCK:2 * kernels._BLOCK].imag = \
+        b[kernels._BLOCK:2 * kernels._BLOCK]
     zero_re = np.zeros((g.n, g.n), dtype=complex)
     zero_re.imag = b  # 1j * b would give -0.0 real parts where b < 0
     return g, {

@@ -11,8 +11,8 @@ from qmetric.potentials import (
     delta_potential,
     eval_mass_term,
     eval_potential,
-    potential_from_json,
-    potential_to_json,
+    potential_from_dict,
+    potential_to_dict,
     pt_delta_pairs,
     scattering_potential,
     square_well,
@@ -43,15 +43,15 @@ def test_constants_validation():
 
 
 def test_domain_construction():
+    assert Domain.box(4.0) == Domain(4.0)
     assert Domain.box(4.0).half_width == 2.0
-    assert Domain.box(4.0).is_box
-    assert not Domain.line().is_box
-    with pytest.raises(ValueError):
-        Domain("box")
-    with pytest.raises(ValueError):
-        Domain("line", L=2.0)
-    with pytest.raises(ValueError):
-        Domain("ring")
+    assert Domain.box(4.0).is_box and Domain.box(4.0).kind == "box"
+    assert Domain.line() == Domain()
+    assert not Domain.line().is_box and Domain.line().kind == "line"
+    assert Domain.line().half_width is None
+    for length in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive finite length"):
+            Domain(length)
 
 
 def test_square_well_values():
@@ -153,6 +153,11 @@ def test_midpoint_convention_random_steps():
         np.testing.assert_allclose(eval_potential(pot, e), expected)
 
 
+def json_round_trip(pot):
+    """The potential read back from the JSON text of its dict, as a run record holds it."""
+    return potential_from_dict(json.loads(json.dumps(potential_to_dict(pot))))
+
+
 def test_json_round_trip():
     pots = [
         square_well(0.5, np.pi, constants_preset("bender-tan")),
@@ -163,22 +168,23 @@ def test_json_round_trip():
                       deltas=((0.0, 1.5),)),
     ]
     for pot in pots:
-        again = potential_from_json(potential_to_json(pot))
-        assert again == pot
+        assert json_round_trip(pot) == pot
 
 
 def test_json_serialization_is_stable():
     pot = square_well(0.5, np.pi, constants_preset("bender-tan"))
-    s1 = potential_to_json(pot)
-    s2 = potential_to_json(potential_from_json(s1))
+    s1 = json.dumps(potential_to_dict(pot), indent=2)
+    s2 = json.dumps(potential_to_dict(json_round_trip(pot)), indent=2)
     assert s1 == s2
 
 
 def test_malformed_json_rejected():
+    # text that is not JSON is rejected where it is read (the "invalid JSON
+    # in" case of test_cli); a parsed document must hold a valid potential
     with pytest.raises(ValueError):
-        potential_from_json("{not json")
-    with pytest.raises(ValueError):
-        potential_from_json(json.dumps({"domain": {"type": "line"}}))
-    with pytest.raises(ValueError):
-        potential_from_json(json.dumps(
-            {"constants": {"hbar": 1, "mass": 1}, "domain": {"type": "ring"}}))
+        potential_from_dict({"domain": {"type": "line"}})
+    with pytest.raises(ValueError, match="unknown domain type 'ring'"):
+        potential_from_dict({"constants": {"hbar": 1, "mass": 1}, "domain": {"type": "ring"}})
+    with pytest.raises(ValueError, match="positive finite length"):
+        potential_from_dict({"constants": {"hbar": 1, "mass": 1},
+                             "domain": {"type": "box", "L": -2.0}})

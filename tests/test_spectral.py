@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmetric import spectral
-from qmetric.closed_forms import bender_tan_Q
+from qmetric.closed_forms import bender_tan_Q, preset_seed
 from qmetric.commands import _spectral_artifacts
 from qmetric.kernels import Grid, hermiticity_defect, kernel_from_csv, kernel_to_csv
 from qmetric.potentials import (
@@ -21,6 +21,7 @@ from qmetric.potentials import (
     scattering_potential,
     square_well,
 )
+from qmetric.series import KConfig, neumann_series
 from qmetric.spectral import (
     ExceptionalPointError,
     _is_pt_symmetric,
@@ -847,6 +848,44 @@ class TestNyquistMirror:
         sup = np.max(np.abs(target))
         assert np.max(np.abs(dM - target)[odd]) < 1e-8 * sup
         assert np.max(np.abs(dM)[~odd]) < 1e-11 * sup
+
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    def test_second_order_differs_from_the_series_by_a_free_wave(self, n):
+        # The zeta^2 term M2 of the metric, by central differences at
+        # zeta = +-1e-2 and +-5e-3 with one Richardson step (error O(zeta^4)),
+        # is zero on pairs with odd i - j.  On even i - j, M2 / 2 minus the
+        # zeta^2 part of the bender-tan-seeded series is a discrete free wave
+        # F(i - j) + G(i + j), which the 2h wave stencil annihilates: the two
+        # routes differ by a zeta^2 seed.  Measured: 6e-10, 2e-9 and 7e-9 at
+        # n 65, 129 and 257, where either term alone leaves 1e-2 to 9e-4.
+        grid = Grid.for_box(np.pi, n)
+
+        def metric(z):
+            system = biorthonormalize(discretize(square_well(z, np.pi, BT), grid))
+            return spectral_metric(system, n - 2).smooth[1:-1, 1:-1]
+
+        def series(z):  # cubic in zeta at order 2, the seed being linear in it
+            state = neumann_series(preset_seed("bender-tan", z, np.pi, BT),
+                                   square_well(z, np.pi, BT), KConfig(max_order=2), grid)
+            return state.partial_sum.smooth[1:-1, 1:-1]
+
+        def second_difference(dz):
+            return (metric(dz) + metric(-dz) - 2.0 * m0) / (2.0 * dz**2)
+
+        def stencil(g):  # (2h)^2 (-d_x^2 + d_y^2) g at the nodes two in from the edge
+            return g[4:, 2:-2] + g[:-4, 2:-2] - g[2:-2, 4:] - g[2:-2, :-4]
+
+        m0 = metric(0.0)
+        m2 = (4.0 * second_difference(5e-3) - second_difference(1e-2)) / 3.0
+        s2 = 0.5 * (series(1.0) + series(-1.0)) - series(0.0)
+        i = np.arange(n - 2)
+        sep = i[:, None] - i[None, :]
+        odd = sep % 2 == 1
+        assert np.max(np.abs(m2[odd])) <= 1e-7
+        # even centres whose stencil does not reach the diagonal
+        off_band = (~odd & (np.abs(sep) > 2))[2:-2, 2:-2]
+        assert np.max(np.abs(stencil(0.5 * m2 - s2)[off_band])) <= 1e-7
+        assert np.max(np.abs(stencil(s2)[off_band])) > 1e-4
 
 
 class TestSpectrumCsv:
