@@ -22,13 +22,13 @@ from .cli import (
 from .closed_forms import preset_seed
 from .kernels import (
     FLOAT_FMT,
+    ForkedWriter,
     Grid,
     Kernel,
     SeedPair,
     kernel_from_csv,
     kernel_to_csv,
     kernel_to_pgm,
-    write_kernel_files,
 )
 from .potentials import (
     constants_preset,
@@ -104,6 +104,14 @@ def _build_potential(args):
     if args.gauge is not None and args.potential:
         raise ValueError("--gauge does not apply to a --potential file, "
                          "whose constants section sets hbar and m")
+    # compute keeps --zeta there: it sets the preset seed's zeta
+    if args.zeta is not None and args.command != "compute":
+        if args.potential:
+            raise ValueError("--zeta does not apply to a --potential file, "
+                             "whose segments and deltas set the strengths")
+        if args.model == "deltas":
+            raise ValueError("--zeta does not apply to --model deltas, "
+                             "whose --deltas list sets the strengths")
     if args.potential:
         doc = _load_doc(args.potential)
         return potential_from_dict(doc), doc
@@ -221,36 +229,39 @@ def cmd_compute(args) -> int:
     grid = _build_grid(args, pot, doc)
     cfg = _build_series_config(args, doc)
     seed = _build_seed(args, pot)
-
-    state = neumann_series(seed, pot, cfg, grid)
-    warnings: list = []
-    if state.diverged:
-        warnings.append("series sup norms are increasing; the expansion may diverge")
-    if state.truncated_evals:
-        warnings.append(f"{state.truncated_evals} characteristic evaluations were "
-                        "clamped to the grid square")
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # the run record first: it does not depend on the kernel files, and it
-    # stays when one of them cannot be written
-    with open(out / "supnorms.csv", "w") as f:
-        f.write("order,sup_norm\n")
-        for k, s in enumerate(state.sup_norms):
-            f.write(("%d," + FLOAT_FMT) % (k, s) + "\n")
-    _write_manifest(out, _config_dict(pot, grid, cfg, seed.label),
-                    _tolerances(pot, grid, state.partial_sum),
-                    {"sup_norms": [float(s) for s in state.sup_norms],
-                     "diverged": bool(state.diverged),
-                     "truncated_evals": int(state.truncated_evals),
-                     "warnings": warnings})
-    write_kernel_files([(kernel_to_csv, state.partial_sum, out / "kernel.csv")]
-                       + [(kernel_to_csv, it, out / f"iter_{k}.csv")
-                          for k, it in enumerate(state.iterates)]
-                       + [(kernel_to_pgm, state.partial_sum, out / "kernel.pgm")])
+
+    with ForkedWriter() as files:
+        def write_iterate(order, kernel):
+            if order == 0:  # the seed has passed seed_to_kernel's checks
+                out.mkdir(parents=True, exist_ok=True)
+                # an earlier run's record would describe other files
+                for name in ("manifest.json", "supnorms.csv"):
+                    (out / name).unlink(missing_ok=True)
+            files.write(kernel_to_csv, kernel, out / f"iter_{order}.csv")
+
+        state = neumann_series(seed, pot, cfg, grid, sink=write_iterate)
+        warnings: list = []
+        if state.diverged:
+            warnings.append("series sup norms are increasing; the expansion may diverge")
+        if state.truncated_evals:
+            warnings.append(f"{state.truncated_evals} characteristic evaluations were "
+                            "clamped to the grid square")
+        with open(out / "supnorms.csv", "w") as f:
+            f.write("order,sup_norm\n")
+            for k, s in enumerate(state.sup_norms):
+                f.write(("%d," + FLOAT_FMT) % (k, s) + "\n")
+        _write_manifest(out, _config_dict(pot, grid, cfg, seed.label),
+                        _tolerances(pot, grid, state.partial_sum),
+                        {"sup_norms": [float(s) for s in state.sup_norms],
+                         "diverged": bool(state.diverged),
+                         "truncated_evals": int(state.truncated_evals),
+                         "warnings": warnings})
+        files.write(kernel_to_csv, state.partial_sum, out / "kernel.csv")
+        files.write(kernel_to_pgm, state.partial_sum, out / "kernel.pgm")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"wrote kernel artifacts for {len(state.iterates)} orders to {out}")
+    print(f"wrote kernel artifacts for {len(state.sup_norms)} orders to {out}")
     return 0
 
 

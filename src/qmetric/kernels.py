@@ -12,10 +12,12 @@ constraints u_plus(x)* = u_plus(-x) and u_minus(x)* = u_minus(x) that
 make the seed Hermitian.
 
 Kernel artifacts are written by kernel_to_csv and kernel_to_pgm and read
-by kernel_from_csv.  Batch writes (write_kernel_files) and large reads run
-one share of their work per available CPU (_forked): this process runs one
-share and forked children the others, and any failure sends the work to
-the serial path, which raises the real error.  One CPU never forks.
+by kernel_from_csv.  ForkedWriter runs each write in a forked child as soon
+as it is given, at most one child per available CPU at a time.  Large
+reads run one share of their parse per available CPU (_forked): this
+process runs one share and forked children the others, and any failure
+sends the read to the serial path, which raises the real error.  One CPU
+never forks a read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import functools
 import math
 import mmap
 import os
+import pickle
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +51,7 @@ __all__ = [
     "kernel_to_csv",
     "kernel_from_csv",
     "kernel_to_pgm",
-    "write_kernel_files",
+    "ForkedWriter",
 ]
 
 FLOAT_FMT = "%.12e"
@@ -646,29 +650,71 @@ def kernel_to_pgm(kernel: Kernel, path) -> None:
                 f.write(b" ".join(text[row]) + b"\n")
 
 
-def write_kernel_files(jobs) -> None:
-    """Run a list of (writer, kernel, path) jobs, e.g. (kernel_to_csv, k, "k.csv").
+class ForkedWriter:
+    """Write kernel files in forked children, one child per file, as they are given.
 
-    The jobs are dealt round-robin into min(len(jobs), available CPUs)
-    shares run by _forked.  If any share fails, every job runs again here
-    in job order, and the first exception is raised once all have run.
-    Each file gets the bytes the writer alone would give it.
+    write(writer, kernel, path) forks a child that runs writer(kernel, path),
+    e.g. with kernel_to_csv, and returns: the child reads the kernel from
+    the memory it shares with this process as of the fork, so the caller
+    may drop or reuse the kernel at once.  At most one child per available
+    CPU runs; write waits for the oldest one when all are busy.
+
+    Use it as a context manager.  Leaving the block reaps every child.  A
+    child that fails sends its exception back through a pipe, and once all
+    are reaped the exception of the first failed file, in the order the
+    files were given, is raised, unless the block raised one already.  The
+    other files are written all the same.  Each file gets the bytes the
+    writer alone would give it.
     """
-    def run(share):
-        errors = []
-        for writer, kernel, path in share:
-            try:
-                writer(kernel, path)
-            except Exception as exc:
-                errors.append(exc)
-        if errors:
-            raise errors[0]
 
-    shares = min(len(jobs), len(os.sched_getaffinity(0)))
-    if shares > 1:
+    def __init__(self):
+        self._slots = len(os.sched_getaffinity(0))
+        self._running = deque()  # (path, pid, read end of its pipe), oldest first
+        self._errors = []
+        _format_tables()  # built once here, not in every child
+
+    def __enter__(self) -> "ForkedWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        while self._running:
+            self._reap()
+        if exc_type is None and self._errors:
+            raise self._errors[0]
+
+    def write(self, writer, kernel: Kernel, path) -> None:
+        if len(self._running) >= self._slots:
+            self._reap()
+        read_end, write_end = os.pipe()
         try:
-            if _forked([functools.partial(run, jobs[s::shares]) for s in range(shares)]):
-                return
-        except Exception:  # the serial run below raises the real error
-            pass
-    run(jobs)
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:  # the child writes, reports any exception and never returns
+            status = 1
+            try:
+                os.close(read_end)
+                writer(kernel, path)
+                status = 0
+            except Exception as error:  # anything else ends the child with no report
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(error, pipe)
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        self._running.append((path, pid, read_end))
+
+    def _reap(self) -> None:
+        """Wait for the oldest child; keep its exception if it failed."""
+        path, pid, read_end = self._running.popleft()
+        with open(read_end, "rb") as pipe:
+            message = pipe.read()  # only the child holds the write end: EOF when it exits
+        status = os.waitpid(pid, 0)[1]
+        if status:
+            try:
+                error = pickle.loads(message)
+            except Exception:  # the child died before it could send one
+                error = OSError(f"the writer of {path} ended with wait status {status}")
+            self._errors.append(error)

@@ -94,7 +94,7 @@ class KConfig:
 
 @dataclass
 class SeriesState:
-    """Iterates K^l u, their running sum, and per-order sup norms."""
+    """Iterates K^l u (kept only without a sink), their sum, and per-order sup norms."""
 
     iterates: list
     partial_sum: Kernel
@@ -385,9 +385,9 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     dyadic and diff_nodes[i + j] differs from x_i + y_j by round-off the
     result moves by round-off only.  The singular-part steps are not
     continuous: a round-off shift flips their theta(0) = 1/2 ties on lines
-    such as x + y = 2 a_n, so they stay on the x_i + y_j mesh.  That mesh,
-    x + y, x - y, y - x and their coupling-independent steps are built
-    once per call, and only when a singular part is present.
+    such as x + y = 2 a_n, so they are evaluated on x_i + y_j, x_i - y_j
+    and y_j - x_i, formed from the node vectors for _BLOCK rows x at a
+    time, coupling by coupling: no n x n mesh is built.
 
     A finite smooth part that is exactly real or exactly imaginary is
     sliced in float64, through a real view of it, without a copy.  The
@@ -413,23 +413,24 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     S, phase = kernel.smooth, None
     if sup > 0.0 and np.isfinite(sup):  # complex arithmetic turns inf into nan
         S, phase = _one_component(S)
-    if kernel.c_diag != 0.0 or kernel.c_anti != 0.0:
-        X, Y = grid.mesh()
-        # the coupling-independent meshes of the singular-part steps
-        x_plus_y, x_minus_y, y_minus_x = X + Y, X - Y, Y - X
-        sign_y_minus_x, step_x_plus_y = np.sign(y_minus_x), unit_step(x_plus_y)
+    singular = kernel.c_diag != 0.0 or kernel.c_anti != 0.0
     # grid nodes on the diagonal u = i + j, and on u = i - j + n - 1
     multiplicity = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
     for a, zeta in pot.deltas:
         if abs(a) > half + tol:
             raise ValueError(f"delta location {a} lies outside the grid")
         z = c0 * zeta
-        if kernel.c_diag != 0.0:
-            out += kernel.c_diag * (0.5j * z) * unit_step(x_plus_y - 2.0 * a) * sign_y_minus_x
-        if kernel.c_anti != 0.0:
-            out += kernel.c_anti * (0.5j * z) * (
-                unit_step(Y - a) * (step_x_plus_y - unit_step(x_minus_y + 2.0 * a))
-                - unit_step(X - a) * (step_x_plus_y - unit_step(y_minus_x + 2.0 * a)))
+        for r in range(0, n if singular else 0, _BLOCK):
+            X, block = nodes[r:r + _BLOCK, None], out[r:r + _BLOCK]
+            x_plus_y = X + nodes
+            if kernel.c_diag != 0.0:
+                block += kernel.c_diag * (0.5j * z) * unit_step(x_plus_y - 2.0 * a) \
+                    * np.sign(nodes - X)
+            if kernel.c_anti != 0.0:
+                step_x_plus_y = unit_step(x_plus_y)
+                block += kernel.c_anti * (0.5j * z) * (
+                    unit_step(nodes - a) * (step_x_plus_y - unit_step(X - nodes + 2.0 * a))
+                    - unit_step(X - a) * (step_x_plus_y - unit_step(nodes - X + 2.0 * a)))
         if sup > 0.0:
             pos = np.clip((a + half) / h, 0.0, n - 1.0)
             ja = int(min(int(pos), n - 2))
@@ -508,32 +509,50 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
 
 
 def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
-                   grid: Grid) -> SeriesState:
+                   grid: Grid, sink=None) -> SeriesState:
     """Iterate K from a seed kernel and accumulate the series solution.
+
+    Each iterate K^l u goes to sink(l, iterate) as soon as it exists, in
+    order from l = 0, and the series keeps only the current iterate, the
+    partial sum and the sup norms.  With no sink the iterates are kept in
+    the returned state's `iterates`.  An iterate joins the partial sum
+    once the next one exists, just before it is dropped, and the seed u
+    joins with K u: the sum is formed then as np.add(u, 0.0), which has
+    the bits of zeros + u, so no sum is held while the first two
+    applications of K run.  The iterates are added in order.
 
     Stops after max_order applications or when the latest iterate's sup
     norm drops below stop_tol.  Divergence (three consecutive sup-norm
     increases ending above ten times the order-1 norm) sets a flag on
     the returned state; the computation is still returned.
     """
-    k0 = seed_to_kernel(seed, grid)
-    iterates = [k0]
-    sup_norms = [k0.sup_smooth]
+    iterates: list = []
+    if sink is None:
+        sink = lambda order, kernel: iterates.append(kernel)
+    k = seed_kernel = seed_to_kernel(seed, grid)
+    sup_norms = [k.sup_smooth]
+    sink(0, k)
+    c_diag, c_anti, smooth = 0 + k.c_diag, 0 + k.c_anti, None
     stats: dict = {}
     if pot.has_segments or pot.has_deltas:
-        for _ in range(cfg.max_order):
-            nxt = apply_K(iterates[-1], pot, cfg, grid, stats, sup_norms[-1])
-            iterates.append(nxt)
-            sup_norms.append(nxt.sup_smooth)
+        for order in range(1, cfg.max_order + 1):
+            nxt = apply_K(k, pot, cfg, grid, stats, sup_norms[-1])
+            if k is not seed_kernel:
+                if smooth is None:
+                    smooth, seed_kernel = np.add(seed_kernel.smooth, 0.0), None
+                smooth += k.smooth
+            k = nxt
+            sup_norms.append(k.sup_smooth)
+            c_diag += k.c_diag
+            c_anti += k.c_anti
+            sink(order, k)
             if sup_norms[-1] < cfg.stop_tol:
                 break
-    smooth = np.zeros((grid.n, grid.n), dtype=complex)
-    for k in iterates:
+    if smooth is None:
+        smooth = np.add(seed_kernel.smooth, 0.0)
+    if k is not seed_kernel:
         smooth += k.smooth
-    partial = Kernel(grid=grid,
-                     c_diag=sum(k.c_diag for k in iterates),
-                     c_anti=sum(k.c_anti for k in iterates),
-                     smooth=smooth)
+    partial = Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=smooth)
     diverged = (len(sup_norms) >= 4
                 and sup_norms[-1] > sup_norms[-2] > sup_norms[-3] > sup_norms[-4]
                 and sup_norms[-1] > 10.0 * sup_norms[1])

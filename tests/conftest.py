@@ -56,8 +56,10 @@ def traced_peak():
 
 
 # Runs qmetric.cli.main(argv) (or, with no argv, only imports the commands)
-# and prints the high-water mark of this process's own address space.
+# and prints, in kB, the larger of the high-water mark of this process's own
+# address space and the largest of its reaped children (the forked writers).
 _RESIDENT_PEAK = """
+import resource
 import sys
 if sys.argv[1:]:
     from qmetric.cli import main
@@ -67,7 +69,8 @@ if sys.argv[1:]:
 else:
     import qmetric.commands
 with open("/proc/self/status") as fh:
-    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    own = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss))
 """
 
 
@@ -80,13 +83,16 @@ def _has_vmhwm() -> bool:
 
 @pytest.fixture
 def resident_peak():
-    """resident_peak(argv=None) -> VmHWM in bytes of a fresh interpreter.
+    """resident_peak(argv=None) -> peak resident bytes of a fresh interpreter.
 
     The interpreter runs qmetric.cli.main(argv), or with no argv only
-    imports qmetric.commands.  VmHWM belongs to that process's own address
-    space: unlike wait4's ru_maxrss it does not inherit the high-water mark
-    of the process that started it, and it does not count the children the
-    writers fork.  Skipped where /proc/self/status has no VmHWM.
+    imports qmetric.commands.  The peak is the larger of its own VmHWM and
+    the ru_maxrss of its reaped children (RUSAGE_CHILDREN).  VmHWM belongs
+    to the interpreter's own address space: unlike wait4's ru_maxrss it does
+    not inherit the high-water mark of the process that started it.  The
+    writers' children are forked, not exec'd, so their ru_maxrss is their
+    own: what they share with the interpreter at the fork and what they
+    add.  Skipped where /proc/self/status has no VmHWM.
     """
     if not _has_vmhwm():
         pytest.skip("/proc/self/status has no VmHWM")

@@ -1,6 +1,6 @@
-"""The blocked characteristic term, K on the identity and the seed kernel
-against whole-array references, and the peak memory of the whole compute
-path.
+"""The blocked characteristic term, K on the identity, the seed kernel and
+the singular part of the slice rule against whole-array references, and
+the peak memory of the whole compute path.
 
 The references are the whole-array forms these functions had before they
 ran over blocks; the blocked forms must give the same bits on every path.
@@ -30,11 +30,14 @@ from qmetric.potentials import (
     delta_potential,
     scattering_potential,
     square_well,
+    unit_step,
 )
 from qmetric.series import (
     KConfig,
     _characteristic_term,
+    _one_component,
     _skew,
+    _SliceModel,
     apply_K,
     apply_K_delta_rule,
     apply_K_smooth,
@@ -104,6 +107,69 @@ def reference_seed_to_kernel(seed, grid):
     smooth = np.asarray(seed.u_plus(X - Y), dtype=complex) \
         + np.asarray(seed.u_minus(X + Y), dtype=complex)
     return Kernel(grid=grid, c_diag=1.0, smooth=smooth)
+
+
+def reference_apply_K_delta_rule(kernel, pot, grid, stats=None, sup=None):
+    # the singular parts' steps on n x n meshes, built once per call
+    n, h, half = grid.n, grid.h, grid.half_width
+    nodes, diff = grid.nodes, grid.diff_nodes
+    out = np.zeros((n, n), dtype=complex)
+    c0 = pot.constants.c0
+    tol = 1e-9 * max(1.0, half)
+    clamped = 0
+    count = not pot.domain.is_box
+    locations = [a for a, _ in pot.deltas]
+    if sup is None:
+        sup = kernel.sup_smooth
+    S, phase = kernel.smooth, None
+    if sup > 0.0 and np.isfinite(sup):
+        S, phase = _one_component(S)
+    if kernel.c_diag != 0.0 or kernel.c_anti != 0.0:
+        X, Y = grid.mesh()
+        x_plus_y, x_minus_y, y_minus_x = X + Y, X - Y, Y - X
+        sign_y_minus_x, step_x_plus_y = np.sign(y_minus_x), unit_step(x_plus_y)
+    multiplicity = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
+    for a, zeta in pot.deltas:
+        z = c0 * zeta
+        if kernel.c_diag != 0.0:
+            out += kernel.c_diag * (0.5j * z) * unit_step(x_plus_y - 2.0 * a) * sign_y_minus_x
+        if kernel.c_anti != 0.0:
+            out += kernel.c_anti * (0.5j * z) * (
+                unit_step(Y - a) * (step_x_plus_y - unit_step(x_minus_y + 2.0 * a))
+                - unit_step(X - a) * (step_x_plus_y - unit_step(y_minus_x + 2.0 * a)))
+        if sup > 0.0:
+            pos = np.clip((a + half) / h, 0.0, n - 1.0)
+            ja = int(min(int(pos), n - 2))
+            lam = pos - ja
+            col = (1.0 - lam) * S[:, ja] + lam * S[:, ja + 1]
+            row = (1.0 - lam) * S[ja, :] + lam * S[ja + 1, :]
+            cuts = set(locations) | {2.0 * b - a for b in locations}
+            col_model = _SliceModel(nodes, col, cuts)
+            row_model = _SliceModel(nodes, row, cuts)
+            t_sum, t_dif = diff - a, diff + a
+            if count:
+                clamped += int(multiplicity @ (np.abs(t_sum) > half + tol))
+                clamped += 2 * int(multiplicity @ (np.abs(t_dif) > half + tol))
+            col_sum = col_model.antiderivative(t_sum)
+            col_dif = col_model.antiderivative(t_dif)
+            row_sum = row_model.antiderivative(t_sum)
+            row_dif = row_model.antiderivative(t_dif)
+            image = _skew(col_sum, 0, (n, n), (1, 1)) - _skew(col_dif, n - 1, (n, n), (1, -1))
+            I2 = _skew(row_sum, 0, (n, n), (1, 1)) - _skew(row_dif, n - 1, (n, n), (-1, 1))
+            step = unit_step(nodes - a)
+            image *= step
+            I2 *= step[:, None]
+            image -= I2
+            image *= 0.5j * z if phase is None else 0.5 * z
+            if phase is None:
+                out += image
+            elif phase == 1:
+                out.imag += image
+            else:
+                out.real -= image
+    if stats is not None:
+        stats["truncated_evals"] = stats.get("truncated_evals", 0) + clamped
+    return Kernel(grid=grid, smooth=out)
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +325,26 @@ def couplings(n):
     return delta_potential(terms, constants_preset("natural")), Grid(2.0, n)
 
 
+@pytest.mark.parametrize("n", [33, 65, 101])  # 101: h is not dyadic
+@pytest.mark.parametrize("smooth", [False, True], ids=["singular_only", "with_smooth"])
+@pytest.mark.parametrize("c_diag, c_anti", [(1.0, 0.0), (0.0, 1.0), (0.7 - 0.2j, -0.4 + 0.9j)],
+                         ids=["c_diag", "c_anti", "both"])
+def test_singular_image_bits(c_diag, c_anti, smooth, n):
+    # the blocked steps give the mesh steps' bits, with the smooth image of
+    # each coupling added after its singular terms, as before
+    three, grid = couplings(n)
+    x = grid.nodes
+    part = np.exp(-np.subtract.outer(x, x)**2) * 0.3j if smooth else None
+    k = Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=part)
+    # and two couplings off the nodes, where the steps meet theta(0) ties
+    for pot in (three, delta_potential([(0.1, 0.4), (0.55, -0.3)], BT)):
+        got_stats, ref_stats = {}, {}
+        got = apply_K_delta_rule(k, pot, grid, got_stats).smooth
+        ref = reference_apply_K_delta_rule(k, pot, grid, ref_stats).smooth
+        assert got.tobytes() == ref.tobytes()
+        assert got_stats == ref_stats
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_coupling_image_is_the_slice_rule_image(n):
     # apply_K returns the slice rule's own array, as zeros + image: every bit,
@@ -299,32 +385,66 @@ def test_coupling_image_peak_memory(traced_peak):
     assert traced_peak(lambda: apply_K(iterate, pot, CFG, grid)) / (16 * n * n) < 2.5
 
 
+def test_coupling_identity_image_peak_memory(traced_peak):
+    # the result and O(32 n) block scratch: no n x n mesh (6.1-7.1 units before)
+    n = 513
+    pot, grid = couplings(n)
+    k = identity_kernel(grid)
+    assert traced_peak(lambda: apply_K(k, pot, CFG, grid)) / (16 * n * n) < 1.5
+
+
 def _well_compute(out, n=513, order=4):
     return ["compute", "--model", "square-well", "--zeta", "0.092467", "--n", str(n),
             "--order", str(order), "--out", str(out)]
 
 
-def test_compute_peak_is_the_kept_kernels(tmp_path, traced_peak, monkeypatch):
-    # iterates 0..4 and their sum stay alive until written: 6.0 units, and
-    # the CSV writer's line buffer of 32 grid rows adds 1.0 at n = 513 (2.0
-    # at n = 257, where a unit is a quarter the size).  With the writes in
-    # this process, any n x n scratch array beyond 2 units in compute fails.
-    # tracemalloc counts the zero seed's array as allocated, though no page
-    # of it is ever written; test_compute_resident_peak sees it go.
-    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
-    n, order = 513, 4
+def test_compute_peak_is_the_kept_kernels(tmp_path, traced_peak):
+    # the current iterate and the partial sum, and K's scratch: the
+    # characteristic term's cell sums and its image, about two units.  The
+    # writers run in forked children, so nothing here grows with the order:
+    # 4.0 units at orders 2 to 6 (9.0 at order 6 when every iterate was
+    # kept).  tracemalloc counts the zero seed's array as allocated until
+    # the partial sum is, though no page of it is ever written.
+    n, order = 513, 6
     peak = traced_peak(lambda: main(_well_compute(tmp_path, n, order)))
-    assert peak / (16 * n * n) < (order + 2) + 2.0
+    assert peak / (16 * n * n) < 4.5
     assert (tmp_path / f"iter_{order}.csv").exists()
 
 
 def test_compute_resident_peak(tmp_path, resident_peak):
-    # the same run in a fresh process, above the import alone: the four
-    # iterates written by K and their sum, the writer's buffers and the
-    # series' block scratch.  The zero seed's array is never touched, so
-    # it adds nothing resident (7.1 units when it was built from meshes).
+    # the same run in a fresh process, its forked writers included, above
+    # the import alone: the current iterate, the partial sum, K's scratch
+    # and the writers' buffers, 4.9 units (6.5 when every iterate was kept).
+    # The zero seed's array is never touched, so it adds nothing resident.
     n = 513
     base = resident_peak()
     peak = resident_peak(_well_compute(tmp_path, n))
-    assert (peak - base) / (16 * n * n) < 6.6
+    assert (peak - base) / (16 * n * n) < 5.4
     assert (tmp_path / "iter_4.csv").exists()
+
+
+def test_compute_resident_peak_does_not_grow_with_order(tmp_path, resident_peak):
+    # one unit more per order when every iterate was kept (order 8 less
+    # order 4: 3.0 units); each iterate now goes to its writer as it
+    # appears.  Orders 2 and 3 hold less (3.6 and 4.2 units against 4.9):
+    # the sum is formed only once the second application of K has
+    # returned, and order 4 is the first whose K takes the real-image
+    # branch of the characteristic term, with its half-unit temporary,
+    # while the sum is held.
+    n = 513
+    low = resident_peak(_well_compute(tmp_path / "low", n, 4))
+    high = resident_peak(_well_compute(tmp_path / "high", n, 8))
+    assert (high - low) / (16 * n * n) < 0.5
+
+
+def test_coupling_compute_resident_peak(tmp_path, resident_peak):
+    # three couplings at order 6, as the deltas-series benchmark runs them:
+    # 8.5 units above the import when every iterate was kept and K on the
+    # identity built n x n meshes, 4.5 units now
+    n = 513
+    base = resident_peak()
+    peak = resident_peak(["compute", "--model", "deltas", "--deltas",
+                          "0.51632:-0.9375,0.778181:-0.75,0.852212:0.25", "--extent", "2",
+                          "--n", str(n), "--order", "6", "--out", str(tmp_path)])
+    assert (peak - base) / (16 * n * n) < 5.0
+    assert (tmp_path / "iter_6.csv").exists()

@@ -26,6 +26,7 @@ from qmetric.kernels import (
     kernel_to_pgm,
     parity_kernel,
 )
+from qmetric import series
 from qmetric.potentials import constants_preset
 from qmetric.series import neumann_series
 from qmetric.spectral import ExceptionalPointError
@@ -205,21 +206,29 @@ def serial_artifacts(model_args, out):
 class TestParallelArtifacts:
     @pytest.mark.parametrize("cpus", [None, 1], ids=["all_cpus", "one_cpu"])
     def test_same_bytes_as_serial_writes(self, tmp_path, monkeypatch, model, cpus):
-        forks = []
-        fork = os.fork
+        # one forked child per file, at most one alive per available CPU
+        alive, counts = set(), []
+        fork, waitpid = os.fork, os.waitpid
 
         def counting_fork():
-            forks.append(1)
-            return fork()
+            pid = fork()
+            if pid:
+                alive.add(pid)
+                counts.append(len(alive))
+            return pid
+
+        def counting_waitpid(pid, options):
+            alive.discard(pid)
+            return waitpid(pid, options)
 
         names = serial_artifacts(ARTIFACT_MODELS[model], tmp_path / "serial")
-        # this process writes one share, a forked child each other one
-        expected = min(len(names), cpus or len(os.sched_getaffinity(0))) - 1
+        slots = cpus or len(os.sched_getaffinity(0))
         if cpus:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "waitpid", counting_waitpid)
         assert run("compute", *ARTIFACT_MODELS[model], "--out", str(tmp_path / "forked")) == 0
-        assert len(forks) == expected
+        assert len(counts) == len(names) and max(counts) <= slots and not alive
         for name in names:
             assert (tmp_path / "forked" / name).read_bytes() == \
                 (tmp_path / "serial" / name).read_bytes(), name
@@ -230,17 +239,42 @@ class TestParallelArtifacts:
         assert run("compute", *ARTIFACT_MODELS[model], "--out", str(out)) == 2
         err = capfd.readouterr().err
         assert err.startswith("error: ") and str(out / "iter_2.csv") in err
-        assert "Traceback" not in err
-        # a failing job shares its child with other jobs: each is written again
+        assert "Is a directory" in err and "Traceback" not in err
+        # the series goes on past the failed write: every other file is written
         names = serial_artifacts(ARTIFACT_MODELS[model], tmp_path / "serial")
         for name in names:
             if name != "iter_2.csv":
                 assert (out / name).read_bytes() == \
                     (tmp_path / "serial" / name).read_bytes(), name
-        # the run record is written before the kernel files, as a good run writes it
+        # the run record is written as a good run writes it
         assert run("compute", *ARTIFACT_MODELS[model], "--out", str(tmp_path / "good")) == 0
         for name in ("supnorms.csv", "manifest.json"):
             assert (out / name).read_bytes() == (tmp_path / "good" / name).read_bytes(), name
+
+    def test_failed_series_leaves_no_run_record(self, tmp_path, capfd, monkeypatch, model):
+        # over an earlier run and in a fresh directory: the iterates written
+        # before K fails at order 2 stay, and no run record describes others
+        old, fresh = tmp_path / "old", tmp_path / "fresh"
+        assert run("compute", *ARTIFACT_MODELS[model], "--out", str(old)) == 0
+        good = {p.name: p.read_bytes() for p in old.iterdir()}
+        apply_K, calls = series.apply_K, []
+
+        def failing_apply_K(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("non-finite value in characteristic quadrature")
+            return apply_K(*args, **kwargs)
+
+        monkeypatch.setattr(series, "apply_K", failing_apply_K)
+        for out in (old, fresh):
+            calls.clear()
+            capfd.readouterr()
+            assert run("compute", *ARTIFACT_MODELS[model], "--out", str(out)) == 3
+            assert capfd.readouterr().err.startswith("numerical failure: non-finite")
+            assert not (out / "manifest.json").exists() and not (out / "supnorms.csv").exists()
+            for name in ("iter_0.csv", "iter_1.csv"):
+                assert (out / name).read_bytes() == good[name], name
+        assert sorted(p.name for p in fresh.iterdir()) == ["iter_0.csv", "iter_1.csv"]
 
 
 # One fresh interpreter per start-up path.  Each snippet may set rc (main's
@@ -702,13 +736,23 @@ class TestInputErrors:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["compute", "verify", "oracle"])
-    @pytest.mark.parametrize("flags, message", [
-        (("--deltas", "1:0"), "--deltas needs --model deltas"),
-        (("--model", "scattering", "--deltas", "1:0"), "--deltas needs --model deltas"),
-        (("--potential", "{dir}/doc.json", "--gauge", "natural"),
-         "--gauge does not apply to a --potential file"),
-    ], ids=["deltas_default_model", "deltas_scattering", "gauge_potential"])
+    IGNORED_FLAGS = [
+        ("deltas_default_model", ("--deltas", "1:0"), "--deltas needs --model deltas",
+         ("compute", "verify", "oracle")),
+        ("deltas_scattering", ("--model", "scattering", "--deltas", "1:0"),
+         "--deltas needs --model deltas", ("compute", "verify", "oracle")),
+        ("gauge_potential", ("--potential", "{dir}/doc.json", "--gauge", "natural"),
+         "--gauge does not apply to a --potential file", ("compute", "verify", "oracle")),
+        # compute keeps --zeta with these: it sets the preset seed's zeta
+        ("zeta_potential", ("--potential", "{dir}/doc.json", "--zeta", "0.3"),
+         "--zeta does not apply to a --potential file", ("verify", "oracle")),
+        ("zeta_deltas", ("--model", "deltas", "--deltas", "1:0", "--zeta", "5"),
+         "--zeta does not apply to --model deltas", ("verify", "oracle")),
+    ]
+
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param(command, flags, message, id=f"{name}-{command}")
+        for name, flags, message, commands in IGNORED_FLAGS for command in commands])
     def test_ignored_model_flag_exits_2_before_writing(self, tmp_path, capsys, command, flags,
                                                        message):
         # each flag used to be dropped silently, with exit 0

@@ -7,6 +7,7 @@ import pytest
 from qmetric import kernels
 from qmetric.kernels import (
     FLOAT_FMT,
+    ForkedWriter,
     Grid,
     Kernel,
     SeedPair,
@@ -739,6 +740,28 @@ def test_failed_first_range_reaps_its_workers(tmp_path, split, monkeypatch):
         kernel_from_csv(path)
     assert split["forks"] == 2
     _assert_no_children()
+
+
+def test_forked_writer_raises_the_first_failure_after_every_file(tmp_path):
+    # a child that raises sends its exception; one that ends without a
+    # report is named by its path; either way the other files are written
+    def raising(kernel, path):
+        raise ValueError(f"cannot write {path}")
+
+    def silent(kernel, path):
+        os._exit(7)
+
+    k = identity_kernel(Grid.for_box(np.pi, 33))
+    kernel_to_csv(k, tmp_path / "serial.csv")
+    for first, error, message in ((raising, ValueError, "cannot write .*a.csv"),
+                                  (silent, OSError, "writer of .*a.csv ended with wait status")):
+        with pytest.raises(error, match=message):
+            with ForkedWriter() as files:
+                files.write(first, k, tmp_path / "a.csv")
+                files.write(raising, k, tmp_path / "b.csv")
+                files.write(kernel_to_csv, k, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        (tmp_path / "c.csv").unlink()
 
 
 def test_pgm_output(tmp_path):

@@ -7,6 +7,7 @@ from qmetric.closed_forms import (
     delta_first_iterate,
     delta_second_iterate,
     deltas_eta1,
+    preset_seed,
     scattering_k_delta,
     scattering_eta1,
     square_well_k_delta,
@@ -848,6 +849,44 @@ class TestNeumannSeries:
             pot = delta_potential([(-0.5, 0.7), (0.25, -0.4), (0.75, 0.5)], NAT)
         state = neumann_series(SeedPair.zero(), pot, KConfig(max_order=order), grid)
         assert len(state.iterates) == calls == len(taken)
+
+    @pytest.mark.parametrize("model", ["well", "deltas", "none"])
+    @pytest.mark.parametrize("seed", ["zero", "bender-tan", "negative-zero"])
+    def test_sink_gets_the_iterates_a_kept_run_keeps(self, model, seed):
+        # in order, with the same bytes; the partial sum is zeros + u + K u + ...
+        # summed in order, the sign of every zero included (-0.0 + 0.0 = +0.0)
+        if model == "well":
+            grid, pot = Grid.for_box(np.pi, 65), square_well(0.092467, np.pi, BT)
+        elif model == "none":  # the seed alone
+            grid, pot = Grid(half_width=2.0, n=65), PotentialSpec(NAT, Domain.line())
+        else:
+            grid = Grid(half_width=2.0, n=65)
+            pot = delta_potential([(-0.5, 0.7), (0.25, -0.4), (0.75, 0.5)], NAT)
+        if seed == "negative-zero":
+            minus_zero = lambda t: np.full(np.shape(t), complex(-0.0, -0.0))
+            seed = SeedPair(minus_zero, minus_zero)
+        else:
+            seed = preset_seed(seed, 0.1, np.pi, BT)
+        cfg = KConfig(max_order=4)
+        kept = neumann_series(seed, pot, cfg, grid)
+        got = []
+        streamed = neumann_series(seed, pot, cfg, grid, sink=lambda *item: got.append(item))
+        orders = len(kept.iterates)
+        assert orders == (1 if model == "none" else 5)
+        assert [order for order, _ in got] == list(range(orders)) and streamed.iterates == []
+        for (_, k), ref in zip(got, kept.iterates):
+            assert (k.c_diag, k.c_anti) == (ref.c_diag, ref.c_anti)
+            assert k.smooth.tobytes() == ref.smooth.tobytes()
+        total = np.zeros((grid.n, grid.n), dtype=complex)
+        for k in kept.iterates:
+            total += k.smooth
+        for state in (kept, streamed):
+            assert state.partial_sum.smooth.tobytes() == total.tobytes()
+            assert (state.partial_sum.c_diag, state.partial_sum.c_anti) == (
+                sum(k.c_diag for k in kept.iterates), sum(k.c_anti for k in kept.iterates))
+        assert streamed.sup_norms == kept.sup_norms
+        assert (streamed.diverged, streamed.truncated_evals) == (kept.diverged,
+                                                                 kept.truncated_evals)
 
     def test_single_coupling_two_orders(self):
         grid = Grid(half_width=2.0, n=161)
