@@ -26,11 +26,13 @@ from .kernels import (
     Grid,
     Kernel,
     SeedPair,
+    _grids_match,
     kernel_from_csv,
     kernel_to_csv,
     kernel_to_pgm,
 )
 from .potentials import (
+    check_box_grid,
     constants_preset,
     delta_potential,
     potential_from_dict,
@@ -50,7 +52,6 @@ from .verify import (
     INVERTIBILITY_TOL,
     KG_TOL,
     PSEUDO_HERMITICITY_TOL,
-    _grids_match,
     hermitian_eigenvalues,
     invertibility_check,
     kg_residual,
@@ -139,7 +140,9 @@ def _build_grid(args, pot, doc) -> Grid:
         extent = pot.domain.L / 2.0
     else:
         extent = 2.0
-    return Grid(half_width=extent, n=n)
+    grid = Grid(half_width=extent, n=n)
+    check_box_grid(pot, grid)  # before compute or oracle writes anything
+    return grid
 
 
 def _build_series_config(args, doc) -> KConfig:

@@ -12,12 +12,9 @@ constraints u_plus(x)* = u_plus(-x) and u_minus(x)* = u_minus(x) that
 make the seed Hermitian.
 
 Kernel artifacts are written by kernel_to_csv and kernel_to_pgm and read
-by kernel_from_csv.  ForkedWriter runs each write in a forked child as soon
-as it is given, at most one child per available CPU at a time.  Large
-reads run one share of their parse per available CPU (_forked): this
-process runs one share and forked children the others, and any failure
-sends the read to the serial path, which raises the real error.  One CPU
-never forks a read.
+by kernel_from_csv.  Every child process is forked by ForkedWriter: one
+child per call, at most one per available CPU at a time, every child
+reaped when its block is left, and the first failure raised.
 """
 
 from __future__ import annotations
@@ -100,6 +97,11 @@ class Grid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) with X[i, j] = x_i, Y[i, j] = y_j."""
         return np.meshgrid(self.nodes, self.nodes, indexing="ij")
+
+
+def _grids_match(a: Grid, b: Grid) -> bool:
+    # a stored half-width is %.12e text, so it is compared relatively
+    return a.n == b.n and abs(a.half_width - b.half_width) <= 1e-12 * max(1.0, a.half_width)
 
 
 @dataclass
@@ -516,34 +518,12 @@ def _parse_rows(path, start: int, stop: int, to_end: bool) -> np.ndarray:
     return part
 
 
-def _forked(calls) -> bool:
-    """Run calls[1:] in forked children and calls[0] here; True if every child exited 0.
-
-    A child exits 1 when its call raises.  Every child is reaped, also when
-    a fork or calls[0] raises.
-    """
-    pids = []
-    try:
-        for call in calls[1:]:
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    call()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        calls[0]()
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    return not any(statuses)
-
-
 def _parse_split(path, rows: int, parts: int):
     """The (rows, 4) data parsed in `parts` row ranges, or None on any failure.
 
-    _forked parses the ranges into an anonymous shared mapping, which backs
-    the array.  The last range reads to the end, so extra rows fail too.
+    ForkedWriter's children parse ranges 1 and up while this process parses
+    range 0, all into an anonymous shared mapping, which backs the array.
+    The last range reads to the end, so extra rows fail too.
     """
     starts = _row_starts(rows, parts)
 
@@ -553,8 +533,12 @@ def _parse_split(path, rows: int, parts: int):
 
     try:
         data = np.frombuffer(mmap.mmap(-1, rows * 4 * 8), dtype=np.float64).reshape(rows, 4)
-        return data if _forked([functools.partial(parse, k) for k in range(parts)]) else None
-    except (OSError, ValueError, Warning):  # a failed mapping, fork, open or parse
+        with ForkedWriter() as children:
+            for k in range(1, parts):
+                children.run(functools.partial(parse, k), f"the parser of range {k}")
+            parse(0)
+        return data
+    except Exception:  # a failed mapping, fork, open or parse, here or in a child
         return None
 
 
@@ -651,27 +635,26 @@ def kernel_to_pgm(kernel: Kernel, path) -> None:
 
 
 class ForkedWriter:
-    """Write kernel files in forked children, one child per file, as they are given.
+    """Run calls in forked children, one child per call, as they are given.
 
-    write(writer, kernel, path) forks a child that runs writer(kernel, path),
-    e.g. with kernel_to_csv, and returns: the child reads the kernel from
-    the memory it shares with this process as of the fork, so the caller
-    may drop or reuse the kernel at once.  At most one child per available
-    CPU runs; write waits for the oldest one when all are busy.
+    run(call, name) forks a child that runs call() and returns: the child
+    sees the memory of this process as of the fork, so the caller may drop
+    or reuse what call reads at once.  At most one child per available CPU
+    runs; run waits for the oldest one when all are busy.
+    write(writer, kernel, path) runs writer(kernel, path), e.g. with
+    kernel_to_csv, and each file gets the bytes the writer alone gives it.
 
     Use it as a context manager.  Leaving the block reaps every child.  A
     child that fails sends its exception back through a pipe, and once all
-    are reaped the exception of the first failed file, in the order the
-    files were given, is raised, unless the block raised one already.  The
-    other files are written all the same.  Each file gets the bytes the
-    writer alone would give it.
+    are reaped the exception of the first failed call, in the order the
+    calls were given, is raised, unless the block raised one already.  The
+    other calls run all the same.
     """
 
     def __init__(self):
         self._slots = len(os.sched_getaffinity(0))
-        self._running = deque()  # (path, pid, read end of its pipe), oldest first
+        self._running = deque()  # (name, pid, read end of its pipe), oldest first
         self._errors = []
-        _format_tables()  # built once here, not in every child
 
     def __enter__(self) -> "ForkedWriter":
         return self
@@ -683,6 +666,10 @@ class ForkedWriter:
             raise self._errors[0]
 
     def write(self, writer, kernel: Kernel, path) -> None:
+        _format_tables()  # built once here, not in every child
+        self.run(functools.partial(writer, kernel, path), f"the writer of {path}")
+
+    def run(self, call, name: str) -> None:
         if len(self._running) >= self._slots:
             self._reap()
         read_end, write_end = os.pipe()
@@ -692,11 +679,11 @@ class ForkedWriter:
             os.close(read_end)
             os.close(write_end)
             raise
-        if pid == 0:  # the child writes, reports any exception and never returns
+        if pid == 0:  # the child runs call, reports any exception and never returns
             status = 1
             try:
                 os.close(read_end)
-                writer(kernel, path)
+                call()
                 status = 0
             except Exception as error:  # anything else ends the child with no report
                 with open(write_end, "wb") as pipe:
@@ -704,11 +691,11 @@ class ForkedWriter:
             finally:
                 os._exit(status)
         os.close(write_end)
-        self._running.append((path, pid, read_end))
+        self._running.append((name, pid, read_end))
 
     def _reap(self) -> None:
         """Wait for the oldest child; keep its exception if it failed."""
-        path, pid, read_end = self._running.popleft()
+        name, pid, read_end = self._running.popleft()
         with open(read_end, "rb") as pipe:
             message = pipe.read()  # only the child holds the write end: EOF when it exits
         status = os.waitpid(pid, 0)[1]
@@ -716,5 +703,5 @@ class ForkedWriter:
             try:
                 error = pickle.loads(message)
             except Exception:  # the child died before it could send one
-                error = OSError(f"the writer of {path} ended with wait status {status}")
+                error = OSError(f"{name} ended with wait status {status}")
             self._errors.append(error)

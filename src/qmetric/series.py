@@ -44,7 +44,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from qmetric.kernels import _BLOCK, Grid, Kernel, SeedPair, _conj_equal, seed_to_kernel
+from qmetric.kernels import (
+    _BLOCK, Grid, Kernel, SeedPair, _conj_equal, _grids_match, seed_to_kernel,
+)
 from qmetric.potentials import PotentialSpec, check_box_grid, eval_potential, unit_step
 
 __all__ = [
@@ -236,6 +238,13 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
     return out
 
 
+def _check_grids(kernel: Kernel, pot: PotentialSpec, grid: Grid) -> None:
+    """ValueError unless the kernel lies on grid and grid spans a box potential."""
+    check_box_grid(pot, grid)
+    if not _grids_match(kernel.grid, grid):
+        raise ValueError("kernel grid does not match the supplied grid")
+
+
 def _one_component(a: np.ndarray):
     """(part, phase) with a = phase * part, part a real view of a and phase 1 or 1j,
     when one component of a is zero throughout; (a, None) otherwise."""
@@ -274,7 +283,8 @@ def _hermitian_image(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> np.nd
     elif phase == 1:
         np.add(t, t.T, out=out.real)
     else:  # 0 - x, not -x, so that a zero sum stays +0.0
-        np.subtract(0.0, t + t.T, out=out.real)
+        np.add(t, t.T, out=out.real)
+        np.subtract(0.0, out.real, out=out.real)
     return out
 
 
@@ -293,7 +303,7 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     of each family leave the grid square inside each of the n-1 cells;
     every such pair counts once per term.
     """
-    check_box_grid(pot, grid)
+    _check_grids(kernel, pot, grid)
     n, X, count = grid.n, grid.half_width, not pot.domain.is_box
     j0_hits = np.nonzero(np.abs(grid.nodes - cfg.r0) <= 1e-9 * max(1.0, X))[0]
     if len(j0_hits) == 0:
@@ -399,7 +409,7 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
 
     sup is kernel.sup_smooth, when the caller has measured it already.
     """
-    check_box_grid(pot, grid)
+    _check_grids(kernel, pot, grid)
     n, h, half = grid.n, grid.h, grid.half_width
     nodes, diff = grid.nodes, grid.diff_nodes
     out = np.zeros((n, n), dtype=complex)
@@ -484,7 +494,7 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
         ValueError: for a parity singular part under a segment
             potential (no closed-form rule exists for that channel).
     """
-    check_box_grid(pot, grid)
+    _check_grids(kernel, pot, grid)
     if pot.has_segments and kernel.c_anti != 0.0:
         raise ValueError("parity singular part is not supported under a segment potential")
     if sup is None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qmetric.kernels import _BLOCK, Grid, Kernel, _conj_equal, hermiticity_defect
+from qmetric.kernels import _BLOCK, Grid, Kernel, _conj_equal, _grids_match, hermiticity_defect
 from qmetric.potentials import PotentialSpec, eval_mass_term, eval_potential
 from qmetric.spectral import DiscretizedHamiltonian, _fold, _is_pt_symmetric, _tridiagonal_product
 
@@ -112,11 +112,6 @@ def hermitian_eigenvalues(k: Kernel) -> np.ndarray | None:
     if not _conj_equal(M, M.T):
         return None
     return np.linalg.eigvalsh(_fold(M) if _is_pt_symmetric(M) else M)
-
-
-def _grids_match(a: Grid, b: Grid) -> bool:
-    # a stored half-width is %.12e text, so it is compared relatively
-    return a.n == b.n and abs(a.half_width - b.half_width) <= 1e-12 * max(1.0, a.half_width)
 
 
 def _mass_term(pot: PotentialSpec, v: np.ndarray, rows: slice, cols: slice) -> np.ndarray:

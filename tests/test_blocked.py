@@ -393,6 +393,17 @@ def test_coupling_identity_image_peak_memory(traced_peak):
     assert traced_peak(lambda: apply_K(k, pot, CFG, grid)) / (16 * n * n) < 1.5
 
 
+def test_real_image_peak_memory(traced_peak):
+    # K on the well's imaginary first iterate takes the -(t + t^T) branch of
+    # _hermitian_image: the sum is formed and negated in the result's real
+    # half, 1.81 units (2.03 with a half-unit temporary for t + t^T)
+    n = 513
+    pot, grid = square_well(0.092467, np.pi, BT), Grid.for_box(np.pi, n)
+    iterate = apply_K(identity_kernel(grid), pot, CFG, grid)
+    assert not iterate.smooth.real.any()
+    assert traced_peak(lambda: apply_K_smooth(iterate, pot, CFG, grid)) / (16 * n * n) < 1.9
+
+
 def _well_compute(out, n=513, order=4):
     return ["compute", "--model", "square-well", "--zeta", "0.092467", "--n", str(n),
             "--order", str(order), "--out", str(out)]
@@ -414,7 +425,8 @@ def test_compute_peak_is_the_kept_kernels(tmp_path, traced_peak):
 def test_compute_resident_peak(tmp_path, resident_peak):
     # the same run in a fresh process, its forked writers included, above
     # the import alone: the current iterate, the partial sum, K's scratch
-    # and the writers' buffers, 4.9 units (6.5 when every iterate was kept).
+    # and the writers' buffers, 4.4 units (4.9 with the t + t^T temporary of
+    # _hermitian_image, 6.5 when every iterate was kept).
     # The zero seed's array is never touched, so it adds nothing resident.
     n = 513
     base = resident_peak()
@@ -426,11 +438,10 @@ def test_compute_resident_peak(tmp_path, resident_peak):
 def test_compute_resident_peak_does_not_grow_with_order(tmp_path, resident_peak):
     # one unit more per order when every iterate was kept (order 8 less
     # order 4: 3.0 units); each iterate now goes to its writer as it
-    # appears.  Orders 2 and 3 hold less (3.6 and 4.2 units against 4.9):
+    # appears.  Orders 2 and 3 hold less (3.4 and 4.2 units against 4.4):
     # the sum is formed only once the second application of K has
     # returned, and order 4 is the first whose K takes the real-image
-    # branch of the characteristic term, with its half-unit temporary,
-    # while the sum is held.
+    # branch of the characteristic term while the sum is held.
     n = 513
     low = resident_peak(_well_compute(tmp_path / "low", n, 4))
     high = resident_peak(_well_compute(tmp_path / "high", n, 8))

@@ -717,6 +717,9 @@ class TestInputErrors:
                          {"seed.csv": SEED_HEADER + seed_rows().replace(
                              "0.0,0.0,0.0,0.0,0.0", "0.0,nan,nan,nan,nan")},
                          "max violation nan"),
+        # checked with the grid, before compute makes --out or iter_0.csv
+        "extent_off_the_box": (("--model", "square-well", "--extent", "2"), {},
+                               "does not match the box half-width"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -731,6 +734,17 @@ class TestInputErrors:
             code = run("compute", *(a.format(dir=tmp_path) for a in argv),
                        "--n", "33", "--order", "1", "--out", str(out))
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_oracle_extent_off_the_box_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # checked with the grid, before oracle makes --out
+        argv, _, message = self.CASES["extent_off_the_box"]
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run("oracle", *argv, "--n", "33", "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion from a source checkout."""
+"""Every demo script, and the README's library quick start, runs to completion
+from a source checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +13,24 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
+def _env():
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quick_start_exits_zero(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

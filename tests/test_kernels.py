@@ -712,6 +712,22 @@ def test_failed_worker_falls_back_to_serial(tmp_path, split, monkeypatch):
     _assert_no_children()
 
 
+def test_raising_worker_falls_back_to_serial(tmp_path, split, monkeypatch):
+    # the child sends its exception back through its pipe; the read falls back
+    path, rows, starts = _split_file(tmp_path)
+    parent, parse_rows = os.getpid(), kernels._parse_rows
+
+    def raise_in_worker(path, start, stop, to_end):
+        if os.getpid() != parent and start == starts[1]:
+            raise RuntimeError("a range failed")
+        return parse_rows(path, start, stop, to_end)
+
+    monkeypatch.setattr(kernels, "_parse_rows", raise_in_worker)
+    assert kernel_from_csv(path).smooth.tobytes() == _serial_kernel(path).smooth.tobytes()
+    assert split["forks"] == 2 and split["results"] == [None]
+    _assert_no_children()
+
+
 def test_failed_fork_falls_back_and_reaps(tmp_path, split, monkeypatch):
     path, _, _ = _split_file(tmp_path)
     fork = os.fork  # the fixture's counting fork

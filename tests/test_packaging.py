@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is declared in pyproject.toml."""
+"""Every third-party module the package imports is declared in pyproject.toml,
+and the package forks its child processes at one place."""
 
 import ast
 import re
@@ -49,3 +50,18 @@ def test_undeclared_import_is_reported():
                "import numpy as np\nfrom numpy.lib import stride_tricks\n",
                "from scipy.linalg import eigh\nimport qmetric.kernels\n"]
     assert _undeclared(sources, {"numpy"}) == {"scipy"}
+
+
+def _fork_calls(source: str) -> int:
+    """Calls of os.fork in a module's source."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "fork" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "os"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_one_fork_call_site():
+    # every child process comes from kernels.ForkedWriter.run
+    sources = [path.read_text() for path in sorted((ROOT / "src" / PACKAGE).rglob("*.py"))]
+    assert sum(_fork_calls(src) for src in sources) == 1
+    assert _fork_calls("import os\npid = os.fork()\nos.fork\nother.fork()\n") == 1

@@ -774,6 +774,22 @@ class TestDispatch:
             + delta_first_iterate(X, Y, BT.c0 * 0.2, 0.3)
         np.testing.assert_allclose(out.smooth, ref, atol=1e-14)
 
+    @pytest.mark.parametrize("other", [Grid(3.0, 65), Grid(2.0, 67)], ids=["half_width", "n"])
+    @pytest.mark.parametrize("apply", [
+        lambda k, pot, grid: apply_K(k, pot, CFG, grid),
+        lambda k, pot, grid: apply_K_smooth(k, pot, CFG, grid),
+        lambda k, pot, grid: apply_K_delta_rule(k, pot, grid),
+    ], ids=["apply_K", "apply_K_smooth", "apply_K_delta_rule"])
+    def test_kernel_from_another_grid_raises(self, apply, other):
+        # as in kg_residual: an image labelled with `other` would hold values
+        # computed on the kernel's own spacing
+        own = Grid(2.0, 65)
+        pot = PotentialSpec(constants=NAT, domain=Domain.line(),
+                            segments=(((-3.0, 3.0), 0.3j),), deltas=((0.5, 0.2),))
+        k = apply_K(identity_kernel(own), pot, CFG, own)
+        with pytest.raises(ValueError, match="kernel grid does not match the supplied grid"):
+            apply(k, pot, other)
+
     def test_empty_potential_maps_to_zero(self):
         grid = Grid(half_width=1.0, n=41)
         pot = PotentialSpec(constants=NAT, domain=Domain.line())
