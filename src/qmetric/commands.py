@@ -21,7 +21,6 @@ from .cli import (
 )
 from .closed_forms import preset_seed
 from .kernels import (
-    FLOAT_FMT,
     ForkedWriter,
     Grid,
     Kernel,
@@ -32,7 +31,7 @@ from .kernels import (
     kernel_to_pgm,
 )
 from .potentials import (
-    check_box_grid,
+    check_grid,
     constants_preset,
     delta_potential,
     potential_from_dict,
@@ -49,9 +48,7 @@ from .spectral import (
     spectrum_to_csv,
 )
 from .verify import (
-    INVERTIBILITY_TOL,
     KG_TOL,
-    PSEUDO_HERMITICITY_TOL,
     hermitian_eigenvalues,
     invertibility_check,
     kg_residual,
@@ -141,16 +138,18 @@ def _build_grid(args, pot, doc) -> Grid:
     else:
         extent = 2.0
     grid = Grid(half_width=extent, n=n)
-    check_box_grid(pot, grid)  # before compute or oracle writes anything
+    check_grid(pot, grid)  # before compute or oracle writes anything
     return grid
 
 
-def _build_series_config(args, doc) -> KConfig:
-    cfg = KConfig.from_dict((doc or {}).get("series", {})) if doc else KConfig()
+def _build_series_config(args, pot, doc) -> KConfig:
+    section = (doc or {}).get("series", {})
+    if "r0" in section and not pot.has_segments:
+        raise ValueError("the series key r0 does not apply: the potential has no "
+                         "segments, and point couplings have no base point")
+    cfg = KConfig.from_dict(section)
     if args.order is not None:
         cfg = dataclasses.replace(cfg, max_order=args.order)
-    elif doc is None:
-        cfg = dataclasses.replace(cfg, max_order=1)
     return cfg
 
 
@@ -190,15 +189,6 @@ def _kg_tolerance(pot, grid: Grid, kernel: Kernel) -> float:
     return max(KG_TOL, KG_HEADROOM * mass_term_sup(pot, grid) * kernel.sup_smooth)
 
 
-def _tolerances(pot, grid: Grid, kernel: Kernel) -> dict:
-    return {
-        "kg": _kg_tolerance(pot, grid, kernel),
-        "kg_headroom": KG_HEADROOM,
-        "pseudo_hermiticity": PSEUDO_HERMITICITY_TOL,
-        "invertibility": INVERTIBILITY_TOL,
-    }
-
-
 def _model_config(pot, grid: Grid) -> dict:
     return {"potential": potential_to_dict(pot),
             "grid": {"extent": grid.half_width, "n": grid.n}}
@@ -217,20 +207,15 @@ def _config_sha256(config: dict) -> str:
     return hashlib.sha256(_canonical(config).encode()).hexdigest()
 
 
-def _write_manifest(out: Path, config: dict, tolerances: dict, extra: dict) -> None:
-    manifest = {
-        "config": config,
-        "config_sha256": _config_sha256(config),
-        "tolerances": tolerances,
-    }
-    manifest.update(extra)
+def _write_manifest(out: Path, config: dict, extra: dict) -> None:
+    manifest = {"config": config, "config_sha256": _config_sha256(config), **extra}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_compute(args) -> int:
     pot, doc = _build_potential(args)
     grid = _build_grid(args, pot, doc)
-    cfg = _build_series_config(args, doc)
+    cfg = _build_series_config(args, pot, doc)
     seed = _build_seed(args, pot)
     out = Path(args.out)
 
@@ -239,8 +224,7 @@ def cmd_compute(args) -> int:
             if order == 0:  # the seed has passed seed_to_kernel's checks
                 out.mkdir(parents=True, exist_ok=True)
                 # an earlier run's record would describe other files
-                for name in ("manifest.json", "supnorms.csv"):
-                    (out / name).unlink(missing_ok=True)
+                (out / "manifest.json").unlink(missing_ok=True)
             files.write(kernel_to_csv, kernel, out / f"iter_{order}.csv")
 
         state = neumann_series(seed, pot, cfg, grid, sink=write_iterate)
@@ -250,12 +234,7 @@ def cmd_compute(args) -> int:
         if state.truncated_evals:
             warnings.append(f"{state.truncated_evals} characteristic evaluations were "
                             "clamped to the grid square")
-        with open(out / "supnorms.csv", "w") as f:
-            f.write("order,sup_norm\n")
-            for k, s in enumerate(state.sup_norms):
-                f.write(("%d," + FLOAT_FMT) % (k, s) + "\n")
         _write_manifest(out, _config_dict(pot, grid, cfg, seed.label),
-                        _tolerances(pot, grid, state.partial_sum),
                         {"sup_norms": [float(s) for s in state.sup_norms],
                          "diverged": bool(state.diverged),
                          "truncated_evals": int(state.truncated_evals),
@@ -337,6 +316,7 @@ def cmd_verify(args) -> int:
     elif not _grids_match(grid, recorded_grid):
         raise ValueError(f"the kernel grid (n={grid.n}, half-width {grid.half_width}) "
                          f"does not match the grid recorded in {out}")
+    check_grid(pot, grid)
     reports = _run_checks(names, kernel, pot, grid)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "checks.jsonl", "w") as f:
@@ -417,8 +397,7 @@ def cmd_oracle(args) -> int:
         rep = dataclasses.replace(rep, check="difference-kg")
         line = rep.to_json_line()
         print(line)
-        (out / "cross_check.json").write_text(line + "\n")
-        summary["cross_check_pass"] = rep.passed
+        summary.update(cross_check=json.loads(line), cross_check_pass=rep.passed)
         failed = not rep.passed
 
     config = _model_config(pot, grid)

@@ -21,7 +21,7 @@ __all__ = [
     "Domain",
     "PotentialSpec",
     "constants_preset",
-    "check_box_grid",
+    "check_grid",
     "eval_potential",
     "eval_mass_term",
     "square_well",
@@ -160,13 +160,18 @@ class PotentialSpec:
         return len(self.deltas) > 0
 
 
-def check_box_grid(pot: PotentialSpec, grid: Grid) -> None:
-    """ValueError unless a box potential's grid spans the box (1e-12 relative half-width)."""
+def check_grid(pot: PotentialSpec, grid: Grid) -> None:
+    """ValueError unless the grid carries pot: a box potential's grid spans
+    the box (1e-12 relative half-width), and every point coupling lies on
+    the grid (1e-9 relative)."""
     if pot.domain.is_box:
         half = pot.domain.half_width
         if abs(grid.half_width - half) > 1e-12 * max(1.0, half):
             raise ValueError(
                 f"grid half-width {grid.half_width} does not match the box half-width {half}")
+    for a, _ in pot.deltas:
+        if abs(a) > grid.half_width + 1e-9 * max(1.0, grid.half_width):
+            raise ValueError(f"delta location {a} lies outside the grid")
 
 
 def eval_potential(pot: PotentialSpec, x) -> np.ndarray:

@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import as_strided
 from qmetric.kernels import (
     _BLOCK, Grid, Kernel, SeedPair, _conj_equal, _grids_match, seed_to_kernel,
 )
-from qmetric.potentials import PotentialSpec, check_box_grid, eval_potential, unit_step
+from qmetric.potentials import PotentialSpec, check_grid, eval_potential, unit_step
 
 __all__ = [
     "KConfig",
@@ -66,9 +66,11 @@ class KConfig:
     """Base point and iteration controls for the series engine.
 
     r0 is the base point of the indefinite integrals (it must lie on a
-    grid node when the smooth quadrature is used).  That quadrature has no
-    accuracy knob: it integrates the cubic integrand of each grid cell
-    exactly, splitting cells at the segment breakpoints inside them.
+    grid node when the smooth quadrature is used).  Point couplings ignore
+    it: their slice rule has no base point, so with no segments r0 changes
+    no iterate.  The smooth quadrature has no accuracy knob: it integrates
+    the cubic integrand of each grid cell exactly, splitting cells at the
+    segment breakpoints inside them.
     """
 
     r0: float = 0.0
@@ -125,7 +127,7 @@ def apply_K_to_identity(pot: PotentialSpec, grid: Grid, cfg: KConfig | None = No
     with both integrals evaluated exactly for piecewise-constant v.  It is
     formed for _BLOCK rows x at a time, so the scratch is O(_BLOCK n).
     """
-    check_box_grid(pot, grid)
+    check_grid(pot, grid)
     r0 = 0.0 if cfg is None else cfg.r0
     Y = grid.nodes
     base = _segment_prefix(pot, np.asarray(r0))
@@ -239,8 +241,8 @@ def _characteristic_term(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> n
 
 
 def _check_grids(kernel: Kernel, pot: PotentialSpec, grid: Grid) -> None:
-    """ValueError unless the kernel lies on grid and grid spans a box potential."""
-    check_box_grid(pot, grid)
+    """ValueError unless the kernel lies on grid and grid carries the potential."""
+    check_grid(pot, grid)
     if not _grids_match(kernel.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
 
@@ -427,8 +429,6 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     # grid nodes on the diagonal u = i + j, and on u = i - j + n - 1
     multiplicity = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
     for a, zeta in pot.deltas:
-        if abs(a) > half + tol:
-            raise ValueError(f"delta location {a} lies outside the grid")
         z = c0 * zeta
         for r in range(0, n if singular else 0, _BLOCK):
             X, block = nodes[r:r + _BLOCK, None], out[r:r + _BLOCK]

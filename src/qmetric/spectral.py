@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qmetric.kernels import FLOAT_FMT, Grid, Kernel, _conj_equal
-from qmetric.potentials import PhysConstants, PotentialSpec, check_box_grid, eval_potential
+from qmetric.potentials import PhysConstants, PotentialSpec, check_grid, eval_potential
 
 __all__ = [
     "ExceptionalPointError",
@@ -148,11 +148,12 @@ def discretize(pot: PotentialSpec, grid: Grid) -> DiscretizedHamiltonian:
 
     Point couplings i*zeta*delta(x - a) enter as diagonal spikes
     i*zeta/h at the interior node nearest a, the lower one when a lies
-    exactly midway; if that node is further than h/2 away a placement
-    warning is emitted.  The walls are "dirichlet" on a box and
+    exactly midway.  A coupling off the grid raises ValueError (check_grid);
+    one on it whose nearest interior node is further than h/2 away gets a
+    placement warning.  The walls are "dirichlet" on a box and
     "truncated" on the line.
     """
-    check_box_grid(pot, grid)
+    check_grid(pot, grid)
     h = grid.h
     kappa = pot.constants.hbar**2 / (2.0 * pot.constants.mass)
     x = grid.nodes[1:-1]

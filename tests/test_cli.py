@@ -59,9 +59,8 @@ class TestCompute:
                    "--gauge", "bender-tan", "--order", "1", "--n", "65",
                    "--out", str(out))
         assert code == 0
-        for name in ("kernel.csv", "iter_0.csv", "iter_1.csv",
-                     "supnorms.csv", "kernel.pgm", "manifest.json"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "iter_0.csv", "iter_1.csv", "kernel.csv", "kernel.pgm", "manifest.json"]
         # zero-gauge first order equals the closed form up to CSV rounding
         stored = kernel_from_csv(out / "kernel.csv")
         expected = square_well_eta1(0.1, Grid.for_box(np.pi, 65), BT)
@@ -71,7 +70,10 @@ class TestCompute:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diverged"] is False
         assert len(manifest["config_sha256"]) == 64
-        assert manifest["tolerances"]["kg"] > 1e-8
+        assert len(manifest["sup_norms"]) == 2
+        # the wave-operator budget is the kg record's own, taken from the stored kernel
+        assert run("verify", "--checks", "kg", "--out", str(out)) == 0
+        assert json.loads((out / "checks.jsonl").read_text())["meta"]["tolerance"] > 1e-8
 
     @pytest.mark.parametrize("extent", ["inf", "1e308"], ids=["infinite", "overflowing_box"])
     def test_non_finite_extent_exits_2(self, tmp_path, capsys, extent):
@@ -102,17 +104,15 @@ class TestCompute:
                 "--preset-seed", "bender-tan")
         assert run(*args, "--out", str(tmp_path / "a")) == 0
         assert run(*args, "--out", str(tmp_path / "b")) == 0
-        for name in ("kernel.csv", "iter_1.csv", "supnorms.csv",
-                     "kernel.pgm", "manifest.json"):
+        for name in ("kernel.csv", "iter_1.csv", "kernel.pgm", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_delta_second_iterate_table(self, tmp_path):
         out = tmp_path / "dl"
         assert run("compute", "--model", "deltas", "--deltas", "1:0",
                    "--order", "2", "--n", "65", "--out", str(out)) == 0
-        sup = (out / "supnorms.csv").read_text().splitlines()
-        assert sup[0] == "order,sup_norm"
-        assert sup[2] == "1,5.000000000000e-01"
+        sup = json.loads((out / "manifest.json").read_text())["sup_norms"]
+        assert sup[1] == 0.5
         k2 = kernel_from_csv(out / "iter_2.csv")
         g = k2.grid
         X, Y = g.mesh()
@@ -165,6 +165,20 @@ class TestCompute:
         assert manifest["diverged"] is True
         assert any("diverge" in w for w in manifest["warnings"])
 
+    def test_flags_and_document_share_the_default_order(self, tmp_path):
+        # the flags used to run order 1 and the same potential as a document order 4
+        flags = tmp_path / "flags"
+        assert run("compute", "--model", "square-well", "--n", "33", "--out", str(flags)) == 0
+        manifest = json.loads((flags / "manifest.json").read_text())
+        (tmp_path / "well.json").write_text(json.dumps(manifest["config"]["potential"]))
+        doc = tmp_path / "doc"
+        assert run("compute", "--potential", str(tmp_path / "well.json"), "--n", "33",
+                   "--out", str(doc)) == 0
+        recorded = json.loads((doc / "manifest.json").read_text())
+        assert recorded["config"]["series"] == manifest["config"]["series"]
+        assert manifest["config"]["series"]["max_order"] == series.KConfig().max_order
+        assert len(manifest["sup_norms"]) == len(recorded["sup_norms"]) == 5
+
     def test_seed_preset_conflict(self, tmp_path):
         assert run("compute", "--model", "square-well", "--seed", "nope.csv",
                    "--preset-seed", "zero", "--out", str(tmp_path / "x")) == 2
@@ -193,7 +207,7 @@ def serial_artifacts(model_args, out):
     pot, doc = commands._build_potential(args)
     grid = commands._build_grid(args, pot, doc)
     state = neumann_series(commands._build_seed(args, pot), pot,
-                           commands._build_series_config(args, doc), grid)
+                           commands._build_series_config(args, pot, doc), grid)
     out.mkdir()
     kernel_to_csv(state.partial_sum, out / "kernel.csv")
     for k, it in enumerate(state.iterates):
@@ -248,8 +262,8 @@ class TestParallelArtifacts:
                     (tmp_path / "serial" / name).read_bytes(), name
         # the run record is written as a good run writes it
         assert run("compute", *ARTIFACT_MODELS[model], "--out", str(tmp_path / "good")) == 0
-        for name in ("supnorms.csv", "manifest.json"):
-            assert (out / name).read_bytes() == (tmp_path / "good" / name).read_bytes(), name
+        assert (out / "manifest.json").read_bytes() == \
+            (tmp_path / "good" / "manifest.json").read_bytes()
 
     def test_failed_series_leaves_no_run_record(self, tmp_path, capfd, monkeypatch, model):
         # over an earlier run and in a fresh directory: the iterates written
@@ -271,7 +285,7 @@ class TestParallelArtifacts:
             capfd.readouterr()
             assert run("compute", *ARTIFACT_MODELS[model], "--out", str(out)) == 3
             assert capfd.readouterr().err.startswith("numerical failure: non-finite")
-            assert not (out / "manifest.json").exists() and not (out / "supnorms.csv").exists()
+            assert not (out / "manifest.json").exists()
             for name in ("iter_0.csv", "iter_1.csv"):
                 assert (out / name).read_bytes() == good[name], name
         assert sorted(p.name for p in fresh.iterdir()) == ["iter_0.csv", "iter_1.csv"]
@@ -558,11 +572,12 @@ class TestOracle:
                    "--gauge", "bender-tan", "--n", "65",
                    "--cross-check", str(run_dir / "kernel.csv"), "--out", str(out))
         assert code == 0
-        rec = json.loads((out / "cross_check.json").read_text())
+        summary = json.loads((out / "oracle.json").read_text())
+        rec = summary["cross_check"]
         assert rec["check"] == "difference-kg"
-        assert rec["pass"] is True
+        assert rec["pass"] is True and summary["cross_check_pass"] is True
 
-    def test_cross_check_difference_in_place_matches_a_copy(self, tmp_path):
+    def test_cross_check_difference_in_place_matches_a_copy(self, tmp_path, capsys):
         # oracle forms series - metric in the cross-check kernel's own array,
         # after reading the tolerance from it: the report is the one a copied
         # difference gives, byte for byte
@@ -570,8 +585,10 @@ class TestOracle:
         run_dir, out = tmp_path / "run", tmp_path / "orc"
         assert run("compute", *model, "--order", "1", "--preset-seed", "bender-tan",
                    "--out", str(run_dir)) == 0
+        capsys.readouterr()
         assert run("oracle", *model, "--cross-check", str(run_dir / "kernel.csv"),
                    "--out", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
         args = cli.build_parser().parse_args(["oracle", *model, "--out", str(out)])
         pot, doc = commands._build_potential(args)
         grid = commands._build_grid(args, pot, doc)
@@ -581,7 +598,22 @@ class TestOracle:
                       c_anti=series.c_anti - metric.c_anti, smooth=series.smooth - metric.smooth)
         rep = kg_residual(diff, pot, grid, tolerance=commands._kg_tolerance(pot, grid, series))
         rep = dataclasses.replace(rep, check="difference-kg")
-        assert (out / "cross_check.json").read_text() == rep.to_json_line() + "\n"
+        assert printed == rep.to_json_line()
+        assert json.loads((out / "oracle.json").read_text())["cross_check"] == json.loads(printed)
+
+    def test_plain_run_leaves_no_earlier_cross_check(self, tmp_path):
+        # an earlier cross-check's report used to stay beside the new oracle.json
+        model = ["--model", "square-well", "--n", "33"]
+        run_dir, out = tmp_path / "run", tmp_path / "orc"
+        assert run("compute", *model, "--order", "1", "--out", str(run_dir)) == 0
+        assert run("oracle", *model, "--cross-check", str(run_dir / "kernel.csv"),
+                   "--out", str(out)) == 0
+        assert "cross_check" in json.loads((out / "oracle.json").read_text())
+        assert run("oracle", *model, "--out", str(out)) == 0
+        summary = json.loads((out / "oracle.json").read_text())
+        assert "cross_check" not in summary and "cross_check_pass" not in summary
+        assert sorted(p.name for p in out.iterdir()) == ["metric.csv", "oracle.json",
+                                                        "spectrum.csv"]
 
     def test_cross_check_grid_mismatch(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -642,6 +674,23 @@ def test_bad_cross_check_writes_nothing(tmp_path, monkeypatch, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+def test_each_command_writes_exactly_its_files(tmp_path):
+    model = ["--model", "square-well", "--n", "33"]
+    run_dir, orc = tmp_path / "run", tmp_path / "orc"
+    assert run("compute", *model, "--order", "2", "--out", str(run_dir)) == 0
+    compute_files = ["iter_0.csv", "iter_1.csv", "iter_2.csv", "kernel.csv", "kernel.pgm",
+                     "manifest.json"]
+    assert sorted(p.name for p in run_dir.iterdir()) == compute_files
+    assert run("oracle", *model, "--cross-check", str(run_dir / "kernel.csv"),
+               "--out", str(orc)) == 0
+    oracle_files = ["metric.csv", "oracle.json", "spectrum.csv"]
+    assert sorted(p.name for p in orc.iterdir()) == oracle_files
+    assert run("verify", "--checks", "kg", "--out", str(run_dir)) == 0
+    assert run("verify", "--kernel", str(orc / "metric.csv"), "--out", str(orc)) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(compute_files + ["checks.jsonl"])
+    assert sorted(p.name for p in orc.iterdir()) == sorted(oracle_files + ["checks.jsonl"])
+
 
 class TestParser:
     def test_unknown_model_flag_value(self, tmp_path):
@@ -720,6 +769,17 @@ class TestInputErrors:
         # checked with the grid, before compute makes --out or iter_0.csv
         "extent_off_the_box": (("--model", "square-well", "--extent", "2"), {},
                                "does not match the box half-width"),
+        # compute used to exit 2 only after writing iter_0.csv
+        "coupling_off_the_grid": (("--model", "deltas", "--deltas", "0.5:3", "--extent", "2"),
+                                  {}, "delta location 3.0 lies outside the grid"),
+        # the slice rule has no base point: r0 used to change only the config hash
+        "r0_with_point_couplings_only": (
+            ("--potential", "{dir}/doc.json"),
+            {"doc.json": json.dumps({"constants": {"hbar": 1.0, "mass": 1.0},
+                                     "domain": {"type": "line"}, "segments": [],
+                                     "deltas": [{"a": 0.25, "zeta": 0.5}],
+                                     "grid": {"extent": 2.0}, "series": {"r0": 0.5}})},
+            "the series key r0 does not apply"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -745,6 +805,26 @@ class TestInputErrors:
         out = tmp_path / "run"
         capsys.readouterr()
         assert run("oracle", *argv, "--n", "33", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_coupling_off_the_grid_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        # oracle used to move the coupling to the nearest interior node and exit 0,
+        # and verify to exit 1 with a report
+        argv, _, message = self.CASES["coupling_off_the_grid"]
+        out = tmp_path / "run"
+        if command == "oracle":
+            argv = (*argv, "--n", "33")
+        else:  # a kernel with no run record beside it, on the flags' grid
+            kernel = tmp_path / "kernel.csv"
+            kernel_to_csv(identity_kernel(Grid(2.0, 33)), kernel)
+            argv = (*argv[:4], "--kernel", str(kernel),
+                    "--checks", "invertibility,pseudo-hermiticity")
+        capsys.readouterr()
+        assert run(command, *argv, "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
