@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--model", choices=["square-well", "scattering", "deltas"],
                            help="built-in potential family")
         group.add_argument("--potential", metavar="FILE",
-                           help="JSON potential document (may embed grid and series sections)")
+                           help="JSON potential document")
         p.add_argument("--zeta", type=float, default=None,
                        help="coupling strength for the built-in models (default 0.1)")
         p.add_argument("--deltas", metavar="Z:A[,Z:A...]", default=None,
@@ -81,12 +81,12 @@ def main(argv=None) -> int:
            "oracle": commands.cmd_oracle}[args.command]
     try:
         return run(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ExceptionalPointError, FloatingPointError, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:  # after LinAlgError, a ValueError subclass
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -96,7 +96,6 @@ def _load_doc(path: str) -> dict:
 
 
 def _build_potential(args):
-    """Return (potential, doc) where doc is the parsed JSON file, if any."""
     if args.deltas is not None and args.model != "deltas":
         raise ValueError("--deltas needs --model deltas")
     if args.gauge is not None and args.potential:
@@ -111,46 +110,28 @@ def _build_potential(args):
             raise ValueError("--zeta does not apply to --model deltas, "
                              "whose --deltas list sets the strengths")
     if args.potential:
-        doc = _load_doc(args.potential)
-        return potential_from_dict(doc), doc
+        return potential_from_dict(_load_doc(args.potential))
     model = args.model or "square-well"
     gauge = args.gauge or ("bender-tan" if model == "square-well" else "natural")
     const = constants_preset(gauge)
     zeta = DEFAULT_ZETA if args.zeta is None else args.zeta
     if model == "square-well":
-        return square_well(zeta, SQUARE_WELL_LENGTH, const), None
+        return square_well(zeta, SQUARE_WELL_LENGTH, const)
     if model == "scattering":
-        return scattering_potential(zeta, SCATTERING_LENGTH, const), None
+        return scattering_potential(zeta, SCATTERING_LENGTH, const)
     if not args.deltas:  # argparse admits only the deltas model here
         raise ValueError("the deltas model needs a --deltas list")
-    return delta_potential(_parse_delta_terms(args.deltas, const), const), None
+    return delta_potential(_parse_delta_terms(args.deltas, const), const)
 
 
-def _build_grid(args, pot, doc) -> Grid:
-    grid_doc = (doc or {}).get("grid", {})
-    n = args.n if args.n is not None else int(grid_doc.get("n", DEFAULT_N))
+def _build_grid(args, pot) -> Grid:
     if args.extent is not None:
         extent = args.extent
-    elif "extent" in grid_doc:
-        extent = float(grid_doc["extent"])
-    elif pot.domain.is_box:
-        extent = pot.domain.L / 2.0
     else:
-        extent = 2.0
-    grid = Grid(half_width=extent, n=n)
+        extent = pot.domain.L / 2.0 if pot.domain.is_box else 2.0
+    grid = Grid(half_width=extent, n=DEFAULT_N if args.n is None else args.n)
     check_grid(pot, grid)  # before compute or oracle writes anything
     return grid
-
-
-def _build_series_config(args, pot, doc) -> KConfig:
-    section = (doc or {}).get("series", {})
-    if "r0" in section and not pot.has_segments:
-        raise ValueError("the series key r0 does not apply: the potential has no "
-                         "segments, and point couplings have no base point")
-    cfg = KConfig.from_dict(section)
-    if args.order is not None:
-        cfg = dataclasses.replace(cfg, max_order=args.order)
-    return cfg
 
 
 def _read_seed_table(path: str) -> SeedPair:
@@ -213,9 +194,9 @@ def _write_manifest(out: Path, config: dict, extra: dict) -> None:
 
 
 def cmd_compute(args) -> int:
-    pot, doc = _build_potential(args)
-    grid = _build_grid(args, pot, doc)
-    cfg = _build_series_config(args, pot, doc)
+    pot = _build_potential(args)
+    grid = _build_grid(args, pot)
+    cfg = KConfig() if args.order is None else KConfig(max_order=args.order)
     seed = _build_seed(args, pot)
     out = Path(args.out)
 
@@ -300,11 +281,11 @@ def cmd_verify(args) -> int:
     # are needed only for a kernel with no run record in --out
     record = _run_record(out)
     if record is None:
-        pot, _ = _build_potential(args)
+        pot = _build_potential(args)
     else:
         recorded, recorded_grid, config_sha256 = record
         if any(getattr(args, flag) is not None for flag in MODEL_FLAGS):
-            flagged, _ = _build_potential(args)
+            flagged = _build_potential(args)
             if _canonical(potential_to_dict(flagged)) != _canonical(recorded):
                 raise ValueError(f"the model flags do not match the potential recorded "
                                  f"in {out} (config_sha256 {config_sha256})")
@@ -368,8 +349,8 @@ def _spectral_artifacts(pot, grid: Grid, order, out: Path):
 
 
 def cmd_oracle(args) -> int:
-    pot, doc = _build_potential(args)
-    grid = _build_grid(args, pot, doc)
+    pot = _build_potential(args)
+    grid = _build_grid(args, pot)
     if args.order is not None and not 1 <= args.order <= grid.n - 2:
         raise ValueError(f"--order must lie in [1, {grid.n - 2}] for n={grid.n}, "
                          f"got {args.order}")

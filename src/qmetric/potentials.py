@@ -255,6 +255,10 @@ def pt_delta_pairs(pairs, constants: PhysConstants) -> PotentialSpec:
     return delta_potential(terms, constants)
 
 
+# the top-level keys of a potential document, as potential_to_dict writes them
+DOCUMENT_KEYS = ("constants", "domain", "segments", "deltas")
+
+
 def potential_to_dict(pot: PotentialSpec) -> dict:
     dom: dict = {"type": pot.domain.kind}
     if pot.domain.is_box:
@@ -271,6 +275,11 @@ def potential_to_dict(pot: PotentialSpec) -> dict:
 
 def potential_from_dict(data: dict) -> PotentialSpec:
     try:
+        extra = sorted(set(data) - set(DOCUMENT_KEYS))
+        if extra:
+            raise ValueError(f"unknown potential keys {extra}: a potential holds only "
+                             f"{', '.join(DOCUMENT_KEYS)}; the grid comes from --n and "
+                             "--extent, the series order from --order")
         const = PhysConstants(hbar=float(data["constants"]["hbar"]),
                               mass=float(data["constants"]["mass"]))
         dom_data = data["domain"]

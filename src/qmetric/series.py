@@ -39,7 +39,7 @@ the optional stats dictionary and SeriesState.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -87,13 +87,6 @@ class KConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "KConfig":
-        extra = set(data) - {f.name for f in fields(KConfig)}
-        if extra:
-            raise ValueError(f"unknown series config keys: {sorted(extra)}")
-        return KConfig(**data)
 
 
 @dataclass
@@ -532,9 +525,11 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
     applications of K run.  The iterates are added in order.
 
     Stops after max_order applications or when the latest iterate's sup
-    norm drops below stop_tol.  Divergence (three consecutive sup-norm
-    increases ending above ten times the order-1 norm) sets a flag on
-    the returned state; the computation is still returned.
+    norm drops below stop_tol.  An iterate whose sup norm is not finite
+    raises FloatingPointError before the sink sees it.  Divergence (three
+    consecutive sup-norm increases ending above ten times the order-1
+    norm) sets a flag on the returned state; the computation is still
+    returned.
     """
     iterates: list = []
     if sink is None:
@@ -553,6 +548,9 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
                 smooth += k.smooth
             k = nxt
             sup_norms.append(k.sup_smooth)
+            if not np.isfinite(sup_norms[-1]):
+                raise FloatingPointError(f"iterate {order} of the series is not finite "
+                                         f"(sup norm {sup_norms[-1]})")
             c_diag += k.c_diag
             c_anti += k.c_anti
             sink(order, k)

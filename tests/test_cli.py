@@ -27,7 +27,13 @@ from qmetric.kernels import (
     parity_kernel,
 )
 from qmetric import series
-from qmetric.potentials import constants_preset
+from qmetric.potentials import (
+    DOCUMENT_KEYS,
+    constants_preset,
+    potential_from_dict,
+    potential_to_dict,
+    square_well,
+)
 from qmetric.series import neumann_series
 from qmetric.spectral import ExceptionalPointError
 from qmetric.verify import kg_residual
@@ -122,13 +128,12 @@ class TestCompute:
         assert np.max(np.abs(k2.smooth - closed)[inside]) < 1e-12
 
     def test_custom_doc_with_embedded_sections(self, tmp_path):
+        # a document holds the potential alone; the grid and order come from flags
         doc = {
             "constants": {"hbar": 1.0, "mass": 1.0},
             "domain": {"type": "line"},
             "segments": [],
             "deltas": [{"a": 0.5, "zeta": 0.25}],
-            "grid": {"extent": 2.0, "n": 65},
-            "series": {"max_order": 2},
         }
         (tmp_path / "custom.json").write_text(json.dumps(doc))
         (tmp_path / "seed.csv").write_text(
@@ -138,13 +143,16 @@ class TestCompute:
             "4.0,0.0,0.1,0.0,0.0\n")
         out = tmp_path / "cust"
         assert run("compute", "--potential", str(tmp_path / "custom.json"),
+                   "--extent", "2", "--n", "65", "--order", "2",
                    "--seed", str(tmp_path / "seed.csv"), "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["potential"] == doc
         assert manifest["config"]["series"]["max_order"] == 2
-        assert manifest["config"]["grid"]["n"] == 65
+        assert manifest["config"]["grid"] == {"extent": 2.0, "n": 65}
         assert manifest["config"]["seed"] == "seed.csv"
 
     def test_removed_series_key_rejected(self, tmp_path, capsys):
+        # a document no longer has a "series" section at all
         doc = {
             "constants": {"hbar": 1.0, "mass": 1.0},
             "domain": {"type": "line"},
@@ -155,7 +163,8 @@ class TestCompute:
         (tmp_path / "old.json").write_text(json.dumps(doc))
         assert run("compute", "--potential", str(tmp_path / "old.json"), "--n", "33",
                    "--out", str(tmp_path / "x")) == 2
-        assert "simpson_per_h" in capsys.readouterr().err
+        assert "unknown potential keys ['series']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_divergent_series_still_exits_zero(self, tmp_path):
         out = tmp_path / "div"
@@ -204,10 +213,10 @@ def serial_artifacts(model_args, out):
     """Write the kernel artifacts of `compute model_args` one after another in
     this process; return their file names."""
     args = cli.build_parser().parse_args(["compute", *model_args, "--out", str(out)])
-    pot, doc = commands._build_potential(args)
-    grid = commands._build_grid(args, pot, doc)
+    pot = commands._build_potential(args)
+    grid = commands._build_grid(args, pot)
     state = neumann_series(commands._build_seed(args, pot), pot,
-                           commands._build_series_config(args, pot, doc), grid)
+                           series.KConfig(max_order=args.order), grid)
     out.mkdir()
     kernel_to_csv(state.partial_sum, out / "kernel.csv")
     for k, it in enumerate(state.iterates):
@@ -291,6 +300,19 @@ class TestParallelArtifacts:
         assert sorted(p.name for p in fresh.iterdir()) == ["iter_0.csv", "iter_1.csv"]
 
 
+def test_non_finite_iterate_leaves_no_run_record(tmp_path, capfd):
+    # the second iterate overflows: the run used to exit 0 with inf and NaN
+    # in iter_2.csv, iter_3.csv, kernel.csv, the PGM and a manifest
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        assert run("compute", "--model", "deltas", "--deltas", "1e200:0", "--n", "33",
+                   "--order", "3", "--out", str(out)) == 3
+    err = capfd.readouterr().err
+    assert "numerical failure: iterate 2 of the series is not finite (sup norm inf)" in err
+    assert sorted(p.name for p in out.iterdir()) == ["iter_0.csv", "iter_1.csv"]
+
+
 # One fresh interpreter per start-up path.  Each snippet may set rc (main's
 # exit code), tables (the CSV formatter's cached tables) and star (the
 # names `from qmetric import *` binds, and whether an unknown name raises).
@@ -349,6 +371,28 @@ def test_import_footprint(tmp_path, monkeypatch, case):
 
 
 class TestVerify:
+    @pytest.mark.parametrize("case", ["nan_value", "svd_fails"])
+    def test_linear_algebra_failure_exits_3(self, tmp_path, monkeypatch, capsys, case):
+        # LinAlgError is a ValueError: it used to exit 2 as a configuration error
+        grid = Grid.for_box(np.pi, 33)
+        smooth = np.random.default_rng(7).standard_normal((33, 33))  # not Hermitian
+        if case == "nan_value":
+            smooth[16, 10] = np.nan
+        else:
+            def no_svd(*args, **kwargs):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            monkeypatch.setattr(np.linalg, "svd", no_svd)
+        kernel = tmp_path / "kernel.csv"
+        kernel_to_csv(Kernel(grid=grid, smooth=smooth), kernel)
+        out = tmp_path / "checks"
+        capsys.readouterr()
+        assert run("verify", "--model", "square-well", "--kernel", str(kernel),
+                   "--checks", "invertibility", "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: SVD did not converge\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_identity_kernel_real_well_all_pass(self, tmp_path):
         write_real_well_doc(tmp_path / "well.json")
         out = tmp_path / "v"
@@ -590,8 +634,8 @@ class TestOracle:
                    "--out", str(out)) == 0
         printed = capsys.readouterr().out.splitlines()[0]
         args = cli.build_parser().parse_args(["oracle", *model, "--out", str(out)])
-        pot, doc = commands._build_potential(args)
-        grid = commands._build_grid(args, pot, doc)
+        pot = commands._build_potential(args)
+        grid = commands._build_grid(args, pot)
         series = kernel_from_csv(run_dir / "kernel.csv")
         metric, _ = commands._spectral_artifacts(pot, grid, None, tmp_path)
         diff = Kernel(grid=grid, c_diag=series.c_diag - metric.c_diag,
@@ -715,6 +759,35 @@ class TestParser:
         assert sorted(defined - named) == [], "options the section does not name"
         assert sorted(named - defined) == [], "flags the section names that the parser lacks"
 
+    def test_readme_document_format_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        formats = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+        entry = formats.split("\n* Potential document", 1)[1].split("\n* ", 1)[0]
+        named = set(re.findall(r'`"([a-z_]+)"`', entry))
+        doc = potential_to_dict(square_well(0.1, np.pi, BT))
+        accepted = set(DOCUMENT_KEYS)
+        assert sorted(accepted - named) == [], "keys the entry does not name"
+        assert sorted(named - accepted) == [], "keys the entry names that are rejected"
+        assert set(doc) == accepted  # a run record's potential reads back
+        potential_from_dict(doc)
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ExceptionalPointError("coalescing pair"), 3, "numerical failure: "),
+    (FloatingPointError("non-finite value"), 3, "numerical failure: "),
+    (np.linalg.LinAlgError("SVD did not converge"), 3, "numerical failure: "),
+    (ValueError("bad input"), 2, "error: "),
+    (OSError("no space left"), 2, "error: "),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exit_code_of_each_exception(tmp_path, monkeypatch, capsys, exc, code, prefix):
+    def failing_verify(args):
+        raise exc
+
+    monkeypatch.setattr(commands, "cmd_verify", failing_verify)
+    capsys.readouterr()
+    assert run("verify", "--out", str(tmp_path)) == code
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
 
 SEED_HEADER = "x,up_re,up_im,um_re,um_im\n"
 
@@ -723,6 +796,11 @@ def seed_rows(um_im_at_zero=0.0):
     """Seed rows on x = -4, -2, 0, 2, 4 with u+ = x^2, u- = 0 (+ i um_im_at_zero at x = 0)."""
     return "".join(f"{x},{x * x},0.0,0.0,{um_im_at_zero if x == 0.0 else 0.0}\n"
                    for x in (-4.0, -2.0, 0.0, 2.0, 4.0))
+
+
+# one point coupling on the line, as a potential document
+COUPLING_DOC = {"constants": {"hbar": 1.0, "mass": 1.0}, "domain": {"type": "line"},
+                "segments": [], "deltas": [{"a": 0.25, "zeta": 0.5}]}
 
 
 class TestInputErrors:
@@ -772,15 +850,31 @@ class TestInputErrors:
         # compute used to exit 2 only after writing iter_0.csv
         "coupling_off_the_grid": (("--model", "deltas", "--deltas", "0.5:3", "--extent", "2"),
                                   {}, "delta location 3.0 lies outside the grid"),
-        # the slice rule has no base point: r0 used to change only the config hash
+        # a document is the potential alone: r0 has no source on the command line
         "r0_with_point_couplings_only": (
             ("--potential", "{dir}/doc.json"),
-            {"doc.json": json.dumps({"constants": {"hbar": 1.0, "mass": 1.0},
-                                     "domain": {"type": "line"}, "segments": [],
-                                     "deltas": [{"a": 0.25, "zeta": 0.5}],
-                                     "grid": {"extent": 2.0}, "series": {"r0": 0.5}})},
-            "the series key r0 does not apply"),
+            {"doc.json": json.dumps({**COUPLING_DOC, "grid": {"extent": 2.0},
+                                     "series": {"r0": 0.5}})},
+            "unknown potential keys ['grid', 'series']"),
+        # each section used to set a value that a flag also sets
+        "grid_section": (("--potential", "{dir}/doc.json"),
+                         {"doc.json": json.dumps({**COUPLING_DOC, "grid": {"n": 65}})},
+                         "unknown potential keys ['grid']: a potential holds only "
+                         "constants, domain, segments, deltas; the grid comes from --n and "
+                         "--extent, the series order from --order"),
+        "series_section": (("--potential", "{dir}/doc.json"),
+                           {"doc.json": json.dumps({**COUPLING_DOC,
+                                                    "series": {"max_order": 2}})},
+                           "unknown potential keys ['series']"),
+        # "delta" for "deltas" used to run the free particle and exit 0
+        "misspelled_deltas": (("--potential", "{dir}/doc.json"),
+                              {"doc.json": json.dumps({
+                                  "constants": {"hbar": 1.0, "mass": 1.0},
+                                  "domain": {"type": "line"},
+                                  "delta": [{"a": 0.25, "zeta": 0.5}]})},
+                              "unknown potential keys ['delta']"),
     }
+    DOCUMENT_CASES = ("grid_section", "series_section", "misspelled_deltas")
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_compute_exits_2_and_writes_nothing(self, tmp_path, capsys, case):
@@ -798,6 +892,31 @@ class TestInputErrors:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    @pytest.mark.parametrize("case", DOCUMENT_CASES)
+    def test_document_key_exits_2_and_writes_nothing(self, tmp_path, capsys, command, case):
+        # verify is tried on a run of the document's potential, with its run
+        # record and then without one
+        argv, files, message = self.CASES[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "run"
+        argv = [command, *(a.format(dir=tmp_path) for a in argv), "--out", str(out)]
+        if command == "verify":
+            assert run("compute", "--model", "deltas", "--deltas", "1:0.25", "--extent", "2",
+                       "--n", "33", "--order", "1", "--out", str(out)) == 0
+        else:
+            argv += ["--n", "33"]
+        for _ in range(2 if command == "verify" else 1):
+            before = sorted(p.name for p in out.iterdir()) if out.exists() else None
+            capsys.readouterr()
+            assert run(*argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and message in captured.err
+            assert captured.out == ""
+            assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
+            (out / "manifest.json").unlink(missing_ok=True)
 
     def test_oracle_extent_off_the_box_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # checked with the grid, before oracle makes --out

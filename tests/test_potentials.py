@@ -188,3 +188,12 @@ def test_malformed_json_rejected():
     with pytest.raises(ValueError, match="positive finite length"):
         potential_from_dict({"constants": {"hbar": 1, "mass": 1},
                              "domain": {"type": "box", "L": -2.0}})
+
+
+@pytest.mark.parametrize("key", ["delta", "grid", "series"])
+def test_unknown_key_rejected(key):
+    # a misspelled "deltas" used to give the free particle
+    doc = {**potential_to_dict(delta_potential([(0.0, 1.0)], constants_preset("natural"))),
+           key: []}
+    with pytest.raises(ValueError, match=rf"unknown potential keys \['{key}'\]"):
+        potential_from_dict(doc)

@@ -57,7 +57,8 @@ def constant_line_potential(value, half_width=2.0, constants=NAT):
 class TestKConfig:
     def test_defaults_round_trip(self):
         cfg = KConfig(r0=0.5, max_order=3, stop_tol=1e-8)
-        assert KConfig.from_dict(cfg.to_dict()) == cfg
+        assert cfg.to_dict() == {"r0": 0.5, "max_order": 3, "stop_tol": 1e-8}
+        assert KConfig(**cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("kwargs", [
         {"r0": float("nan")}, {"max_order": -1}, {"stop_tol": -1e-3},
@@ -68,8 +69,8 @@ class TestKConfig:
             KConfig(**kwargs)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown series config"):
-            KConfig.from_dict({"r0": 0.0, "panels": 3})
+        with pytest.raises(TypeError, match="panels"):
+            KConfig(r0=0.0, panels=3)
 
 
 class TestIdentityAction:
