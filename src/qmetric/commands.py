@@ -204,8 +204,11 @@ def cmd_compute(args) -> int:
         def write_iterate(order, kernel):
             if order == 0:  # the seed has passed seed_to_kernel's checks
                 out.mkdir(parents=True, exist_ok=True)
-                # an earlier run's record would describe other files
+                # an earlier run's record and iterates would describe another run
                 (out / "manifest.json").unlink(missing_ok=True)
+                for old in out.glob("iter_*.csv"):
+                    if not old.is_dir():  # that order's write fails on a directory
+                        old.unlink()
             files.write(kernel_to_csv, kernel, out / f"iter_{order}.csv")
 
         state = neumann_series(seed, pot, cfg, grid, sink=write_iterate)
@@ -260,18 +263,43 @@ MODEL_FLAGS = ("model", "potential", "zeta", "deltas", "gauge")
 
 def _run_record(out: Path):
     """(potential dict, grid, config_sha256) that out/manifest.json (from
-    compute) or out/oracle.json records, or None when out holds neither."""
+    compute) or out/oracle.json records, or None when out holds neither.
+    When out holds both, they must record the same potential."""
+    records = {}
     for path in (out / "manifest.json", out / "oracle.json"):
         if path.exists():
             try:
                 record = json.loads(path.read_text())
                 config = record["config"]
                 grid = Grid(float(config["grid"]["extent"]), int(config["grid"]["n"]))
-                return config["potential"], grid, record["config_sha256"]
+                records[path] = config["potential"], grid, record["config_sha256"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"run record {str(path)!r} holds no usable config: "
                                  f"{exc!r}") from exc
-    return None
+    if len({_canonical(potential) for potential, _, _ in records.values()}) > 1:
+        raise ValueError(f"the run records {' and '.join(repr(str(p)) for p in records)} "
+                         "give different potentials; verify the kernel where only the "
+                         "record of its own run lies")
+    return next(iter(records.values()), None)
+
+
+def _read_kernel(path) -> Kernel:
+    """kernel_from_csv, with FloatingPointError for a value that is not finite,
+    so that no check or solve runs on one."""
+    kernel = kernel_from_csv(path)
+    for name in ("c_diag", "c_anti"):
+        if not np.isfinite(getattr(kernel, name)):
+            raise FloatingPointError(f"kernel {str(path)!r} holds a non-finite {name}, "
+                                     f"{getattr(kernel, name)}")
+    finite = np.isfinite(kernel.smooth)
+    if not finite.all():
+        k = int(np.argmin(finite, axis=None))
+        i, j = divmod(k, kernel.grid.n)
+        x, y, value = kernel.grid.nodes[i], kernel.grid.nodes[j], kernel.smooth[i, j]
+        raise FloatingPointError(f"kernel {str(path)!r} holds a non-finite value in data row "
+                                 f"{k + 1}, at the node x,y = {float(x)!r},{float(y)!r}: "
+                                 f"re,im = {float(value.real)!r},{float(value.imag)!r}")
+    return kernel
 
 
 def cmd_verify(args) -> int:
@@ -290,7 +318,7 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"the model flags do not match the potential recorded "
                                  f"in {out} (config_sha256 {config_sha256})")
         pot = potential_from_dict(recorded)
-    kernel = kernel_from_csv(out / "kernel.csv" if args.kernel is None else Path(args.kernel))
+    kernel = _read_kernel(out / "kernel.csv" if args.kernel is None else Path(args.kernel))
     grid = kernel.grid
     if record is None:
         config_sha256 = _config_sha256(_model_config(pot, grid))
@@ -356,7 +384,7 @@ def cmd_oracle(args) -> int:
                          f"got {args.order}")
     series_kernel = None
     if args.cross_check:  # read first: a bad kernel fails before anything is written
-        series_kernel = kernel_from_csv(args.cross_check)
+        series_kernel = _read_kernel(args.cross_check)
         if not _grids_match(series_kernel.grid, grid):
             raise ValueError("cross-check kernel grid does not match the oracle grid")
     out = Path(args.out)

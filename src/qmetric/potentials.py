@@ -255,8 +255,10 @@ def pt_delta_pairs(pairs, constants: PhysConstants) -> PotentialSpec:
     return delta_potential(terms, constants)
 
 
-# the top-level keys of a potential document, as potential_to_dict writes them
-DOCUMENT_KEYS = ("constants", "domain", "segments", "deltas")
+# the top-level keys of a potential document, as potential_to_dict writes them,
+# each with the fields of its object or list entries ("L" on a box domain only)
+DOCUMENT_KEYS = {"constants": ("hbar", "mass"), "domain": ("type", "L"),
+                 "segments": ("from", "to", "re", "im"), "deltas": ("a", "zeta")}
 
 
 def potential_to_dict(pot: PotentialSpec) -> dict:
@@ -273,6 +275,13 @@ def potential_to_dict(pot: PotentialSpec) -> dict:
     }
 
 
+def _check_fields(part, where: str, fields) -> None:
+    extra = sorted(set(part) - set(fields))
+    if extra:
+        raise ValueError(f"unknown potential keys {extra} in {where}, which holds only "
+                         f"{', '.join(fields)}")
+
+
 def potential_from_dict(data: dict) -> PotentialSpec:
     try:
         extra = sorted(set(data) - set(DOCUMENT_KEYS))
@@ -280,15 +289,21 @@ def potential_from_dict(data: dict) -> PotentialSpec:
             raise ValueError(f"unknown potential keys {extra}: a potential holds only "
                              f"{', '.join(DOCUMENT_KEYS)}; the grid comes from --n and "
                              "--extent, the series order from --order")
+        _check_fields(data["constants"], "constants", DOCUMENT_KEYS["constants"])
         const = PhysConstants(hbar=float(data["constants"]["hbar"]),
                               mass=float(data["constants"]["mass"]))
         dom_data = data["domain"]
         if dom_data["type"] == "box":
+            _check_fields(dom_data, "domain", DOCUMENT_KEYS["domain"])
             dom = Domain.box(float(dom_data["L"]))
         elif dom_data["type"] == "line":
+            _check_fields(dom_data, "domain (type line)", ("type",))
             dom = Domain.line()
         else:
             raise ValueError(f"unknown domain type {dom_data['type']!r}")
+        for key in ("segments", "deltas"):
+            for k, part in enumerate(data.get(key, [])):
+                _check_fields(part, f"{key}[{k}]", DOCUMENT_KEYS[key])
         segments = tuple(
             ((float(s["from"]), float(s["to"])), complex(float(s["re"]), float(s["im"])))
             for s in data.get("segments", [])

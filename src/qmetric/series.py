@@ -32,9 +32,8 @@ other input runs the same code in complex128.
 
 Evaluations outside the grid square treat the kernel as zero.  For a
 box domain that is exact (the kernel vanishes at and beyond the walls);
-on the full line it is a truncation, counted per evaluation (per
-characteristic and cell in the smooth quadrature) and reported through
-the optional stats dictionary and SeriesState.
+on the full line it is a truncation, counted from the potential and the
+grid alone by _clamped_evals and reported as SeriesState.truncated_evals.
 """
 
 from __future__ import annotations
@@ -283,8 +282,7 @@ def _hermitian_image(S: np.ndarray, w: np.ndarray, grid: Grid, j0: int) -> np.nd
     return out
 
 
-def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
-                   grid: Grid, stats: dict | None = None) -> Kernel:
+def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid) -> Kernel:
     """Quadrature action of K on the smooth kernel part (segment potential).
 
     Singular parts of the input are ignored here; the dispatcher
@@ -294,13 +292,10 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     test S == S^dag runs over row blocks, without a copy of S^dag.  Any
     other input is split as S = S_h + i S_a into the Hermitian parts
     S_h = (S + S^dag)/2 and S_a = (S - S^dag)/(2i), and K, being linear,
-    gives K(S_h) + i K(S_a).  On the line, n of the 2n-1 characteristics
-    of each family leave the grid square inside each of the n-1 cells;
-    every such pair counts once per term.
+    gives K(S_h) + i K(S_a).
     """
     _check_grids(kernel, pot, grid)
-    n, X, count = grid.n, grid.half_width, not pot.domain.is_box
-    j0_hits = np.nonzero(np.abs(grid.nodes - cfg.r0) <= 1e-9 * max(1.0, X))[0]
+    j0_hits = np.nonzero(np.abs(grid.nodes - cfg.r0) <= 1e-9 * max(1.0, grid.half_width))[0]
     if len(j0_hits) == 0:
         raise ValueError(f"series base point r0={cfg.r0} must coincide with a grid node")
     j0, w, S = int(j0_hits[0]), _cell_weights(pot, grid), kernel.smooth
@@ -313,8 +308,6 @@ def apply_K_smooth(kernel: Kernel, pot: PotentialSpec, cfg: KConfig,
     out *= pot.constants.mass / pot.constants.hbar**2
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite value in characteristic quadrature")
-    if stats is not None:
-        stats["truncated_evals"] = stats.get("truncated_evals", 0) + count * 4 * n * (n - 1)
     return Kernel(grid=grid, smooth=out)
 
 
@@ -369,7 +362,7 @@ class _SliceModel:
 
 
 def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
-                       stats: dict | None = None, sup: float | None = None) -> Kernel:
+                       sup: float | None = None) -> Kernel:
     """Action of the point couplings i*zeta_n*delta(x - a_n) under K.
 
     For each coupling, with z_n = 2 m zeta_n / hbar^2:
@@ -384,15 +377,14 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     The smooth part evaluates each slice antiderivative on the 2n - 1
     points diff_nodes -+ a_n only (four 1-D calls per coupling): node
     (i, j) reads x + y - a_n at index i + j and x - y + a_n (y - x + a_n)
-    at index i - j + n - 1 (j - i + n - 1).  Clamped limits are counted on
-    the same points, weighted by the number of grid nodes on each
-    diagonal.  The antiderivatives are continuous, so where h is not
-    dyadic and diff_nodes[i + j] differs from x_i + y_j by round-off the
-    result moves by round-off only.  The singular-part steps are not
-    continuous: a round-off shift flips their theta(0) = 1/2 ties on lines
-    such as x + y = 2 a_n, so they are evaluated on x_i + y_j, x_i - y_j
-    and y_j - x_i, formed from the node vectors for _BLOCK rows x at a
-    time, coupling by coupling: no n x n mesh is built.
+    at index i - j + n - 1 (j - i + n - 1).  The antiderivatives are
+    continuous, so where h is not dyadic and diff_nodes[i + j] differs
+    from x_i + y_j by round-off the result moves by round-off only.  The
+    singular-part steps are not continuous: a round-off shift flips their
+    theta(0) = 1/2 ties on lines such as x + y = 2 a_n, so they are
+    evaluated on x_i + y_j, x_i - y_j and y_j - x_i, formed from the node
+    vectors for _BLOCK rows x at a time, coupling by coupling: no n x n
+    mesh is built.
 
     A finite smooth part that is exactly real or exactly imaginary is
     sliced in float64, through a real view of it, without a copy.  The
@@ -409,9 +401,6 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     nodes, diff = grid.nodes, grid.diff_nodes
     out = np.zeros((n, n), dtype=complex)
     c0 = pot.constants.c0
-    tol = 1e-9 * max(1.0, half)
-    clamped = 0
-    count = not pot.domain.is_box
     locations = [a for a, _ in pot.deltas]
     if sup is None:
         sup = kernel.sup_smooth
@@ -419,8 +408,6 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     if sup > 0.0 and np.isfinite(sup):  # complex arithmetic turns inf into nan
         S, phase = _one_component(S)
     singular = kernel.c_diag != 0.0 or kernel.c_anti != 0.0
-    # grid nodes on the diagonal u = i + j, and on u = i - j + n - 1
-    multiplicity = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
     for a, zeta in pot.deltas:
         z = c0 * zeta
         for r in range(0, n if singular else 0, _BLOCK):
@@ -446,9 +433,6 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
             col_model = _SliceModel(nodes, col, cuts)
             row_model = _SliceModel(nodes, row, cuts)
             t_sum, t_dif = diff - a, diff + a
-            if count:
-                clamped += int(multiplicity @ (np.abs(t_sum) > half + tol))
-                clamped += 2 * int(multiplicity @ (np.abs(t_dif) > half + tol))
             col_sum = col_model.antiderivative(t_sum)
             col_dif = col_model.antiderivative(t_dif)
             row_sum = row_model.antiderivative(t_sum)
@@ -468,13 +452,11 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
                 out.imag += image
             else:  # (iz/2) i s = -(z/2) s
                 out.real -= image
-    if stats is not None:
-        stats["truncated_evals"] = stats.get("truncated_evals", 0) + clamped
     return Kernel(grid=grid, smooth=out)
 
 
 def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
-            stats: dict | None = None, sup: float | None = None) -> Kernel:
+            sup: float | None = None) -> Kernel:
     """One application of K, dispatching singular and smooth input parts.
 
     The images of the parts are summed into a zeroed array, except that
@@ -495,9 +477,9 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
     # each image's zeros are +0.0 (see _hermitian_image; the slice rule sums
     # from +0.0), as zeros + image leaves them
     if pot.has_segments and kernel.c_diag == 0.0 and not pot.has_deltas and sup > 0.0:
-        return apply_K_smooth(kernel, pot, cfg, grid, stats)
+        return apply_K_smooth(kernel, pot, cfg, grid)
     if pot.has_deltas and not pot.has_segments:
-        return apply_K_delta_rule(kernel, pot, grid, stats, sup)
+        return apply_K_delta_rule(kernel, pot, grid, sup)
     out = np.zeros((grid.n, grid.n), dtype=complex)
     if pot.has_segments:
         if kernel.c_diag != 0.0:
@@ -505,10 +487,27 @@ def apply_K(kernel: Kernel, pot: PotentialSpec, cfg: KConfig, grid: Grid,
             out += np.multiply(kernel.c_diag, image, out=image)
             del image
         if sup > 0.0:
-            out += apply_K_smooth(kernel, pot, cfg, grid, stats).smooth
+            out += apply_K_smooth(kernel, pot, cfg, grid).smooth
     if pot.has_deltas:
-        out += apply_K_delta_rule(kernel, pot, grid, stats, sup).smooth
+        out += apply_K_delta_rule(kernel, pot, grid, sup).smooth
     return Kernel(grid=grid, smooth=out)
+
+
+def _clamped_evals(pot: PotentialSpec, grid: Grid) -> int:
+    """Limits that K clamps to the grid square on an input with a smooth part:
+    none on a box; on the line, n of the 2n - 1 characteristics of each family
+    per cell and quadrature term, and for each coupling at a the slice limits
+    x + y - a and +-(x - y) + a beyond the window, once per node of a diagonal."""
+    if pot.domain.is_box:
+        return 0
+    n, half = grid.n, grid.half_width
+    tol, count = 1e-9 * max(1.0, half), 4 * n * (n - 1) * pot.has_segments
+    # grid nodes on the diagonal u = i + j, and on u = i - j + n - 1
+    multiplicity = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
+    for a, _ in pot.deltas:
+        count += int(multiplicity @ (np.abs(grid.diff_nodes - a) > half + tol))
+        count += 2 * int(multiplicity @ (np.abs(grid.diff_nodes + a) > half + tol))
+    return count
 
 
 def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
@@ -538,10 +537,9 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
     sup_norms = [k.sup_smooth]
     sink(0, k)
     c_diag, c_anti, smooth = 0 + k.c_diag, 0 + k.c_anti, None
-    stats: dict = {}
     if pot.has_segments or pot.has_deltas:
         for order in range(1, cfg.max_order + 1):
-            nxt = apply_K(k, pot, cfg, grid, stats, sup_norms[-1])
+            nxt = apply_K(k, pot, cfg, grid, sup_norms[-1])
             if k is not seed_kernel:
                 if smooth is None:
                     smooth, seed_kernel = np.add(seed_kernel.smooth, 0.0), None
@@ -564,9 +562,9 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
     diverged = (len(sup_norms) >= 4
                 and sup_norms[-1] > sup_norms[-2] > sup_norms[-3] > sup_norms[-4]
                 and sup_norms[-1] > 10.0 * sup_norms[1])
+    applied = sum(1 for s in sup_norms[:-1] if s > 0.0)
     return SeriesState(iterates=iterates, partial_sum=partial, sup_norms=sup_norms,
-                       diverged=diverged,
-                       truncated_evals=stats.get("truncated_evals", 0))
+                       diverged=diverged, truncated_evals=applied * _clamped_evals(pot, grid))
 
 
 def convergence_bound(pot: PotentialSpec, grid: Grid, ell: int) -> np.ndarray:

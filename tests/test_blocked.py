@@ -109,8 +109,9 @@ def reference_seed_to_kernel(seed, grid):
     return Kernel(grid=grid, c_diag=1.0, smooth=smooth)
 
 
-def reference_apply_K_delta_rule(kernel, pot, grid, stats=None, sup=None):
-    # the singular parts' steps on n x n meshes, built once per call
+def reference_apply_K_delta_rule(kernel, pot, grid, sup=None):
+    # the singular parts' steps on n x n meshes, built once per call, and the
+    # clamped limits counted on the difference grid; returns (kernel, clamped)
     n, h, half = grid.n, grid.h, grid.half_width
     nodes, diff = grid.nodes, grid.diff_nodes
     out = np.zeros((n, n), dtype=complex)
@@ -167,9 +168,7 @@ def reference_apply_K_delta_rule(kernel, pot, grid, stats=None, sup=None):
                 out.imag += image
             else:
                 out.real -= image
-    if stats is not None:
-        stats["truncated_evals"] = stats.get("truncated_evals", 0) + clamped
-    return Kernel(grid=grid, smooth=out)
+    return Kernel(grid=grid, smooth=out), clamped
 
 
 # --------------------------------------------------------------------------
@@ -226,18 +225,13 @@ def test_apply_K_smooth_bits(case, n, monkeypatch):
     pot, grid = CASES[case](n)
     inputs = hermitian_inputs(grid)
     inputs["iterate"] = apply_K_to_identity(pot, grid, CFG).smooth
-    got = {}
-    for name, S in inputs.items():
-        stats = {}
-        got[name] = (apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid, stats).smooth,
-                     stats)
+    got = {name: apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid).smooth
+           for name, S in inputs.items()}
     monkeypatch.setattr(series, "_characteristic_term", reference_characteristic_term)
     for name, S in inputs.items():
-        stats = {}
-        ref = apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid, stats).smooth
-        assert got[name][0].tobytes() == ref.tobytes(), name
-        assert got[name][1] == stats == {
-            "truncated_evals": (not pot.domain.is_box) * 4 * n * (n - 1)}
+        ref = apply_K_smooth(smooth_kernel(grid, S), pot, CFG, grid).smooth
+        assert got[name].tobytes() == ref.tobytes(), name
+    assert series._clamped_evals(pot, grid) == (not pot.domain.is_box) * 4 * n * (n - 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -338,11 +332,11 @@ def test_singular_image_bits(c_diag, c_anti, smooth, n):
     k = Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=part)
     # and two couplings off the nodes, where the steps meet theta(0) ties
     for pot in (three, delta_potential([(0.1, 0.4), (0.55, -0.3)], BT)):
-        got_stats, ref_stats = {}, {}
-        got = apply_K_delta_rule(k, pot, grid, got_stats).smooth
-        ref = reference_apply_K_delta_rule(k, pot, grid, ref_stats).smooth
-        assert got.tobytes() == ref.tobytes()
-        assert got_stats == ref_stats
+        got = apply_K_delta_rule(k, pot, grid).smooth
+        ref, clamped = reference_apply_K_delta_rule(k, pot, grid)
+        assert got.tobytes() == ref.smooth.tobytes()
+        # an input with no smooth part clamps nothing
+        assert series._clamped_evals(pot, grid) * smooth == clamped
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -356,13 +350,13 @@ def test_coupling_image_is_the_slice_rule_image(n):
                                       * (1.0 + 0.2j * np.sign(np.subtract.outer(x, x))))}
     inputs["iterate"] = apply_K(inputs["identity"], pot, CFG, grid)
     for name, k in inputs.items():
-        got_stats, ref_stats = {}, {}
-        got = apply_K(k, pot, CFG, grid, got_stats).smooth
+        got = apply_K(k, pot, CFG, grid).smooth
         ref = np.zeros((grid.n, grid.n), dtype=complex)
-        ref += apply_K_delta_rule(k, pot, grid, ref_stats).smooth
+        ref += apply_K_delta_rule(k, pot, grid).smooth
         assert got.tobytes() == ref.tobytes(), name
-        assert got_stats == ref_stats, name
         assert (got == 0.0).any(), name
+        clamped = reference_apply_K_delta_rule(k, pot, grid)[1]
+        assert series._clamped_evals(pot, grid) * (k.sup_smooth > 0.0) == clamped, name
 
 
 # --------------------------------------------------------------------------

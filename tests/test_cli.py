@@ -29,10 +29,11 @@ from qmetric.kernels import (
 from qmetric import series
 from qmetric.potentials import (
     DOCUMENT_KEYS,
+    Domain,
+    PotentialSpec,
     constants_preset,
     potential_from_dict,
     potential_to_dict,
-    square_well,
 )
 from qmetric.series import neumann_series
 from qmetric.spectral import ExceptionalPointError
@@ -112,6 +113,19 @@ class TestCompute:
         assert run(*args, "--out", str(tmp_path / "b")) == 0
         for name in ("kernel.csv", "iter_1.csv", "kernel.pgm", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_rerun_leaves_no_iterates_of_an_earlier_run(self, tmp_path):
+        # the n 33 iter_3.csv to iter_6.csv used to stay beside an order-2 manifest
+        out = tmp_path / "run"
+        assert run("compute", "--n", "33", "--order", "6", "--out", str(out)) == 0
+        run("verify", "--checks", "kg", "--out", str(out))
+        checks = (out / "checks.jsonl").read_bytes()
+        assert run("compute", "--n", "65", "--order", "2", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.glob("iter_*.csv")) == [
+            "iter_0.csv", "iter_1.csv", "iter_2.csv"]
+        assert all(kernel_from_csv(p).grid.n == 65 for p in out.glob("iter_*.csv"))
+        # each of its records carries the config_sha256 it was checked against
+        assert (out / "checks.jsonl").read_bytes() == checks
 
     def test_delta_second_iterate_table(self, tmp_path):
         out = tmp_path / "dl"
@@ -370,6 +384,36 @@ def test_import_footprint(tmp_path, monkeypatch, case):
             assert "unrecognized arguments: --bogus" in done.stderr
 
 
+def no_call(*args, **kwargs):
+    raise AssertionError("called after the input failed")
+
+
+# a value made non-finite in a kernel CSV: its node (i, j) and the re,im put there
+NON_FINITE = {"nan": (16, 10, "nan", "0.0"), "inf": (1, 0, "0.0", "-inf")}
+
+
+def write_non_finite_kernel(tmp_path, bad):
+    """The order-1 kernel of the default well at n 33 with one value or c_diag
+    made non-finite; returns its path and the error that reading it gives."""
+    run_dir = tmp_path / "series"
+    assert run("compute", "--n", "33", "--order", "1", "--out", str(run_dir)) == 0
+    lines = (run_dir / "kernel.csv").read_text().splitlines(keepends=True)
+    path = tmp_path / "bad.csv"
+    if bad == "c_diag":
+        lines[0] = lines[0].replace("1.000000000000e+00", "inf", 1)
+        error = "holds a non-finite c_diag, (inf+0j)"
+    else:
+        i, j, re_, im = NON_FINITE[bad]
+        x, y = lines[4 + 33 * i + j].split(",")[:2]
+        lines[4 + 33 * i + j] = f"{x},{y},{re_},{im}\n"
+        nodes = kernel_from_csv(run_dir / "kernel.csv").grid.nodes
+        error = (f"holds a non-finite value in data row {33 * i + j + 1}, at the node x,y = "
+                 f"{float(nodes[i])!r},{float(nodes[j])!r}: re,im = {float(re_)!r},"
+                 f"{float(im)!r}")
+    path.write_text("".join(lines))
+    return path, f"numerical failure: kernel {str(path)!r} {error}\n"
+
+
 class TestVerify:
     @pytest.mark.parametrize("case", ["nan_value", "svd_fails"])
     def test_linear_algebra_failure_exits_3(self, tmp_path, monkeypatch, capsys, case):
@@ -389,9 +433,67 @@ class TestVerify:
         assert run("verify", "--model", "square-well", "--kernel", str(kernel),
                    "--checks", "invertibility", "--out", str(out)) == 3
         captured = capsys.readouterr()
-        assert captured.err == "numerical failure: SVD did not converge\n"
+        if case == "nan_value":  # refused on reading, before any check
+            assert captured.err.startswith(f"numerical failure: kernel {str(kernel)!r} holds "
+                                           "a non-finite value in data row 539, at the node")
+        else:
+            assert captured.err == "numerical failure: SVD did not converge\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("checks", ["kg", "pseudo-hermiticity", "positivity",
+                                        "invertibility"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "c_diag"])
+    def test_non_finite_kernel_exits_3_before_any_check(self, tmp_path, monkeypatch, capsys,
+                                                        checks, bad):
+        # kg and pseudo-hermiticity used to exit 1 with a bare NaN token in their
+        # records, positivity and invertibility to exit 3 from LAPACK
+        kernel, error = write_non_finite_kernel(tmp_path, bad)
+        monkeypatch.setattr(commands, "_run_checks", no_call)
+        out = tmp_path / "checks"
+        capsys.readouterr()
+        assert run("verify", "--kernel", str(kernel), "--checks", checks,
+                   "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == error
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_two_run_records_of_different_potentials_exit_2(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the zeta 0.3 metric used to be checked against the zeta 0.1 manifest
+        # and fail pseudo_hermiticity, and --zeta 0.3 to exit 2 on the flags
+        out = tmp_path / "run"
+        assert run("compute", "--zeta", "0.1", "--n", "65", "--order", "1",
+                   "--out", str(out)) == 0
+        assert run("oracle", "--zeta", "0.3", "--n", "65", "--out", str(out)) == 0
+        before = sorted(p.name for p in out.iterdir())
+        monkeypatch.setattr(commands, "kernel_from_csv", no_call)
+        for flags in ((), ("--zeta", "0.3"), ("--zeta", "0.1")):
+            capsys.readouterr()
+            assert run("verify", "--kernel", str(out / "metric.csv"), *flags,
+                       "--out", str(out)) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: the run records {str(out / 'manifest.json')!r} and "
+                f"{str(out / 'oracle.json')!r} give different potentials; verify the kernel "
+                "where only the record of its own run lies\n")
+            assert captured.out == ""
+            assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_oracle_of_the_same_model_in_the_compute_directory_verifies(self, tmp_path):
+        # README's example: oracle writes beside the series it cross-checks
+        out = tmp_path / "run"
+        model = ("--model", "square-well", "--zeta", "0.1", "--n", "65")
+        assert run("compute", *model, "--order", "2", "--out", str(out)) == 0
+        assert run("oracle", *model, "--order", "40", "--out", str(out),
+                   "--cross-check", str(out / "kernel.csv")) == 0
+        assert run("verify", "--out", str(out), "--checks", "kg,positivity,invertibility") == 0
+        assert run("verify", "--kernel", str(out / "metric.csv"), "--out", str(out),
+                   "--checks", "kg,pseudo-hermiticity") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert json.loads((out / "checks.jsonl").read_text().splitlines()[0])[
+            "config_sha256"] == manifest["config_sha256"]
 
     def test_identity_kernel_real_well_all_pass(self, tmp_path):
         write_real_well_doc(tmp_path / "well.json")
@@ -719,6 +821,23 @@ def test_bad_cross_check_writes_nothing(tmp_path, monkeypatch, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
 
+
+@pytest.mark.parametrize("bad", ["nan", "c_diag"])
+def test_non_finite_cross_check_kernel_exits_3_before_the_solve(tmp_path, monkeypatch,
+                                                                 capsys, bad):
+    # oracle used to run the whole eigen-solve, then exit 1 and write two bare
+    # NaN tokens into oracle.json
+    kernel, error = write_non_finite_kernel(tmp_path, bad)
+    monkeypatch.setattr(commands, "discretize", no_call)
+    out = tmp_path / "orc"
+    capsys.readouterr()
+    assert run("oracle", "--n", "33", "--cross-check", str(kernel), "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == error
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_each_command_writes_exactly_its_files(tmp_path):
     model = ["--model", "square-well", "--n", "33"]
     run_dir, orc = tmp_path / "run", tmp_path / "orc"
@@ -760,16 +879,40 @@ class TestParser:
         assert sorted(named - defined) == [], "flags the section names that the parser lacks"
 
     def test_readme_document_format_names_every_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        formats = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
-        entry = formats.split("\n* Potential document", 1)[1].split("\n* ", 1)[0]
-        named = set(re.findall(r'`"([a-z_]+)"`', entry))
-        doc = potential_to_dict(square_well(0.1, np.pi, BT))
-        accepted = set(DOCUMENT_KEYS)
-        assert sorted(accepted - named) == [], "keys the entry does not name"
-        assert sorted(named - accepted) == [], "keys the entry names that are rejected"
-        assert set(doc) == accepted  # a run record's potential reads back
+        entry = readme_file_format("Potential document")
+        # `"key"` for each part, then `field` for the fields of that part
+        parts = re.split(r'`"([a-z_]+)"`', entry)[1:]
+        named = {key: set(re.findall(r"`([A-Za-z_]+)`", text))
+                 for key, text in zip(parts[::2], parts[1::2])}
+        named["domain"] -= {"box", "line"}  # the values of its type
+        assert sorted(set(DOCUMENT_KEYS) - set(named)) == [], "keys the entry does not name"
+        assert sorted(set(named) - set(DOCUMENT_KEYS)) == [], "keys it names that are rejected"
+        for key, fields in DOCUMENT_KEYS.items():
+            assert sorted(set(fields) - named[key]) == [], f"fields of {key} it does not name"
+            assert sorted(named[key] - set(fields)) == [], f"fields of {key} that are rejected"
+        # a run record's potential holds these fields and reads back
+        doc = potential_to_dict(PotentialSpec(BT, Domain.box(2.0), segments=(((-1, 1), 0.2j),),
+                                              deltas=((0.5, 1.0),)))
+        assert {key: tuple(part if key in ("constants", "domain") else part[0])
+                for key, part in doc.items()} == DOCUMENT_KEYS
         potential_from_dict(doc)
+
+    def test_readme_manifest_entry_names_every_key(self, tmp_path):
+        # the keys compute writes; the potential has its own entry
+        assert run("compute", "--n", "33", "--order", "1", "--out", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        config = manifest["config"]
+        written = set(manifest) | set(config) | set(config["grid"]) | set(config["series"])
+        named = set(re.findall(r"`([A-Za-z_0-9]+)`", readme_file_format("`manifest.json`")))
+        assert sorted(written - named) == [], "keys the entry does not name"
+        assert sorted(named - written) == [], "keys it names that compute does not write"
+
+
+def readme_file_format(name):
+    """The text of README's File formats entry that starts with `name`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    formats = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    return formats.split(f"\n* {name}", 1)[1].split("\n* ", 1)[0]
 
 
 @pytest.mark.parametrize("exc, code, prefix", [
@@ -917,6 +1060,25 @@ class TestInputErrors:
             assert captured.out == ""
             assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
             (out / "manifest.json").unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("command", ["compute", "oracle", "verify"])
+    @pytest.mark.parametrize("part, key, where", [
+        ("constants", "c0", "constants"), ("domain", "L", "domain (type line)"),
+        ("segments", "v", "segments[0]"), ("deltas", "z", "deltas[0]")])
+    def test_nested_document_key_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                            part, key, where):
+        # each of these keys used to be dropped without a word
+        doc = {**COUPLING_DOC, "segments": [{"from": -1, "to": 1, "re": 0, "im": 0.2}]}
+        doc = json.loads(json.dumps(doc))
+        (doc[part] if part in ("constants", "domain") else doc[part][0])[key] = 3
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run(command, "--potential", str(tmp_path / "doc.json"), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: unknown potential keys ['{key}'] in {where}, ")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_oracle_extent_off_the_box_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # checked with the grid, before oracle makes --out

@@ -197,3 +197,28 @@ def test_unknown_key_rejected(key):
            key: []}
     with pytest.raises(ValueError, match=rf"unknown potential keys \['{key}'\]"):
         potential_from_dict(doc)
+
+
+
+# each stray field used to be dropped without a word
+STRAY_FIELDS = {
+    "constants": ("constants", "c0", "constants, which holds only hbar, mass"),
+    "line_domain": ("domain", "L", "domain (type line), which holds only type"),
+    "box_domain": ("domain", "width", "domain, which holds only type, L"),
+    "segment": ("segments", "v", "segments[0], which holds only from, to, re, im"),
+    "coupling": ("deltas", "z", "deltas[1], which holds only a, zeta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_FIELDS))
+def test_unknown_nested_key_rejected(case):
+    domain = Domain.box(4.0) if case == "box_domain" else Domain.line()
+    doc = potential_to_dict(PotentialSpec(constants_preset("natural"), domain,
+                                          segments=(((-1.0, 1.0), 0.2j),),
+                                          deltas=((0.0, 1.0), (0.5, -1.0))))
+    potential_from_dict(doc)
+    part, key, where = STRAY_FIELDS[case]
+    (doc[part] if part in ("constants", "domain") else doc[part][-1])[key] = 3.0
+    with pytest.raises(ValueError) as err:
+        potential_from_dict(doc)
+    assert str(err.value) == f"unknown potential keys ['{key}'] in {where}"

@@ -176,19 +176,13 @@ class TestSmoothQuadratureExact:
             apply_K_smooth(smooth_kernel(grid, bad), pot, CFG, grid)
 
     def test_truncation_counter(self):
+        # on the line, n of the 2n - 1 characteristics of each family leave
+        # the window in each of the n - 1 cells, once per term
         grid = Grid(half_width=1.0, n=41)
         pot = constant_line_potential(1.0, half_width=1.0)
-        stats = {}
-        apply_K_smooth(smooth_kernel(grid, np.ones((41, 41), dtype=complex)),
-                       pot, CFG, grid, stats=stats)
-        assert stats["truncated_evals"] > 0
+        assert series._clamped_evals(pot, grid) == 4 * 41 * 40
         # box domains clamp silently: the kernel is zero beyond the walls
-        box_stats = {}
-        box_pot = square_well(0.4, 2.0, NAT)
-        box_grid = Grid.for_box(2.0, 41)
-        apply_K_smooth(smooth_kernel(box_grid, np.ones((41, 41), dtype=complex)),
-                       box_pot, CFG, box_grid, stats=box_stats)
-        assert box_stats["truncated_evals"] == 0
+        assert series._clamped_evals(square_well(0.4, 2.0, NAT), Grid.for_box(2.0, 41)) == 0
 
     @pytest.mark.parametrize("bilinear", [False, True])
     @pytest.mark.parametrize("L", [1.0, 1.01])
@@ -323,7 +317,8 @@ def mesh_delta_rule(kernel, pot, grid):
     """Slice rule with every antiderivative evaluated on the n x n query meshes.
 
     Reference copy of the plain O(n^2) evaluation for the difference-grid
-    gathers of apply_K_delta_rule; returns (smooth, truncated_evals).
+    gathers of apply_K_delta_rule; returns (smooth, clamped), clamped the
+    number of limits that leave the window.
     """
     n, h, half = grid.n, grid.h, grid.half_width
     X, Y = grid.mesh()
@@ -485,10 +480,9 @@ class TestDeltaRule:
     def test_truncation_counted_on_the_line(self):
         grid = Grid(half_width=1.0, n=41)
         pot = delta_potential([(0.0, 0.5)], NAT)
-        stats = {}
-        apply_K_delta_rule(smooth_kernel(grid, np.ones((41, 41), dtype=complex)),
-                           pot, grid, stats=stats)
-        assert stats["truncated_evals"] > 0
+        clamped = mesh_delta_rule(smooth_kernel(grid, np.ones((41, 41), dtype=complex)),
+                                  pot, grid)[1]
+        assert series._clamped_evals(pot, grid) == clamped > 0
 
     def test_coupling_outside_grid_raises(self):
         grid = Grid(half_width=1.0, n=41)
@@ -508,14 +502,13 @@ class TestDeltaRule:
         smooth = np.exp(-(X**2 + Y**2)) * (1.0 + 0.3j * X * Y) + 0.2 * (X > 0.3)
         kernel = Kernel(grid=grid, c_anti=1.0 if channel == "parity" else 0.0,
                         smooth=smooth)
-        stats = {}
-        out = apply_K_delta_rule(kernel, pot, grid, stats=stats).smooth
+        out = apply_K_delta_rule(kernel, pot, grid).smooth
         ref, clamped = mesh_delta_rule(kernel, pot, grid)
         if exact:
             assert np.array_equal(out, ref)
         else:
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert stats["truncated_evals"] == clamped > 0
+        assert series._clamped_evals(pot, grid) == clamped > 0
 
     @pytest.mark.parametrize("half_width, n", [(2.0, 129), (1.7, 101)],
                              ids=["dyadic", "non_dyadic"])
@@ -920,6 +913,20 @@ class TestNeumannSeries:
         assert state.sup_norms[1] == pytest.approx(0.5, abs=1e-15)
         assert state.truncated_evals > 0
         assert not state.diverged
+
+    def test_truncated_evals_count_the_applications_with_a_smooth_input(self):
+        # the zero seed has no smooth part, so its image K u clamps nothing
+        grid = Grid(half_width=2.0, n=65)
+        couplings = delta_potential([(0.5, 0.8), (-0.355, 0.6), (0.0, -0.3)], NAT)
+        state = neumann_series(SeedPair.zero(), couplings, KConfig(max_order=6), grid)
+        assert len(state.sup_norms) == 7 and state.sup_norms[0] == 0.0
+        ones = smooth_kernel(grid, np.ones((65, 65), dtype=complex))
+        clamped = mesh_delta_rule(ones, couplings, grid)[1]
+        assert state.truncated_evals == 5 * clamped > 0
+        segments = scattering_potential(0.1, 1.0, NAT)
+        state = neumann_series(SeedPair.zero(), segments, KConfig(max_order=4), grid)
+        assert len(state.sup_norms) == 5
+        assert state.truncated_evals == 3 * 4 * 65 * 64
 
     def test_square_well_first_order(self):
         grid = Grid.for_box(np.pi, 65)
