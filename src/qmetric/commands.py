@@ -261,9 +261,9 @@ def _run_checks(names, kernel: Kernel, pot, grid: Grid):
 MODEL_FLAGS = ("model", "potential", "zeta", "deltas", "gauge")
 
 
-def _run_record(out: Path):
-    """(potential dict, grid, config_sha256) that out/manifest.json (from
-    compute) or out/oracle.json records, or None when out holds neither.
+def _run_records(out: Path) -> dict:
+    """{path: (potential dict, grid, config_sha256)} for out/manifest.json
+    (from compute) and out/oracle.json, in that order, as far as they exist.
     When out holds both, they must record the same potential."""
     records = {}
     for path in (out / "manifest.json", out / "oracle.json"):
@@ -280,7 +280,7 @@ def _run_record(out: Path):
         raise ValueError(f"the run records {' and '.join(repr(str(p)) for p in records)} "
                          "give different potentials; verify the kernel where only the "
                          "record of its own run lies")
-    return next(iter(records.values()), None)
+    return records
 
 
 def _read_kernel(path) -> Kernel:
@@ -307,24 +307,29 @@ def cmd_verify(args) -> int:
     out = Path(args.out)
     # a run is checked against the potential it was made with; model flags
     # are needed only for a kernel with no run record in --out
-    record = _run_record(out)
-    if record is None:
+    records = _run_records(out)
+    if not records:
         pot = _build_potential(args)
     else:
-        recorded, recorded_grid, config_sha256 = record
+        recorded, _, first_sha256 = next(iter(records.values()))
         if any(getattr(args, flag) is not None for flag in MODEL_FLAGS):
             flagged = _build_potential(args)
             if _canonical(potential_to_dict(flagged)) != _canonical(recorded):
                 raise ValueError(f"the model flags do not match the potential recorded "
-                                 f"in {out} (config_sha256 {config_sha256})")
+                                 f"in {out} (config_sha256 {first_sha256})")
         pot = potential_from_dict(recorded)
     kernel = _read_kernel(out / "kernel.csv" if args.kernel is None else Path(args.kernel))
     grid = kernel.grid
-    if record is None:
+    if not records:
         config_sha256 = _config_sha256(_model_config(pot, grid))
-    elif not _grids_match(grid, recorded_grid):
-        raise ValueError(f"the kernel grid (n={grid.n}, half-width {grid.half_width}) "
-                         f"does not match the grid recorded in {out}")
+    else:  # the record of the kernel's own run is the first whose grid it matches
+        config_sha256 = next((sha256 for _, recorded_grid, sha256 in records.values()
+                              if _grids_match(grid, recorded_grid)), None)
+        if config_sha256 is None:
+            recorded_grids = "; ".join(f"{path.name}: n={g.n}, half-width {g.half_width}"
+                                       for path, (_, g, _) in records.items())
+            raise ValueError(f"the kernel grid (n={grid.n}, half-width {grid.half_width}) "
+                             f"does not match the grid recorded in {out} ({recorded_grids})")
     check_grid(pot, grid)
     reports = _run_checks(names, kernel, pot, grid)
     out.mkdir(parents=True, exist_ok=True)

@@ -143,6 +143,12 @@ class BiorthonormalSystem:
         return out
 
 
+def _fd_diagonals(constants: PhysConstants, h: float, v: np.ndarray):
+    """(diag, off) of -kappa d^2/dx^2 + v, second central differences on the nodes of v."""
+    kappa = constants.hbar**2 / (2.0 * constants.mass)
+    return 2.0 * kappa / h**2 + v, np.full(v.size - 1, -kappa / h**2, dtype=complex)
+
+
 def discretize(pot: PotentialSpec, grid: Grid) -> DiscretizedHamiltonian:
     """Build the interior-node diagonals with second central differences.
 
@@ -154,11 +160,8 @@ def discretize(pot: PotentialSpec, grid: Grid) -> DiscretizedHamiltonian:
     "truncated" on the line.
     """
     check_grid(pot, grid)
-    h = grid.h
-    kappa = pot.constants.hbar**2 / (2.0 * pot.constants.mass)
-    x = grid.nodes[1:-1]
-    diag = 2.0 * kappa / h**2 + eval_potential(pot, x)
-    off = np.full(x.size - 1, -kappa / h**2, dtype=complex)
+    x, h = grid.nodes[1:-1], grid.h
+    diag, off = _fd_diagonals(pot.constants, h, eval_potential(pot, x))
     for a, zeta in pot.deltas:
         j = int(np.argmin(np.abs(x - a)))
         if abs(x[j] - a) > 0.5 * h + 1e-12:

@@ -16,18 +16,19 @@ for both; the singular values are then |lambda|.  An M that is also
 exactly PT-symmetric (P conj(M) P = M, P the reversal of the node order,
 as the oracle's metric is) is folded to a real symmetric matrix U^dag M U
 first, so that eigvalsh runs in real arithmetic.  An M that is not
-exactly Hermitian takes an SVD for invertibility.  The intertwining
-commutator H^dag M - M H is formed with banded products on the two
-diagonals of the finite-difference H.
+exactly Hermitian takes an SVD for invertibility.
 
-The wave-operator residual and the commutator run over blocks of _BLOCK
-rows or columns, the exact Hermiticity and PT tests of M over blocks of
-_BLOCK rows, and the sup of the mass term mu^2(x, y) over blocks of
-_BLOCK distinct node values of v (mu^2 sees a node pair only through v(x)
-and v(y)), so their memory beyond the kernel and M is O(_BLOCK n).  The
-per-block maxima are reduced with np.max, which keeps a NaN (Python's max
-drops it).  Each element keeps the expression and operation order of the
-whole-array form, so the reports are the same bit for bit.
+Both wave checks read one operator, the commutator H^dag A - A H, formed
+with banded products on the two diagonals of a finite-difference H; times
+2m/hbar^2 it is the lattice Klein-Gordon operator [-Dxx + Dyy + mu^2] A.
+It runs over blocks of _BLOCK columns, the exact Hermiticity and PT
+tests of M over blocks of _BLOCK rows, and the sup of the mass term
+mu^2(x, y) over blocks of _BLOCK distinct node values of v (mu^2 sees a
+node pair only through v(x) and v(y)), so their memory beyond the kernel
+and M is O(_BLOCK n).  The per-block maxima are reduced with np.max,
+which keeps a NaN (Python's max drops it).  Each element keeps the
+expression and operation order of the whole-array form, so the reports
+are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numpy as np
 
 from qmetric.kernels import _BLOCK, Grid, Kernel, _conj_equal, _grids_match, hermiticity_defect
 from qmetric.potentials import PotentialSpec, eval_mass_term, eval_potential
-from qmetric.spectral import DiscretizedHamiltonian, _fold, _is_pt_symmetric, _tridiagonal_product
+from qmetric.spectral import (DiscretizedHamiltonian, _fd_diagonals, _fold, _is_pt_symmetric,
+                              _tridiagonal_product)
 
 __all__ = [
     "CheckReport",
@@ -114,53 +116,56 @@ def hermitian_eigenvalues(k: Kernel) -> np.ndarray | None:
     return np.linalg.eigvalsh(_fold(M) if _is_pt_symmetric(M) else M)
 
 
-def _mass_term(pot: PotentialSpec, v: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """eval_mass_term on the block rows x cols of v, e.g. v = eval_potential on the nodes."""
-    return pot.constants.c0 * (np.conj(v[rows])[:, None] - v[None, cols])
-
-
 def mass_term_sup(pot: PotentialSpec, grid: Grid) -> float:
     """sup |mu^2(x, y)| over all node pairs, from the pairs of distinct node values of v."""
     # a set, not np.unique: numpy 2.4's np.unique imports numpy.ma (about 15 ms, 1.5 MB)
     v = np.fromiter(set(eval_potential(pot, grid.nodes).tolist()), complex)
-    return float(np.max([np.max(np.abs(_mass_term(pot, v, slice(r, r + _BLOCK), slice(None))))
+    c0 = pot.constants.c0
+    return float(np.max([np.max(np.abs(c0 * (np.conj(v[r:r + _BLOCK])[:, None] - v[None, :])))
                          for r in range(0, v.size, _BLOCK)]))
+
+
+def _commutator_blocks(diag: np.ndarray, off: np.ndarray, A: np.ndarray):
+    """(c0, c1, H^dag A - A H) for the columns c0:c1 of A, _BLOCK columns at a time.
+
+    H is complex symmetric with diagonals diag and off: H^dag has diagonals
+    (conj diag, conj off), and A H = (H A^T)^T.
+    """
+    m = A.shape[1]
+    for c0 in range(0, m, _BLOCK):
+        c1 = min(c0 + _BLOCK, m)
+        lo, hi = max(c0 - 1, 0), min(c1 + 1, m)  # A H on c0:c1 reads one column either side
+        ah = _tridiagonal_product(diag[lo:hi], off[lo:hi - 1], A[:, lo:hi].T)[c0 - lo:c1 - lo].T
+        yield c0, c1, _tridiagonal_product(diag.conj(), off.conj(), A[:, c0:c1]) - ah
 
 
 def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
                 tolerance: float = KG_TOL, band_exclude: int = 2) -> CheckReport:
-    """Wave-operator residual [-Dxx + Dyy + mu^2] smooth on interior nodes.
+    """Wave-operator residual (H^dag S - S H) * 2m/hbar^2 of the smooth part S.
 
-    Second central differences; a band |i - j| <= band_exclude around
-    the diagonal is left out of the sup because first-order kernels fold
-    there and the centered stencil does not apply.  The identity and
-    parity lines contribute only through the mass term; their channel
-    values sup|c_diag * mu^2(x, x)| and sup|c_anti * mu^2(x, -x)| are
-    reported in the metadata, not folded into the verdict.  The residual
-    is formed for _BLOCK interior rows at a time.
+    H is the finite-difference Hamiltonian on all n nodes without point
+    couplings, so S's wall values enter: [-Dxx + Dyy + mu^2] S, term by
+    term.  The sup skips the walls and the band |i - j| <= band_exclude,
+    where first-order kernels fold.  The identity and parity lines enter
+    only through the mass term; their channels sup|c_diag mu^2(x, x)| and
+    sup|c_anti mu^2(x, -x)| go in the metadata, not the verdict.
     """
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
-    S = k.smooth
     n, h = grid.n, grid.h
-    nodes = grid.nodes
-    v = eval_potential(pot, nodes)
-    cols = np.arange(1, n - 1)
+    v = eval_potential(pot, grid.nodes)
+    rows = np.arange(1, n - 1)[:, None]
     maxima = []
-    for r0 in range(1, n - 1, _BLOCK):
-        r1 = min(r0 + _BLOCK, n - 1)
-        rows = slice(r0, r1)
-        R = -(S[r0 + 1:r1 + 1, 1:-1] - 2.0 * S[rows, 1:-1] + S[r0 - 1:r1 - 1, 1:-1]) / h**2 \
-            + (S[rows, 2:] - 2.0 * S[rows, 1:-1] + S[rows, :-2]) / h**2 \
-            + _mass_term(pot, v, rows, slice(1, -1)) * S[rows, 1:-1]
-        keep = np.abs(np.arange(r0, r1)[:, None] - cols[None, :]) > band_exclude
-        maxima.append(np.max(np.abs(R), where=keep, initial=0.0))
+    for j0, j1, comm in _commutator_blocks(*_fd_diagonals(pot.constants, h, v), k.smooth):
+        cols = np.arange(j0, j1)
+        keep = (np.abs(rows - cols) > band_exclude) & (cols > 0) & (cols < n - 1)
+        maxima.append(np.max(np.abs(pot.constants.c0 * comm[1:-1]), where=keep, initial=0.0))
     residual = float(np.max(maxima))
     scale = max(k.sup_smooth, _TINY) * (4.0 / h**2 + mass_term_sup(pot, grid))
     diag_channel = float(np.abs(k.c_diag) * np.max(np.abs(
         pot.constants.c0 * (np.conj(v) - v))))
     anti_channel = float(np.abs(k.c_anti) * np.max(np.abs(eval_mass_term(
-        pot, nodes, -nodes))))
+        pot, grid.nodes, -grid.nodes))))
     return CheckReport(
         check="kg_residual",
         residual=residual,
@@ -174,27 +179,18 @@ def pseudo_hermiticity_residual(k: Kernel, ham: DiscretizedHamiltonian,
                                 tolerance: float = PSEUDO_HERMITICITY_TOL) -> CheckReport:
     """Sup norm of H^dag M - M H for the kernel's interior matrix M.
 
-    Both products are banded, on the two diagonals of H, and formed for
-    _BLOCK columns of M at a time.
+    kg_residual's banded products, with discretize's interior H (point
+    couplings included, walls at zero).
     """
     if not _grids_match(k.grid, ham.grid):
         raise ValueError("kernel and Hamiltonian grids do not match")
     M = kernel_matrix(k)
-    diag, off = ham.diag, ham.off
-    m = M.shape[0]
-    # H is complex symmetric: H^dag has diagonals (conj diag, conj off), M H = (H M^T)^T
-    hdag = (diag.conj(), off.conj())
     comm_maxima, m_maxima = [], []
-    for c0 in range(0, m, _BLOCK):
-        c1 = min(c0 + _BLOCK, m)
-        lo, hi = max(c0 - 1, 0), min(c1 + 1, m)  # M H on c0:c1 reads one column either side
-        mh = _tridiagonal_product(diag[lo:hi], off[lo:hi - 1], M[:, lo:hi].T)[c0 - lo:c1 - lo].T
-        comm = _tridiagonal_product(*hdag, M[:, c0:c1]) - mh
+    for c0, c1, comm in _commutator_blocks(ham.diag, ham.off, M):
         comm_maxima.append(np.max(np.abs(comm)))
         m_maxima.append(np.max(np.abs(M[:, c0:c1])))
     residual = float(np.max(comm_maxima))
-    denom = max(float(np.max(m_maxima)), _TINY) * max(ham.max_abs, _TINY)
-    relative = residual / denom
+    relative = residual / (max(float(np.max(m_maxima)), _TINY) * max(ham.max_abs, _TINY))
     return CheckReport(
         check="pseudo_hermiticity",
         residual=residual,

@@ -660,6 +660,32 @@ class TestVerify:
         assert "does not match the grid recorded in" in capsys.readouterr().err
         assert not (out / "checks.jsonl").exists()
 
+    def test_kernel_is_checked_against_the_record_of_its_own_grid(self, tmp_path, capsys):
+        # an oracle run at another n into a compute directory: verify of its
+        # metric used to exit 2 on the manifest's grid, though oracle.json records n 65
+        out = tmp_path / "d"
+        assert run("compute", "--n", "33", "--order", "1", "--out", str(out)) == 0
+        assert run("oracle", "--n", "65", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = json.loads((out / "oracle.json").read_text())
+        assert manifest["config_sha256"] != summary["config_sha256"]
+        for name, record in (("metric.csv", summary), ("kernel.csv", manifest)):
+            assert run("verify", "--kernel", str(out / name), "--out", str(out)) in (0, 1)
+            recs = [json.loads(s) for s in (out / "checks.jsonl").read_text().splitlines()]
+            assert len(recs) == 4
+            assert all(rec["config_sha256"] == record["config_sha256"] for rec in recs)
+        # a kernel on a third grid matches neither record
+        (out / "checks.jsonl").unlink()
+        third = tmp_path / "third.csv"
+        kernel_to_csv(identity_kernel(Grid.for_box(np.pi, 129)), third)
+        capsys.readouterr()
+        assert run("verify", "--kernel", str(third), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the kernel grid (n=129, half-width ")
+        assert f"does not match the grid recorded in {out} (manifest.json: n=33, " in err
+        assert "; oracle.json: n=65, half-width " in err
+        assert not (out / "checks.jsonl").exists()
+
     @pytest.mark.parametrize("checks", ["positivity,bogus", "", " , "])
     def test_check_names_are_validated_before_the_kernel_is_read(self, tmp_path, monkeypatch,
                                                                  capsys, checks):

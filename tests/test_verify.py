@@ -22,6 +22,7 @@ from qmetric.potentials import (
 from qmetric.series import apply_K_to_identity
 from qmetric.spectral import (
     DiscretizedHamiltonian,
+    _fd_diagonals,
     _tridiagonal_product,
     biorthonormalize,
     discretize,
@@ -31,6 +32,7 @@ from qmetric.spectral import (
 from qmetric.verify import (
     _BLOCK,
     CheckReport,
+    _commutator_blocks,
     hermitian_eigenvalues,
     invertibility_check,
     kernel_matrix,
@@ -468,7 +470,7 @@ class TestBandedCommutator:
 class TestMassTermFromNodes:
     @staticmethod
     def _mesh_kg_residual(k, pot, grid, tolerance=1e-8, band_exclude=2):
-        """kg_residual with mu^2 evaluated on grid.mesh()."""
+        """kg_residual as the stencil [-Dxx + Dyy + mu^2] S, with mu^2 evaluated on grid.mesh()."""
         S, h = k.smooth, grid.h
         X, Y = grid.mesh()
         mu2 = eval_mass_term(pot, X, Y)
@@ -489,6 +491,19 @@ class TestMassTermFromNodes:
                                  "tolerance": tolerance, "identity_channel": diag,
                                  "parity_channel": anti})
 
+    @staticmethod
+    def _whole_array_residual(k, pot, grid, band_exclude):
+        """sup of c0 (H^dag S - S H) off the walls and the band, both products on all of S."""
+        S, h = k.smooth, grid.h
+        kappa = pot.constants.hbar**2 / (2.0 * pot.constants.mass)
+        diag = 2.0 * kappa / h**2 + eval_potential(pot, grid.nodes)
+        off = np.full(grid.n - 1, -kappa / h**2, dtype=complex)
+        comm = (_tridiagonal_product(diag.conj(), off.conj(), S)
+                - _tridiagonal_product(diag, off, S.T).T)
+        ii = np.arange(1, grid.n - 1)
+        keep = np.abs(ii[:, None] - ii[None, :]) > band_exclude
+        return float(np.max(np.abs(pot.constants.c0 * comm[1:-1, 1:-1])[keep]))
+
     def test_report_and_tolerance_equal_the_mesh_reference(self):
         well_grid = Grid.for_box(np.pi, 65)
         line_grid = Grid(half_width=2.0, n=65)
@@ -499,15 +514,62 @@ class TestMassTermFromNodes:
                   Kernel(grid=line_grid, c_diag=1.0, c_anti=0.5,
                          smooth=np.outer(np.cos(line_grid.nodes), np.sin(line_grid.nodes))))]
         cases += [case for n in BLOCKED_NS for case in _blocked_cases(n)]
+        eps = np.finfo(float).eps
         for pot, grid, k in cases:
             X, Y = grid.mesh()
             mu_sup = float(np.max(np.abs(eval_mass_term(pot, X, Y))))
             tol = _kg_tolerance(pot, grid, k)
             assert tol == max(1e-8, KG_HEADROOM * mu_sup * k.sup_smooth)
+            scale = max(k.sup_smooth, 1e-300) * (4.0 / grid.h**2 + mu_sup)
             for band in (0, 2, 5):
                 got = kg_residual(k, pot, grid, tolerance=tol, band_exclude=band)
-                want = self._mesh_kg_residual(k, pot, grid, tol, band)
+                # the commutator is the reference bit for bit
+                residual = self._whole_array_residual(k, pot, grid, band)
+                want = CheckReport(check="kg_residual", residual=residual,
+                                   relative=residual / scale, passed=residual <= tol,
+                                   meta=got.meta)
                 assert got.to_json_line() == want.to_json_line()
+                # the stencil agrees at round-off, with the same tolerance and channels
+                mesh = self._mesh_kg_residual(k, pot, grid, tol, band)
+                assert abs(got.residual - mesh.residual) <= 4 * eps * scale
+                assert abs(got.relative - mesh.relative) <= 4 * eps
+                assert got.passed == mesh.passed and got.meta == mesh.meta
+
+
+def _commutator(diag, off, A):
+    """H^dag A - A H assembled from _commutator_blocks."""
+    return np.concatenate([comm for _, _, comm in _commutator_blocks(diag, off, A)], axis=1)
+
+
+@pytest.mark.parametrize("n", [65] + BLOCKED_NS)
+def test_kg_and_pseudo_hermiticity_read_one_operator(n):
+    """On segment potentials and kernels without singular lines, kg's commutator on the
+    interior is pseudo-hermiticity's H^dag M - M H, except where it reads the walls."""
+    box, line = Grid.for_box(np.pi, n), Grid(half_width=2.0, n=n)
+    rng = np.random.default_rng(n + 2)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    cases = [(square_well(0.1, np.pi, BT), box,
+              Kernel(grid=box, smooth=square_well_eta1(0.1, box, BT).smooth)),
+             (square_well(3.0, np.pi, BT), box, Kernel(grid=box, smooth=raw + raw.conj().T)),
+             (scattering_potential(0.2, 1.0, NAT), line,
+              Kernel(grid=line, smooth=np.outer(np.cos(line.nodes), np.sin(line.nodes)))),
+             (_random_segments(rng, 7), line, Kernel(grid=line, smooth=raw))]
+    eps = np.finfo(float).eps
+    for pot, grid, k in cases:
+        S = k.smooth
+        ham = discretize(pot, grid)
+        kg = _commutator(*_fd_diagonals(pot.constants, grid.h, eval_potential(pot, grid.nodes)),
+                         S)[1:-1, 1:-1]
+        ph = _commutator(ham.diag, ham.off, kernel_matrix(k))
+        assert np.array_equal(kg[1:-1, 1:-1], ph[1:-1, 1:-1])
+        # the first and last interior rows and columns also read the wall values
+        assert np.any(S[[0, -1]] != 0) and not np.array_equal(kg, ph)
+        off = ham.off[0]
+        walls = ph.copy()
+        walls[[0, -1], :] += np.conj(off) * S[[0, -1], 1:-1]
+        walls[:, [0, -1]] -= off * S[1:-1, [0, -1]]
+        scale = np.max(np.abs(S)) * ham.max_abs
+        assert np.max(np.abs(kg - walls)) <= 4 * eps * scale
 
 
 def _node_pair_mass_term_sup(pot, grid):
