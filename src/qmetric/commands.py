@@ -213,14 +213,18 @@ def cmd_compute(args) -> int:
 
         state = neumann_series(seed, pot, cfg, grid, sink=write_iterate)
         warnings: list = []
-        if state.diverged:
-            warnings.append("series sup norms are increasing; the expansion may diverge")
+        if state.converged is False:
+            warnings.append(f"the series has not converged: its truncation residual "
+                            f"{state.truncation_residuals[-1]:.3g} exceeds the discretization "
+                            f"residual {state.discretization_residual:.3g}; raise --order")
         if state.truncated_evals:
             warnings.append(f"{state.truncated_evals} characteristic evaluations were "
                             "clamped to the grid square")
         _write_manifest(out, _config_dict(pot, grid, cfg, seed.label),
                         {"sup_norms": [float(s) for s in state.sup_norms],
-                         "diverged": bool(state.diverged),
+                         "truncation_residuals": state.truncation_residuals,
+                         "discretization_residual": state.discretization_residual,
+                         "converged": state.converged,
                          "truncated_evals": int(state.truncated_evals),
                          "warnings": warnings})
         files.write(kernel_to_csv, state.partial_sum, out / "kernel.csv")

@@ -87,12 +87,16 @@ class Grid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.n)
+        nodes = np.linspace(-self.half_width, self.half_width, self.n)
+        nodes[self.n // 2] = 0.0  # linspace can miss it by an ulp
+        return nodes
 
     @property
     def diff_nodes(self) -> np.ndarray:
-        """Nodes of the difference coordinate x - y (and x + y), spacing h."""
-        return np.linspace(-2.0 * self.half_width, 2.0 * self.half_width, 2 * self.n - 1)
+        """Nodes of the difference coordinate x - y (and x + y), spacing h, 0 in the middle."""
+        nodes = np.linspace(-2.0 * self.half_width, 2.0 * self.half_width, 2 * self.n - 1)
+        nodes[self.n - 1] = 0.0
+        return nodes
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) with X[i, j] = x_i, Y[i, j] = y_j."""

@@ -46,7 +46,8 @@ from numpy.lib.stride_tricks import as_strided
 from qmetric.kernels import (
     _BLOCK, Grid, Kernel, SeedPair, _conj_equal, _grids_match, seed_to_kernel,
 )
-from qmetric.potentials import PotentialSpec, check_grid, eval_potential, unit_step
+from qmetric.potentials import PotentialSpec, check_grid, eval_mass_term, eval_potential, unit_step
+from qmetric.verify import _kg_sup
 
 __all__ = [
     "KConfig",
@@ -62,7 +63,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KConfig:
-    """Base point and iteration controls for the series engine.
+    """Base point and order (applications of K) of the series engine.
 
     r0 is the base point of the indefinite integrals (it must lie on a
     grid node when the smooth quadrature is used).  Point couplings ignore
@@ -74,15 +75,12 @@ class KConfig:
 
     r0: float = 0.0
     max_order: int = 4
-    stop_tol: float = 1e-10
 
     def __post_init__(self):
         if not np.isfinite(self.r0):
             raise ValueError(f"r0 must be finite, got {self.r0}")
         if self.max_order < 1:
             raise ValueError(f"max_order must be at least 1, got {self.max_order}")
-        if not self.stop_tol > 0.0:
-            raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -90,12 +88,19 @@ class KConfig:
 
 @dataclass
 class SeriesState:
-    """Iterates K^l u (kept only without a sink), their sum, and per-order sup norms."""
+    """Iterates K^l u (kept only without a sink), their sum, and their measurements.
+
+    sup_norms[l] and truncation_residuals[l] belong to iterate l (smooth
+    parts); discretization_residual and converged judge the sum, and are
+    None with point couplings (neumann_series).
+    """
 
     iterates: list
     partial_sum: Kernel
     sup_norms: list
-    diverged: bool = False
+    truncation_residuals: list
+    discretization_residual: float | None
+    converged: bool | None
     truncated_evals: int = 0
 
 
@@ -361,6 +366,14 @@ class _SliceModel:
         return self.cum[idx] + 0.5 * (w0 + val) * (tc - t0)
 
 
+def _slices(S: np.ndarray, a: float, grid: Grid) -> tuple:
+    """The column S(., a) and the row S(a, .), linear between the nodes around a."""
+    pos = np.clip((a + grid.half_width) / grid.h, 0.0, grid.n - 1.0)
+    ja = int(min(int(pos), grid.n - 2))
+    lam = pos - ja
+    return (1.0 - lam) * S[:, ja] + lam * S[:, ja + 1], (1.0 - lam) * S[ja, :] + lam * S[ja + 1, :]
+
+
 def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
                        sup: float | None = None) -> Kernel:
     """Action of the point couplings i*zeta_n*delta(x - a_n) under K.
@@ -397,8 +410,7 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
     sup is kernel.sup_smooth, when the caller has measured it already.
     """
     _check_grids(kernel, pot, grid)
-    n, h, half = grid.n, grid.h, grid.half_width
-    nodes, diff = grid.nodes, grid.diff_nodes
+    n, nodes, diff = grid.n, grid.nodes, grid.diff_nodes
     out = np.zeros((n, n), dtype=complex)
     c0 = pot.constants.c0
     locations = [a for a, _ in pot.deltas]
@@ -422,11 +434,7 @@ def apply_K_delta_rule(kernel: Kernel, pot: PotentialSpec, grid: Grid,
                     unit_step(nodes - a) * (step_x_plus_y - unit_step(X - nodes + 2.0 * a))
                     - unit_step(X - a) * (step_x_plus_y - unit_step(nodes - X + 2.0 * a)))
         if sup > 0.0:
-            pos = np.clip((a + half) / h, 0.0, n - 1.0)
-            ja = int(min(int(pos), n - 2))
-            lam = pos - ja
-            col = (1.0 - lam) * S[:, ja] + lam * S[:, ja + 1]
-            row = (1.0 - lam) * S[ja, :] + lam * S[ja + 1, :]
+            col, row = _slices(S, a, grid)
             # jump lines of earlier iterates cross this slice at the coupling
             # locations and at their reflections through x + y = 2 a_m
             cuts = set(locations) | {2.0 * b - a for b in locations}
@@ -510,6 +518,17 @@ def _clamped_evals(pot: PotentialSpec, grid: Grid) -> int:
     return count
 
 
+def _truncation_residual(S: np.ndarray, pot: PotentialSpec, grid: Grid) -> float:
+    """The larger of sup|mu^2 S| over the segments, _BLOCK rows at a time, and the line
+    density max_n |z_n| sup|S| on the slices at a_n of the couplings, for an iterate S."""
+    x, sups = grid.nodes, [0.0]
+    for r in range(0, grid.n if pot.has_segments else 0, _BLOCK):
+        sups.append(np.max(np.abs(eval_mass_term(pot, x[r:r + _BLOCK, None], x) * S[r:r + _BLOCK])))
+    sups += [abs(pot.constants.c0 * zeta) * np.max(np.abs(_slices(S, a, grid)))
+             for a, zeta in pot.deltas]
+    return float(np.max(sups))
+
+
 def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
                    grid: Grid, sink=None) -> SeriesState:
     """Iterate K from a seed kernel and accumulate the series solution.
@@ -523,18 +542,18 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
     the bits of zeros + u, so no sum is held while the first two
     applications of K run.  The iterates are added in order.
 
-    Stops after max_order applications or when the latest iterate's sup
-    norm drops below stop_tol.  An iterate whose sup norm is not finite
-    raises FloatingPointError before the sink sees it.  Divergence (three
-    consecutive sup-norm increases ending above ten times the order-1
-    norm) sets a flag on the returned state; the computation is still
-    returned.
+    Stops after max_order applications, or early on an iterate that is
+    exactly zero (K is linear).  An iterate whose sup norm is not finite
+    raises FloatingPointError before the sink sees it.  A partial sum
+    misses (-Dxx + Dyy + mu^2) eta = 0 by mu^2 K^L u exactly, so the sum has
+    converged when that truncation residual is at most the grid's part of
+    its residual; with point couplings (a line density) there is no verdict.
     """
     iterates: list = []
     if sink is None:
         sink = lambda order, kernel: iterates.append(kernel)
     k = seed_kernel = seed_to_kernel(seed, grid)
-    sup_norms = [k.sup_smooth]
+    sup_norms, truncation = [k.sup_smooth], [_truncation_residual(k.smooth, pot, grid)]
     sink(0, k)
     c_diag, c_anti, smooth = 0 + k.c_diag, 0 + k.c_anti, None
     if pot.has_segments or pot.has_deltas:
@@ -546,25 +565,26 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
                 smooth += k.smooth
             k = nxt
             sup_norms.append(k.sup_smooth)
+            truncation.append(_truncation_residual(k.smooth, pot, grid))
             if not np.isfinite(sup_norms[-1]):
                 raise FloatingPointError(f"iterate {order} of the series is not finite "
                                          f"(sup norm {sup_norms[-1]})")
             c_diag += k.c_diag
             c_anti += k.c_anti
             sink(order, k)
-            if sup_norms[-1] < cfg.stop_tol:
+            if sup_norms[-1] == 0.0:
                 break
     if smooth is None:
         smooth = np.add(seed_kernel.smooth, 0.0)
     if k is not seed_kernel:
         smooth += k.smooth
     partial = Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=smooth)
-    diverged = (len(sup_norms) >= 4
-                and sup_norms[-1] > sup_norms[-2] > sup_norms[-3] > sup_norms[-4]
-                and sup_norms[-1] > 10.0 * sup_norms[1])
+    grid_part = None if pot.has_deltas else _kg_sup(smooth, pot, grid, last=k.smooth)
     applied = sum(1 for s in sup_norms[:-1] if s > 0.0)
     return SeriesState(iterates=iterates, partial_sum=partial, sup_norms=sup_norms,
-                       diverged=diverged, truncated_evals=applied * _clamped_evals(pot, grid))
+                       truncation_residuals=truncation, discretization_residual=grid_part,
+                       converged=None if grid_part is None else truncation[-1] <= grid_part,
+                       truncated_evals=applied * _clamped_evals(pot, grid))
 
 
 def convergence_bound(pot: PotentialSpec, grid: Grid, ell: int) -> np.ndarray:

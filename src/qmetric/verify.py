@@ -21,14 +21,15 @@ exactly Hermitian takes an SVD for invertibility.
 Both wave checks read one operator, the commutator H^dag A - A H, formed
 with banded products on the two diagonals of a finite-difference H; times
 2m/hbar^2 it is the lattice Klein-Gordon operator [-Dxx + Dyy + mu^2] A.
-It runs over blocks of _BLOCK columns, the exact Hermiticity and PT
-tests of M over blocks of _BLOCK rows, and the sup of the mass term
-mu^2(x, y) over blocks of _BLOCK distinct node values of v (mu^2 sees a
-node pair only through v(x) and v(y)), so their memory beyond the kernel
-and M is O(_BLOCK n).  The per-block maxima are reduced with np.max,
-which keeps a NaN (Python's max drops it).  Each element keeps the
-expression and operation order of the whole-array form, so the reports
-are the same bit for bit.
+The series' convergence verdict reads kg's region of it less mu^2 times
+the last iterate (_kg_sup).  The operator runs over blocks of _BLOCK
+columns, the exact Hermiticity and PT tests of M over blocks of _BLOCK
+rows, and the sup of the mass term mu^2(x, y) over blocks of _BLOCK
+distinct node values of v (mu^2 sees a node pair only through v(x) and
+v(y)), so their memory beyond the kernel and M is O(_BLOCK n).  The
+per-block maxima are reduced with np.max, which keeps a NaN (Python's max
+drops it).  Each element keeps the expression and operation order of the
+whole-array form, so the reports are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -139,6 +140,24 @@ def _commutator_blocks(diag: np.ndarray, off: np.ndarray, A: np.ndarray):
         yield c0, c1, _tridiagonal_product(diag.conj(), off.conj(), A[:, c0:c1]) - ah
 
 
+def _kg_sup(S: np.ndarray, pot: PotentialSpec, grid: Grid, band_exclude: int = 2,
+            last: np.ndarray | None = None) -> float:
+    """sup|(H^dag S - S H) * 2m/hbar^2 - mu^2 last| off the walls and |i - j| <= band_exclude.
+    A partial sum S = sum_{l<=L} K^l u misses the continuum equation by mu^2 K^L u exactly,
+    so with last = K^L u what is left is the grid's part (series.neumann_series)."""
+    n, x = grid.n, grid.nodes
+    rows, maxima = np.arange(1, n - 1)[:, None], []
+    diagonals = _fd_diagonals(pot.constants, grid.h, eval_potential(pot, x))
+    for j0, j1, comm in _commutator_blocks(*diagonals, S):
+        comm *= pot.constants.c0
+        if last is not None:
+            comm -= eval_mass_term(pot, x[:, None], x[j0:j1]) * last[:, j0:j1]
+        cols = np.arange(j0, j1)
+        keep = (np.abs(rows - cols) > band_exclude) & (cols > 0) & (cols < n - 1)
+        maxima.append(np.max(np.abs(comm[1:-1]), where=keep, initial=0.0))
+    return float(np.max(maxima))
+
+
 def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
                 tolerance: float = KG_TOL, band_exclude: int = 2) -> CheckReport:
     """Wave-operator residual (H^dag S - S H) * 2m/hbar^2 of the smooth part S.
@@ -152,18 +171,10 @@ def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
     """
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
-    n, h = grid.n, grid.h
-    v = eval_potential(pot, grid.nodes)
-    rows = np.arange(1, n - 1)[:, None]
-    maxima = []
-    for j0, j1, comm in _commutator_blocks(*_fd_diagonals(pot.constants, h, v), k.smooth):
-        cols = np.arange(j0, j1)
-        keep = (np.abs(rows - cols) > band_exclude) & (cols > 0) & (cols < n - 1)
-        maxima.append(np.max(np.abs(pot.constants.c0 * comm[1:-1]), where=keep, initial=0.0))
-    residual = float(np.max(maxima))
-    scale = max(k.sup_smooth, _TINY) * (4.0 / h**2 + mass_term_sup(pot, grid))
+    residual = _kg_sup(k.smooth, pot, grid, band_exclude)
+    scale = max(k.sup_smooth, _TINY) * (4.0 / grid.h**2 + mass_term_sup(pot, grid))
     diag_channel = float(np.abs(k.c_diag) * np.max(np.abs(
-        pot.constants.c0 * (np.conj(v) - v))))
+        eval_mass_term(pot, grid.nodes, grid.nodes))))
     anti_channel = float(np.abs(k.c_anti) * np.max(np.abs(eval_mass_term(
         pot, grid.nodes, -grid.nodes))))
     return CheckReport(

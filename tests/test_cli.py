@@ -75,9 +75,11 @@ class TestCompute:
         np.testing.assert_allclose(stored.smooth, expected.smooth, atol=1e-11)
         assert (out / "kernel.pgm").read_text().startswith("P2\n")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diverged"] is False
         assert len(manifest["config_sha256"]) == 64
-        assert len(manifest["sup_norms"]) == 2
+        assert len(manifest["sup_norms"]) == len(manifest["truncation_residuals"]) == 2
+        # an order-1 kernel misses the wave equation by mu^2 K u, far above the grid's part
+        assert manifest["converged"] is False
+        assert manifest["discretization_residual"] < 1e-9 * manifest["truncation_residuals"][1]
         # the wave-operator budget is the kg record's own, taken from the stored kernel
         assert run("verify", "--checks", "kg", "--out", str(out)) == 0
         assert json.loads((out / "checks.jsonl").read_text())["meta"]["tolerance"] > 1e-8
@@ -180,13 +182,28 @@ class TestCompute:
         assert "unknown potential keys ['series']" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_divergent_series_still_exits_zero(self, tmp_path):
+    def test_divergent_series_still_exits_zero(self, tmp_path, capsys):
+        # zeta 3 at order 4: truncation 8.66 against a grid part of 0.085
         out = tmp_path / "div"
+        assert run("compute", "--model", "square-well", "--zeta", "3", "--order", "4",
+                   "--n", "129", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is False
+        assert manifest["truncation_residuals"][-1] == pytest.approx(8.66, rel=0.01)
+        assert manifest["discretization_residual"] == pytest.approx(0.0847, rel=0.01)
+        assert manifest["warnings"] == ["the series has not converged: its truncation residual "
+                                        "8.66 exceeds the discretization residual 0.0847; "
+                                        "raise --order"]
+        assert f"warning: {manifest['warnings'][0]}" in capsys.readouterr().err
+        assert (out / "kernel.csv").exists() and (out / "iter_4.csv").exists()
+        # point couplings get the residuals but no verdict, and no warning
+        out = tmp_path / "couplings"
         assert run("compute", "--model", "deltas", "--deltas", "12:0",
                    "--order", "4", "--n", "65", "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diverged"] is True
-        assert any("diverge" in w for w in manifest["warnings"])
+        assert manifest["discretization_residual"] is None and manifest["converged"] is None
+        assert manifest["truncation_residuals"][4] == pytest.approx(2.07e4, rel=0.01)
+        assert not any("converged" in w for w in manifest["warnings"])
 
     def test_flags_and_document_share_the_default_order(self, tmp_path):
         # the flags used to run order 1 and the same potential as a document order 4

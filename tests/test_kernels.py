@@ -60,6 +60,15 @@ def test_grid_geometry():
     assert gb.half_width == pytest.approx(np.pi / 2)
 
 
+@pytest.mark.parametrize("half_width", [np.pi / 2, 2.0])
+def test_grid_middle_node_is_zero(half_width):
+    # linspace alone misses 0 by an ulp at 121 of these n on the pi box (51, 83, 101, ...)
+    # and at 91 on half-width 2 (99, 197, 207, ...)
+    for n in range(33, 2050, 2):
+        g = Grid(half_width=half_width, n=n)
+        assert g.nodes[n // 2] == 0.0 and g.diff_nodes[n - 1] == 0.0, n
+
+
 def test_mesh_orientation():
     g = Grid(half_width=1.0, n=33)
     X, Y = g.mesh()

@@ -12,6 +12,7 @@ artifact on purpose rewrites the table in the same commit, with
 
     PYTHONPATH=src python3 tests/test_plan_digests.py
 
+which prints each entry it adds, removes or changes before it writes,
 and names each changed file and why.
 """
 
@@ -90,6 +91,11 @@ def test_plan_artifacts_equal_the_committed_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as base:
-        TABLE.write_text(json.dumps(plan_digests(Path(base)), indent=1, sort_keys=True) + "\n")
+        new = plan_digests(Path(base))
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print("added" if key not in old else "removed" if key not in new else "changed", key)
+    TABLE.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {TABLE}")

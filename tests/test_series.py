@@ -26,6 +26,7 @@ from qmetric.potentials import (
     PotentialSpec,
     constants_preset,
     delta_potential,
+    eval_mass_term,
     eval_potential,
     pt_delta_pairs,
     scattering_potential,
@@ -56,13 +57,12 @@ def constant_line_potential(value, half_width=2.0, constants=NAT):
 
 class TestKConfig:
     def test_defaults_round_trip(self):
-        cfg = KConfig(r0=0.5, max_order=3, stop_tol=1e-8)
-        assert cfg.to_dict() == {"r0": 0.5, "max_order": 3, "stop_tol": 1e-8}
+        cfg = KConfig(r0=0.5, max_order=3)
+        assert cfg.to_dict() == {"r0": 0.5, "max_order": 3}
         assert KConfig(**cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("kwargs", [
-        {"r0": float("nan")}, {"max_order": -1}, {"stop_tol": -1e-3},
-        {"max_order": 0}, {"stop_tol": 0.0}, {"r0": float("inf")},
+        {"r0": float("nan")}, {"max_order": -1}, {"max_order": 0}, {"r0": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -71,6 +71,8 @@ class TestKConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(TypeError, match="panels"):
             KConfig(r0=0.0, panels=3)
+        with pytest.raises(TypeError, match="stop_tol"):  # the order is the one control
+            KConfig(stop_tol=1e-10)
 
 
 class TestIdentityAction:
@@ -680,6 +682,13 @@ def test_cell_weights_bit_equal_to_the_union1d_form(pot, grid):
     assert w.tobytes() == union1d_cell_weights(pot, grid).tobytes()
 
 
+def test_well_splits_no_cell_at_its_middle_node():
+    # the well's breakpoint 0 is the middle node; a node 2.2e-16 off it split a sliver cell
+    pot = square_well(0.1, np.pi, BT)
+    for n in range(33, 2050, 2):
+        assert not series._cell_weights(pot, Grid.for_box(np.pi, n))[3].any(), n
+
+
 def smooth_inputs(n, seed):
     """Real, imaginary and general inputs, Hermitian and not, some with exact zeros."""
     rng = np.random.default_rng(seed)
@@ -895,8 +904,11 @@ class TestNeumannSeries:
             assert (state.partial_sum.c_diag, state.partial_sum.c_anti) == (
                 sum(k.c_diag for k in kept.iterates), sum(k.c_anti for k in kept.iterates))
         assert streamed.sup_norms == kept.sup_norms
-        assert (streamed.diverged, streamed.truncated_evals) == (kept.diverged,
-                                                                 kept.truncated_evals)
+        assert streamed.truncation_residuals == kept.truncation_residuals
+        assert len(kept.truncation_residuals) == orders
+        assert (streamed.discretization_residual, streamed.converged, streamed.truncated_evals) \
+            == (kept.discretization_residual, kept.converged, kept.truncated_evals)
+        assert (kept.converged is None) == (model == "deltas")
 
     def test_single_coupling_two_orders(self):
         grid = Grid(half_width=2.0, n=161)
@@ -912,7 +924,7 @@ class TestNeumannSeries:
         assert state.sup_norms[0] == 0.0
         assert state.sup_norms[1] == pytest.approx(0.5, abs=1e-15)
         assert state.truncated_evals > 0
-        assert not state.diverged
+        assert state.discretization_residual is None and state.converged is None
 
     def test_truncated_evals_count_the_applications_with_a_smooth_input(self):
         # the zero seed has no smooth part, so its image K u clamps nothing
@@ -952,19 +964,68 @@ class TestNeumannSeries:
         assert len(state.iterates) == 1 and state.sup_norms == [0.0]
 
     def test_stop_tolerance(self):
+        # there is none: K is linear, so only an exactly zero iterate ends the ladder early
         grid = Grid.for_box(np.pi, 41)
-        pot = square_well(1e-9, np.pi, BT)
-        state = neumann_series(SeedPair.zero(), pot,
-                               KConfig(max_order=4, stop_tol=1e-6), grid)
-        assert len(state.iterates) == 2
+        for zeta, orders in ((0.0, 1), (1e-9, 4)):
+            state = neumann_series(SeedPair.zero(), square_well(zeta, np.pi, BT),
+                                   KConfig(max_order=4), grid)
+            assert len(state.iterates) == len(state.truncation_residuals) == orders + 1
+            assert (state.sup_norms[-1] == 0.0) == (zeta == 0.0) and state.sup_norms[-1] < 1e-30
+            assert state.converged is True
 
     def test_divergence_flag(self):
-        grid = Grid(half_width=2.0, n=41)
-        strong = delta_potential([(0.0, 5.0)], NAT)     # z = 10
-        weak = delta_potential([(0.0, 0.1)], NAT)       # z = 0.2
-        cfg = KConfig(max_order=3)
-        assert neumann_series(SeedPair.zero(), strong, cfg, grid).diverged
-        assert not neumann_series(SeedPair.zero(), weak, cfg, grid).diverged
+        # no flag: for a coupling the truncation residual is the line density |z| sup|K^l u|
+        # on the slices at a; it rises at z = 12 and falls at z = 0.2, and gives no verdict
+        grid = Grid(half_width=2.0, n=65)
+        strong = delta_potential([(0.0, 12.0 / NAT.c0)], NAT)
+        weak = delta_potential([(0.0, 0.2 / NAT.c0)], NAT)
+        rising = neumann_series(SeedPair.zero(), strong, KConfig(max_order=12), grid)
+        falling = neumann_series(SeedPair.zero(), weak, KConfig(max_order=4), grid)
+        r = rising.truncation_residuals
+        assert r[0] == 0.0 and r[1] == pytest.approx(72.0, rel=1e-12)
+        assert all(later > earlier for earlier, later in zip(r[1:], r[2:]))
+        assert r[4] == pytest.approx(2.07e4, rel=0.01) and r[12] == pytest.approx(1.42e6, rel=0.01)
+        f = falling.truncation_residuals
+        assert all(later < earlier for earlier, later in zip(f[1:], f[2:]))
+        for state in (rising, falling):
+            assert state.discretization_residual is None and state.converged is None
+
+    def test_truncation_residual_of_each_part_and_of_both(self):
+        # segments: sup|mu^2 S| over all node pairs; couplings: |z| sup|S| on the two slices
+        # through the coupling node; a potential with both: the larger of the two
+        grid = Grid(half_width=2.0, n=65)
+        rng = np.random.default_rng(7)
+        S = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+        segments = scattering_potential(0.4, 1.0, NAT)
+        couplings = delta_potential([(0.5, 0.3), (-0.25, -0.8)], NAT)
+        mixed = PotentialSpec(NAT, Domain.line(), segments.segments, couplings.deltas)
+        X, Y = grid.mesh()
+        truncation = series._truncation_residual
+        assert truncation(S, segments, grid) == np.max(np.abs(eval_mass_term(segments, X, Y) * S))
+        slices = [abs(NAT.c0 * zeta) * max(np.max(np.abs(S[:, j])), np.max(np.abs(S[j, :])))
+                  for j, zeta in ((40, 0.3), (28, -0.8))]
+        assert truncation(S, couplings, grid) == max(slices)
+        assert truncation(S, mixed, grid) == max(max(slices), truncation(S, segments, grid))
+
+    @pytest.mark.parametrize("zeta, truncation", [(0.1, 0.0153398), (1.0, 1.53398)])
+    def test_order_one_discretization_residual_is_round_off(self, zeta, truncation):
+        # K(delta) is piecewise linear, so the stencil meets mu^2 K u to round-off
+        state = neumann_series(SeedPair.zero(), square_well(zeta, np.pi, BT),
+                               KConfig(max_order=1), Grid.for_box(np.pi, 129))
+        assert state.truncation_residuals == [0.0, pytest.approx(truncation, rel=1e-5)]
+        assert 0.0 < state.discretization_residual < 1e-11 * truncation
+        assert state.converged is False
+
+    def test_strong_well_converges_by_residual(self):
+        # zeta 3: truncation against discretization at orders 4, 9 and 12
+        grid, pot = Grid.for_box(np.pi, 129), square_well(3.0, np.pi, BT)
+        for order, truncation, grid_part, converged in ((4, 8.66, 0.0847, False),
+                                                        (9, 0.308, 0.0725, False),
+                                                        (12, 0.0138, 0.0724, True)):
+            state = neumann_series(SeedPair.zero(), pot, KConfig(max_order=order), grid)
+            assert state.truncation_residuals[-1] == pytest.approx(truncation, rel=0.01)
+            assert state.discretization_residual == pytest.approx(grid_part, rel=0.01)
+            assert state.converged is converged
 
     def test_coupling_rescaling_is_exact(self):
         grid = Grid(half_width=2.0, n=41)

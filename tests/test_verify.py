@@ -8,7 +8,8 @@ import pytest
 
 from qmetric.commands import KG_HEADROOM, _kg_tolerance, _run_checks
 from qmetric.closed_forms import square_well_eta1
-from qmetric.kernels import Grid, Kernel, hermiticity_defect, identity_kernel, parity_kernel
+from qmetric.kernels import (Grid, Kernel, SeedPair, hermiticity_defect, identity_kernel,
+                             parity_kernel)
 from qmetric.potentials import (
     Domain,
     PotentialSpec,
@@ -19,7 +20,7 @@ from qmetric.potentials import (
     scattering_potential,
     square_well,
 )
-from qmetric.series import apply_K_to_identity
+from qmetric.series import KConfig, apply_K_to_identity, neumann_series
 from qmetric.spectral import (
     DiscretizedHamiltonian,
     _fd_diagonals,
@@ -33,6 +34,7 @@ from qmetric.verify import (
     _BLOCK,
     CheckReport,
     _commutator_blocks,
+    _kg_sup,
     hermitian_eigenvalues,
     invertibility_check,
     kernel_matrix,
@@ -492,17 +494,19 @@ class TestMassTermFromNodes:
                                  "parity_channel": anti})
 
     @staticmethod
-    def _whole_array_residual(k, pot, grid, band_exclude):
-        """sup of c0 (H^dag S - S H) off the walls and the band, both products on all of S."""
+    def _whole_array_residual(k, pot, grid, band_exclude, last=None):
+        """sup of c0 (H^dag S - S H) - mu^2 last off the walls and the band, all of S at once."""
         S, h = k.smooth, grid.h
         kappa = pot.constants.hbar**2 / (2.0 * pot.constants.mass)
         diag = 2.0 * kappa / h**2 + eval_potential(pot, grid.nodes)
         off = np.full(grid.n - 1, -kappa / h**2, dtype=complex)
-        comm = (_tridiagonal_product(diag.conj(), off.conj(), S)
-                - _tridiagonal_product(diag, off, S.T).T)
+        comm = pot.constants.c0 * (_tridiagonal_product(diag.conj(), off.conj(), S)
+                                   - _tridiagonal_product(diag, off, S.T).T)
+        if last is not None:
+            comm -= eval_mass_term(pot, *grid.mesh()) * last
         ii = np.arange(1, grid.n - 1)
         keep = np.abs(ii[:, None] - ii[None, :]) > band_exclude
-        return float(np.max(np.abs(pot.constants.c0 * comm[1:-1, 1:-1])[keep]))
+        return float(np.max(np.abs(comm[1:-1, 1:-1])[keep]))
 
     def test_report_and_tolerance_equal_the_mesh_reference(self):
         well_grid = Grid.for_box(np.pi, 65)
@@ -534,6 +538,17 @@ class TestMassTermFromNodes:
                 assert abs(got.residual - mesh.residual) <= 4 * eps * scale
                 assert abs(got.relative - mesh.relative) <= 4 * eps
                 assert got.passed == mesh.passed and got.meta == mesh.meta
+
+    @pytest.mark.parametrize("zeta, order", [(0.1, 1), (0.5, 3), (3.0, 4)])
+    def test_discretization_residual_is_kg_less_the_truncation(self, zeta, order):
+        # the series' split reads kg's operator and region, less mu^2 times the last iterate
+        grid, pot = Grid.for_box(np.pi, 65), square_well(zeta, np.pi, BT)
+        state = neumann_series(SeedPair.zero(), pot, KConfig(max_order=order), grid)
+        last = state.iterates[-1].smooth
+        want = self._whole_array_residual(state.partial_sum, pot, grid, 2, last)
+        assert state.discretization_residual == want
+        assert _kg_sup(state.partial_sum.smooth, pot, grid, 2) \
+            == kg_residual(state.partial_sum, pot, grid).residual
 
 
 def _commutator(diag, off, A):
