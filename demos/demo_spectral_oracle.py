@@ -8,9 +8,10 @@ the metric operator from the left eigenvectors,
 
     M = sum_n phi_n phi_n^dag,
 
-which intertwines H^dag and H by construction.  The last block compares
-this spectral route against the integral-operator route: the two
-kernels are independent, so their difference is a strong cross-check.
+which intertwines H^dag and H by construction.  The last block sets the
+wave residual of this metric minus the integral-operator kernel beside
+the residuals of the two kernels alone, which shows what that
+difference can and cannot tell.
 """
 
 import os
@@ -55,15 +56,19 @@ print(f"positivity: min eigenvalue = {pos.meta['min_eigenvalue']:.3e} "
       f"(a 40-of-127 mode metric is positive semidefinite, so the smallest "
       f"eigenvalue sits at the numerical-rank floor; pass = {pos.passed})")
 
-# Cross-check against the integral-operator kernel.  The difference of
-# the two kernels feeds the wave-operator residual with the same mass
-# term; agreement here ties the spectral and series routes together.
+# The difference against the integral-operator kernel.  The wave residual
+# is linear in the kernel, and the spectral metric satisfies the lattice
+# wave equation to round-off, so the residual of the difference is the
+# series kernel's own, almost all of it the truncation term mu^2 K^L u.
+# It does not show that the two routes agree: a series from the zero or
+# jmp-2005 seed, another member of the eta family, reads within 1% of it.
 seed = preset_seed("bender-tan", zeta, L, const)
 series = neumann_series(seed, pot, KConfig(max_order=1), grid).partial_sum
 diff = Kernel(grid=grid, c_diag=series.c_diag, c_anti=series.c_anti,
               smooth=series.smooth - metric.smooth)
-rep = kg_residual(diff, pot, grid, tolerance=1.0)
-print(f"wave residual of (series - spectral): {rep.residual:.3e}")
+both, own, alone = (kg_residual(k, pot, grid).residual for k in (diff, series, metric))
+print(f"wave residual: series - spectral {both:.6e}, series alone {own:.6e}, "
+      f"spectral alone {alone:.1e}")
 
 with tempfile.TemporaryDirectory() as out:
     path = os.path.join(out, "spectrum.csv")

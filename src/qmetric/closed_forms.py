@@ -196,8 +196,12 @@ def preset_w(name: str, L: float, constants: PhysConstants):
 
 
 def preset_seed(name: str, zeta: float, L: float, constants: PhysConstants) -> SeedPair:
-    """Gauge preset packaged as a seed: u_plus = zeta*w_plus, u_minus = zeta*w_minus."""
+    """Gauge preset packaged as a seed: u_plus = zeta*w_plus, u_minus = zeta*w_minus.
+
+    The label names the preset and, unless it is zero, zeta and L.
+    """
     wp, wm = preset_w(name, L, constants)
+    label = f"{name}-gauge" + ("" if name == "zero" else f" zeta={float(zeta)!r} L={float(L)!r}")
     return SeedPair(u_plus=lambda t: zeta * np.asarray(wp(t), dtype=complex),
                     u_minus=lambda t: zeta * np.asarray(wm(t), dtype=complex),
-                    label=f"{name}-gauge")
+                    label=label)

@@ -48,18 +48,13 @@ from .spectral import (
     spectrum_to_csv,
 )
 from .verify import (
-    KG_TOL,
+    _kg_budget,
     hermitian_eigenvalues,
     invertibility_check,
     kg_residual,
-    mass_term_sup,
     positivity_check,
     pseudo_hermiticity_residual,
 )
-
-# Headroom factor over sup|mu^2| * sup|kernel| in the residual budget for
-# the wave-equation check; measured once over the shipped model family.
-KG_HEADROOM = 1.25
 
 
 def _parse_delta_terms(text: str, constants) -> list:
@@ -101,14 +96,16 @@ def _build_potential(args):
     if args.gauge is not None and args.potential:
         raise ValueError("--gauge does not apply to a --potential file, "
                          "whose constants section sets hbar and m")
-    # compute keeps --zeta there: it sets the preset seed's zeta
-    if args.zeta is not None and args.command != "compute":
+    # with --potential or --model deltas, --zeta can set only a non-zero preset seed's zeta
+    if args.zeta is not None and getattr(args, "preset_seed", None) in (None, "zero"):
+        seeded = ("; compute takes it with a non-zero --preset-seed"
+                  if args.command == "compute" else "")
         if args.potential:
             raise ValueError("--zeta does not apply to a --potential file, "
-                             "whose segments and deltas set the strengths")
+                             f"whose segments and deltas set the strengths{seeded}")
         if args.model == "deltas":
             raise ValueError("--zeta does not apply to --model deltas, "
-                             "whose --deltas list sets the strengths")
+                             f"whose --deltas list sets the strengths{seeded}")
     if args.potential:
         return potential_from_dict(_load_doc(args.potential))
     model = args.model or "square-well"
@@ -136,9 +133,10 @@ def _build_grid(args, pot) -> Grid:
 
 def _read_seed_table(path: str) -> SeedPair:
     try:
-        lines = Path(path).read_text().splitlines()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read seed file {path!r}: {exc}") from exc
+    lines = raw.decode().splitlines()
     if not lines or lines[0].strip() != "x,up_re,up_im,um_re,um_im":
         raise ValueError(f"seed file {path!r} must start with x,up_re,up_im,um_re,um_im")
     if not any(line.strip() for line in lines[1:]):
@@ -152,7 +150,7 @@ def _read_seed_table(path: str) -> SeedPair:
     return SeedPair.from_table(data[:, 0],
                                data[:, 1] + 1j * data[:, 2],
                                data[:, 3] + 1j * data[:, 4],
-                               label=Path(path).name)
+                               label=f"{Path(path).name} sha256:{hashlib.sha256(raw).hexdigest()}")
 
 
 def _build_seed(args, pot) -> SeedPair:
@@ -164,10 +162,6 @@ def _build_seed(args, pot) -> SeedPair:
     zeta = DEFAULT_ZETA if args.zeta is None else args.zeta
     length = pot.domain.L if pot.domain.is_box else SCATTERING_LENGTH
     return preset_seed(name, zeta, length, pot.constants)
-
-
-def _kg_tolerance(pot, grid: Grid, kernel: Kernel) -> float:
-    return max(KG_TOL, KG_HEADROOM * mass_term_sup(pot, grid) * kernel.sup_smooth)
 
 
 def _model_config(pot, grid: Grid) -> dict:
@@ -252,8 +246,7 @@ def _run_checks(names, kernel: Kernel, pot, grid: Grid):
                    if {"positivity", "invertibility"} & set(names) else None)
     # _check_names admits only these names
     run = {
-        "kg": lambda: kg_residual(kernel, pot, grid,
-                                  tolerance=_kg_tolerance(pot, grid, kernel)),
+        "kg": lambda: kg_residual(kernel, pot, grid),
         "positivity": lambda: positivity_check(kernel, grid, eigenvalues=eigenvalues),
         "invertibility": lambda: invertibility_check(kernel, grid, eigenvalues=eigenvalues),
         "pseudo-hermiticity": lambda: pseudo_hermiticity_residual(kernel,
@@ -404,7 +397,7 @@ def cmd_oracle(args) -> int:
     if series_kernel is not None:
         # the tolerance scales with the series kernel, so it is taken before
         # the difference overwrites that kernel's smooth part in place
-        tolerance = _kg_tolerance(pot, grid, series_kernel)
+        tolerance = _kg_budget(series_kernel, pot, grid)
         series_kernel.smooth -= metric.smooth
         diff = Kernel(grid=grid,
                       c_diag=series_kernel.c_diag - metric.c_diag,
@@ -418,9 +411,10 @@ def cmd_oracle(args) -> int:
         summary.update(cross_check=json.loads(line), cross_check_pass=rep.passed)
         failed = not rep.passed
 
-    config = _model_config(pot, grid)
+    n_modes = summary.pop("n_modes")  # it shapes the metric, so the hashed config holds it
+    config = {**_model_config(pot, grid), "n_modes": n_modes}
     summary.update(config=config, config_sha256=_config_sha256(config))
     (out / "oracle.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote spectrum and {summary['n_modes']}-mode metric to {out}"
+    print(f"wrote spectrum and {n_modes}-mode metric to {out}"
           + ("" if summary["all_real"] else " (complex energies present)"))
     return 1 if failed else 0

@@ -46,7 +46,7 @@ from numpy.lib.stride_tricks import as_strided
 from qmetric.kernels import (
     _BLOCK, Grid, Kernel, SeedPair, _conj_equal, _grids_match, seed_to_kernel,
 )
-from qmetric.potentials import PotentialSpec, check_grid, eval_mass_term, eval_potential, unit_step
+from qmetric.potentials import PotentialSpec, check_grid, eval_potential, unit_step
 from qmetric.verify import _kg_sup
 
 __all__ = [
@@ -521,9 +521,12 @@ def _clamped_evals(pot: PotentialSpec, grid: Grid) -> int:
 def _truncation_residual(S: np.ndarray, pot: PotentialSpec, grid: Grid) -> float:
     """The larger of sup|mu^2 S| over the segments, _BLOCK rows at a time, and the line
     density max_n |z_n| sup|S| on the slices at a_n of the couplings, for an iterate S."""
-    x, sups = grid.nodes, [0.0]
-    for r in range(0, grid.n if pot.has_segments else 0, _BLOCK):
-        sups.append(np.max(np.abs(eval_mass_term(pot, x[r:r + _BLOCK, None], x) * S[r:r + _BLOCK])))
+    sups = [0.0]
+    if pot.has_segments:  # mu^2 = c0 (conj v(x) - v(y)), v sampled once
+        v, c0 = eval_potential(pot, grid.nodes), pot.constants.c0
+        for r in range(0, grid.n, _BLOCK):
+            mu2 = c0 * (np.conj(v[r:r + _BLOCK, None]) - v)
+            sups.append(np.max(np.abs(mu2 * S[r:r + _BLOCK])))
     sups += [abs(pot.constants.c0 * zeta) * np.max(np.abs(_slices(S, a, grid)))
              for a, zeta in pot.deltas]
     return float(np.max(sups))

@@ -2,9 +2,11 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -37,7 +39,7 @@ from qmetric.potentials import (
 )
 from qmetric.series import neumann_series
 from qmetric.spectral import ExceptionalPointError
-from qmetric.verify import kg_residual
+from qmetric.verify import _kg_budget, kg_residual
 
 BT = constants_preset("bender-tan")
 
@@ -165,7 +167,31 @@ class TestCompute:
         assert manifest["config"]["potential"] == doc
         assert manifest["config"]["series"]["max_order"] == 2
         assert manifest["config"]["grid"] == {"extent": 2.0, "n": 65}
-        assert manifest["config"]["seed"] == "seed.csv"
+        digest = hashlib.sha256((tmp_path / "seed.csv").read_bytes()).hexdigest()
+        assert manifest["config"]["seed"] == f"seed.csv sha256:{digest}"
+
+    def test_config_sha256_tells_apart_what_shapes_the_kernel(self, tmp_path):
+        # a preset seed's zeta and a seed table's bytes used to leave the hash as it was
+        def computed(name, flags, scale):
+            out = tmp_path / name
+            out.mkdir()  # a table of the same name in each run's own directory
+            (out / "seed.csv").write_text(SEED_HEADER + "".join(
+                f"{x},{scale * x * x},0.0,0.0,0.0\n" for x in (-4.0, -2.0, 0.0, 2.0, 4.0)))
+            flags = [f.format(dir=out) for f in flags]
+            assert run("compute", "--n", "33", "--order", "1", *flags, "--out", str(out)) == 0
+            return (json.loads((out / "manifest.json").read_text())["config_sha256"],
+                    (out / "kernel.csv").read_bytes())
+
+        deltas = ("--model", "deltas", "--deltas", "1:0", "--extent", "2",
+                  "--preset-seed", "bender-tan", "--zeta")
+        table = ("--model", "square-well", "--seed", "{dir}/seed.csv")
+        for first, second in ((((*deltas, "0.1"), 1), ((*deltas, "0.3"), 1)),
+                              ((table, 1), (table, 2))):
+            a, b = computed("a", *first), computed("b", *second)
+            assert a[1] != b[1] and a[0] != b[0]
+            assert computed("again", *first) == a
+            for name in ("a", "b", "again"):
+                shutil.rmtree(tmp_path / name)
 
     def test_removed_series_key_rejected(self, tmp_path, capsys):
         # a document no longer has a "series" section at all
@@ -543,6 +569,39 @@ class TestVerify:
         assert run("verify", "--model", "square-well", "--zeta", "0.1",
                    "--gauge", "bender-tan", "--checks", "kg", "--out", str(out)) == 0
 
+    def test_library_kg_default_is_the_cli_verdict(self, tmp_path, capsys):
+        # the order-1 well kernel misses the wave equation by 0.0145: kg_residual with no
+        # tolerance failed it against 1e-8, while verify passed it against its own budget
+        out = tmp_path / "run"
+        assert run("compute", "--n", "65", "--order", "1", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("verify", "--checks", "kg", "--out", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines()
+        manifest = json.loads((out / "manifest.json").read_text())
+        kernel = kernel_from_csv(out / "kernel.csv")
+        rep = kg_residual(kernel, potential_from_dict(manifest["config"]["potential"]),
+                          kernel.grid)
+        assert rep.passed and rep.residual > 1e-3
+        assert printed == [rep.to_json_line(config_sha256=manifest["config_sha256"])]
+
+    def test_non_hermitian_kernel_fails_positivity_in_its_record(self, tmp_path, capsys):
+        # it used to exit 2 with "kernel is not Hermitian" and leave no checks.jsonl
+        out = tmp_path / "run"
+        assert run("compute", "--n", "33", "--order", "1", "--out", str(out)) == 0
+        kernel = kernel_from_csv(out / "kernel.csv")
+        kernel.smooth[5, 9] += 1e-3
+        kernel_to_csv(kernel, out / "kernel.csv")
+        capsys.readouterr()
+        assert run("verify", "--checks", "kg,positivity,invertibility", "--out", str(out)) == 1
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        recs = [json.loads(line) for line in (out / "checks.jsonl").read_text().splitlines()]
+        assert printed == recs
+        assert [rec["check"] for rec in recs] == ["kg_residual", "positivity", "invertibility"]
+        positivity = recs[1]
+        assert positivity["pass"] is False
+        assert positivity["residual"] == positivity["meta"]["hermiticity_defect"] \
+            == pytest.approx(1e-3, rel=1e-6)
+
     def test_malformed_kernel_csv(self, tmp_path):
         out = tmp_path / "v"
         out.mkdir()
@@ -729,7 +788,7 @@ class TestOracle:
         summary = json.loads((out / "oracle.json").read_text())
         assert summary["all_real"] is True
         assert summary["pt_real"] is True
-        assert summary["n_modes"] == 40
+        assert summary["config"]["n_modes"] == 40 and "n_modes" not in summary
         assert abs(summary["ground_energy_re"] - 1.0) < 5e-2
         spectrum = (out / "spectrum.csv").read_text().splitlines()
         assert spectrum[0] == "n,Re_E,Im_E"
@@ -785,10 +844,22 @@ class TestOracle:
         metric, _ = commands._spectral_artifacts(pot, grid, None, tmp_path)
         diff = Kernel(grid=grid, c_diag=series.c_diag - metric.c_diag,
                       c_anti=series.c_anti - metric.c_anti, smooth=series.smooth - metric.smooth)
-        rep = kg_residual(diff, pot, grid, tolerance=commands._kg_tolerance(pot, grid, series))
+        rep = kg_residual(diff, pot, grid, tolerance=_kg_budget(series, pot, grid))
         rep = dataclasses.replace(rep, check="difference-kg")
         assert printed == rep.to_json_line()
         assert json.loads((out / "oracle.json").read_text())["cross_check"] == json.loads(printed)
+
+    def test_config_sha256_tells_mode_counts_apart(self, tmp_path):
+        # the metric sums the lowest modes, and used to leave the hash as it was
+        def oracle(name, order):
+            out = tmp_path / name
+            assert run("oracle", "--n", "33", "--order", order, "--out", str(out)) == 0
+            return (json.loads((out / "oracle.json").read_text())["config_sha256"],
+                    (out / "metric.csv").read_bytes())
+
+        five, seven = oracle("five", "5"), oracle("seven", "7")
+        assert five[1] != seven[1] and five[0] != seven[0]
+        assert oracle("again", "5") == five
 
     def test_plain_run_leaves_no_earlier_cross_check(self, tmp_path):
         # an earlier cross-check's report used to stay beside the new oracle.json
@@ -1161,11 +1232,14 @@ class TestInputErrors:
          "--deltas needs --model deltas", ("compute", "verify", "oracle")),
         ("gauge_potential", ("--potential", "{dir}/doc.json", "--gauge", "natural"),
          "--gauge does not apply to a --potential file", ("compute", "verify", "oracle")),
-        # compute keeps --zeta with these: it sets the preset seed's zeta
+        # compute takes --zeta with these only for a non-zero preset seed, whose zeta it sets
         ("zeta_potential", ("--potential", "{dir}/doc.json", "--zeta", "0.3"),
-         "--zeta does not apply to a --potential file", ("verify", "oracle")),
+         "--zeta does not apply to a --potential file", ("compute", "verify", "oracle")),
         ("zeta_deltas", ("--model", "deltas", "--deltas", "1:0", "--zeta", "5"),
-         "--zeta does not apply to --model deltas", ("verify", "oracle")),
+         "--zeta does not apply to --model deltas", ("compute", "verify", "oracle")),
+        ("zeta_deltas_zero_seed", ("--model", "deltas", "--deltas", "1:0", "--zeta", "5",
+                                   "--preset-seed", "zero"),
+         "--zeta does not apply to --model deltas", ("compute",)),
     ]
 
     @pytest.mark.parametrize("command, flags, message", [
@@ -1191,6 +1265,17 @@ class TestInputErrors:
             assert captured.out == ""
             assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
             (out / "manifest.json").unlink(missing_ok=True)
+
+    def test_zeta_sets_a_nonzero_preset_seed_of_a_document(self, tmp_path):
+        write_real_well_doc(tmp_path / "doc.json")
+        kernels = []
+        for zeta in ("0.1", "0.3"):
+            out = tmp_path / zeta
+            assert run("compute", "--potential", str(tmp_path / "doc.json"), "--n", "33",
+                       "--order", "1", "--preset-seed", "jmp-2005", "--zeta", zeta,
+                       "--out", str(out)) == 0
+            kernels.append((out / "kernel.csv").read_bytes())
+        assert kernels[0] != kernels[1]
 
     def test_trailing_comma_in_deltas_is_accepted(self, tmp_path):
         model = ("compute", "--model", "deltas", "--n", "33", "--order", "1")

@@ -1007,6 +1007,24 @@ class TestNeumannSeries:
         assert truncation(S, couplings, grid) == max(slices)
         assert truncation(S, mixed, grid) == max(max(slices), truncation(S, segments, grid))
 
+    def test_each_pass_samples_the_potential_once(self, monkeypatch):
+        # the truncation residual of each order and the closing grid-part pass form mu^2
+        # from one sample of v on the nodes, not one per block of 32 rows or columns: the
+        # count does not grow with n (it was 40, 112 and 208 at n 65, 257 and 513)
+        from qmetric import potentials, verify
+        sampled = potentials.eval_potential
+        calls = []
+        for module in (potentials, series, verify):
+            monkeypatch.setattr(module, "eval_potential",
+                                lambda pot, x: calls.append(np.shape(x)) or sampled(pot, x))
+        for n in (65, 257, 513):
+            calls.clear()
+            neumann_series(SeedPair.zero(), square_well(0.068931, np.pi, BT),
+                           KConfig(max_order=4), Grid.for_box(np.pi, n))
+            # five orders' truncation residuals, the grid part, three characteristic terms
+            assert len(calls) == 9
+            assert calls.count((n,)) == 6
+
     @pytest.mark.parametrize("zeta, truncation", [(0.1, 0.0153398), (1.0, 1.53398)])
     def test_order_one_discretization_residual_is_round_off(self, zeta, truncation):
         # K(delta) is piecewise linear, so the stencil meets mu^2 K u to round-off

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmetric.commands import KG_HEADROOM, _kg_tolerance, _run_checks
+from qmetric.commands import _run_checks
 from qmetric.closed_forms import square_well_eta1
 from qmetric.kernels import (Grid, Kernel, SeedPair, hermiticity_defect, identity_kernel,
                              parity_kernel)
@@ -32,8 +32,12 @@ from qmetric.spectral import (
 )
 from qmetric.verify import (
     _BLOCK,
+    _KG_BAND,
+    KG_HEADROOM,
+    KG_TOL,
     CheckReport,
     _commutator_blocks,
+    _kg_budget,
     _kg_sup,
     hermitian_eigenvalues,
     invertibility_check,
@@ -119,7 +123,9 @@ class TestKleinGordonResidual:
         mu2 = eval_mass_term(pot, X, Y)
         expected = np.max(np.abs(mu2 * k.smooth)[kept])
         assert rep.residual == pytest.approx(expected, rel=1e-12)
-        assert not rep.passed  # quadratic defect far above 1e-8
+        # the quadratic defect lies within the default budget, far above KG_TOL
+        assert rep.passed and rep.meta["tolerance"] == _kg_budget(k, pot, grid)
+        assert not kg_residual(k, pot, grid, tolerance=KG_TOL).passed
 
     def test_quartering_under_coupling_halving(self):
         grid = Grid.for_box(np.pi, 65)
@@ -134,8 +140,8 @@ class TestKleinGordonResidual:
         grid = Grid.for_box(np.pi, 65)
         pot = square_well(zeta, np.pi, BT)
         k = square_well_eta1(zeta, grid, BT)
-        wide = kg_residual(k, pot, grid, band_exclude=2).residual
-        tight = kg_residual(k, pot, grid, band_exclude=0).residual
+        wide = kg_residual(k, pot, grid).residual
+        tight = TestMassTermFromNodes._whole_array_residual(k, pot, grid, 0)
         # rows next to the diagonal see the sign jump, amplified like 1/h
         assert tight > 30.0 * wide
 
@@ -204,8 +210,17 @@ class TestPositivity:
         grid = Grid.for_box(np.pi, 33)
         X, Y = grid.mesh()
         k = Kernel(grid=grid, smooth=X + 0.5j * Y)
-        with pytest.raises(ValueError, match="Hermitian"):
-            positivity_check(k, grid)
+        rep = positivity_check(k, grid)
+        defect = hermiticity_defect(k)
+        assert defect >= 1e-8 and rep.passed is False
+        assert rep.residual == rep.meta["hermiticity_defect"] == defect
+        assert rep.relative == defect / k.sup_smooth
+        assert json.loads(rep.to_json_line())["pass"] is False
+        # a NaN entry fails in the record too, where eigvalsh used to raise LinAlgError
+        smooth = np.zeros((grid.n, grid.n), dtype=complex)
+        smooth[5, 9] = np.nan
+        rep = positivity_check(Kernel(grid=grid, c_diag=1.0, smooth=smooth), grid)
+        assert math.isnan(rep.residual) and rep.passed is False
 
     def test_small_hermitian_perturbations_stay_positive(self):
         # Gershgorin: identity/h plus any Hermitian piece below 1/(2 h n)
@@ -522,22 +537,22 @@ class TestMassTermFromNodes:
         for pot, grid, k in cases:
             X, Y = grid.mesh()
             mu_sup = float(np.max(np.abs(eval_mass_term(pot, X, Y))))
-            tol = _kg_tolerance(pot, grid, k)
+            tol = _kg_budget(k, pot, grid)
             assert tol == max(1e-8, KG_HEADROOM * mu_sup * k.sup_smooth)
             scale = max(k.sup_smooth, 1e-300) * (4.0 / grid.h**2 + mu_sup)
-            for band in (0, 2, 5):
-                got = kg_residual(k, pot, grid, tolerance=tol, band_exclude=band)
-                # the commutator is the reference bit for bit
-                residual = self._whole_array_residual(k, pot, grid, band)
-                want = CheckReport(check="kg_residual", residual=residual,
-                                   relative=residual / scale, passed=residual <= tol,
-                                   meta=got.meta)
-                assert got.to_json_line() == want.to_json_line()
-                # the stencil agrees at round-off, with the same tolerance and channels
-                mesh = self._mesh_kg_residual(k, pot, grid, tol, band)
-                assert abs(got.residual - mesh.residual) <= 4 * eps * scale
-                assert abs(got.relative - mesh.relative) <= 4 * eps
-                assert got.passed == mesh.passed and got.meta == mesh.meta
+            got = kg_residual(k, pot, grid)
+            assert got.meta["tolerance"] == tol and got.meta["band_exclude"] == _KG_BAND
+            # the commutator is the reference bit for bit
+            residual = self._whole_array_residual(k, pot, grid, _KG_BAND)
+            want = CheckReport(check="kg_residual", residual=residual,
+                               relative=residual / scale, passed=residual <= tol,
+                               meta=got.meta)
+            assert got.to_json_line() == want.to_json_line()
+            # the stencil agrees at round-off, with the same tolerance and channels
+            mesh = self._mesh_kg_residual(k, pot, grid, tol, _KG_BAND)
+            assert abs(got.residual - mesh.residual) <= 4 * eps * scale
+            assert abs(got.relative - mesh.relative) <= 4 * eps
+            assert got.passed == mesh.passed and got.meta == mesh.meta
 
     @pytest.mark.parametrize("zeta, order", [(0.1, 1), (0.5, 3), (3.0, 4)])
     def test_discretization_residual_is_kg_less_the_truncation(self, zeta, order):
@@ -545,9 +560,9 @@ class TestMassTermFromNodes:
         grid, pot = Grid.for_box(np.pi, 65), square_well(zeta, np.pi, BT)
         state = neumann_series(SeedPair.zero(), pot, KConfig(max_order=order), grid)
         last = state.iterates[-1].smooth
-        want = self._whole_array_residual(state.partial_sum, pot, grid, 2, last)
+        want = self._whole_array_residual(state.partial_sum, pot, grid, _KG_BAND, last)
         assert state.discretization_residual == want
-        assert _kg_sup(state.partial_sum.smooth, pot, grid, 2) \
+        assert _kg_sup(state.partial_sum.smooth, pot, grid) \
             == kg_residual(state.partial_sum, pot, grid).residual
 
 
@@ -668,9 +683,9 @@ class TestResidualMemory:
         assert traced_peak(lambda: kg_residual(k, pot, k.grid)) / k.smooth.nbytes < 1.0
 
     def test_mass_term_sup(self, case, traced_peak):
-        # through its caller: the kg tolerance also takes sup|smooth| (0.5 of the bytes)
+        # through its caller: the kg budget also takes sup|smooth| (0.5 of the bytes)
         k, pot, _ = case
-        assert traced_peak(lambda: _kg_tolerance(pot, k.grid, k)) / k.smooth.nbytes < 1.0
+        assert traced_peak(lambda: _kg_budget(k, pot, k.grid)) / k.smooth.nbytes < 1.0
 
     def test_pseudo_hermiticity_residual(self, case, traced_peak):
         # one copy of the interior matrix M is kept
