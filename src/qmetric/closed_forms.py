@@ -45,6 +45,12 @@ def square_well_k_delta(x, y, zeta: float, constants: PhysConstants) -> np.ndarr
     return (0.5j * c * zeta) * np.abs(x + y) * np.sign(x - y)
 
 
+def _gauge_term(scale, w_pair, X, Y) -> np.ndarray:
+    """scale * (w_plus(x - y) + w_minus(x + y)) on the mesh (X, Y)."""
+    wp, wm = w_pair
+    return scale * (np.asarray(wp(X - Y), dtype=complex) + np.asarray(wm(X + Y), dtype=complex))
+
+
 def square_well_eta1(zeta: float, grid: Grid, constants: PhysConstants,
                      w_pair=None) -> Kernel:
     """First-order metric kernel for the imaginary square well on a box grid.
@@ -60,9 +66,7 @@ def square_well_eta1(zeta: float, grid: Grid, constants: PhysConstants,
     X, Y = grid.mesh()
     smooth = np.asarray(square_well_k_delta(X, Y, zeta, constants), dtype=complex)
     if w_pair is not None:
-        wp, wm = w_pair
-        smooth = smooth + zeta * (np.asarray(wp(X - Y), dtype=complex)
-                                  + np.asarray(wm(X + Y), dtype=complex))
+        smooth = smooth + _gauge_term(zeta, w_pair, X, Y)
     return Kernel(grid=grid, c_diag=1.0, smooth=smooth)
 
 
@@ -108,9 +112,7 @@ def scattering_eta1(zeta: float, L: float, grid: Grid, constants: PhysConstants,
     smooth = (0.25j * c * zeta) * bracket * np.sign(X - Y)
     smooth = np.asarray(smooth, dtype=complex)
     if w_pair is not None:
-        wp, wm = w_pair
-        smooth = smooth + zeta * (np.asarray(wp(X - Y), dtype=complex)
-                                  + np.asarray(wm(X + Y), dtype=complex))
+        smooth = smooth + _gauge_term(zeta, w_pair, X, Y)
     return Kernel(grid=grid, c_diag=1.0, smooth=smooth)
 
 
@@ -159,9 +161,7 @@ def deltas_eta1(terms, grid: Grid, constants: PhysConstants, w_pairs=None) -> Ke
         z = constants.c0 * zeta
         smooth += delta_first_iterate(X, Y, z, a)
         if w_pairs is not None:
-            wp, wm = w_pairs[k]
-            smooth += z * (np.asarray(wp(X - Y), dtype=complex)
-                           + np.asarray(wm(X + Y), dtype=complex))
+            smooth += _gauge_term(z, w_pairs[k], X, Y)
     return Kernel(grid=grid, c_diag=1.0, smooth=smooth)
 
 

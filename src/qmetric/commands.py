@@ -48,7 +48,7 @@ from .spectral import (
     spectrum_to_csv,
 )
 from .verify import (
-    _kg_budget,
+    _kg_budget_of,
     hermitian_eigenvalues,
     invertibility_check,
     kg_residual,
@@ -234,9 +234,11 @@ def _check_names(text: str) -> list:
     names = [p.strip() for p in text.split(",") if p.strip()]
     if not names:
         raise ValueError("empty --checks list")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
+        if name in names[:i]:
+            raise ValueError(f"check {name!r} is named twice in --checks")
     return names
 
 
@@ -395,9 +397,8 @@ def cmd_oracle(args) -> int:
 
     failed = False
     if series_kernel is not None:
-        # the tolerance scales with the series kernel, so it is taken before
-        # the difference overwrites that kernel's smooth part in place
-        tolerance = _kg_budget(series_kernel, pot, grid)
+        # the budget reads the series kernel's sup before the difference overwrites it in place
+        tolerance = _kg_budget_of(series_kernel, pot, grid)
         series_kernel.smooth -= metric.smooth
         diff = Kernel(grid=grid,
                       c_diag=series_kernel.c_diag - metric.c_diag,

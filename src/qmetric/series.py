@@ -518,14 +518,13 @@ def _clamped_evals(pot: PotentialSpec, grid: Grid) -> int:
     return count
 
 
-def _truncation_residual(S: np.ndarray, pot: PotentialSpec, grid: Grid) -> float:
-    """The larger of sup|mu^2 S| over the segments, _BLOCK rows at a time, and the line
-    density max_n |z_n| sup|S| on the slices at a_n of the couplings, for an iterate S."""
+def _truncation_residual(S: np.ndarray, pot: PotentialSpec, grid: Grid, v: np.ndarray) -> float:
+    """The larger of sup|mu^2 S| over the segments (v on the nodes), _BLOCK rows at a time, and
+    the line density max_n |z_n| sup|S| on the slices at a_n of the couplings, for an iterate S."""
     sups = [0.0]
-    if pot.has_segments:  # mu^2 = c0 (conj v(x) - v(y)), v sampled once
-        v, c0 = eval_potential(pot, grid.nodes), pot.constants.c0
+    if pot.has_segments:  # mu^2 = c0 (conj v(x) - v(y))
         for r in range(0, grid.n, _BLOCK):
-            mu2 = c0 * (np.conj(v[r:r + _BLOCK, None]) - v)
+            mu2 = pot.constants.c0 * (np.conj(v[r:r + _BLOCK, None]) - v)
             sups.append(np.max(np.abs(mu2 * S[r:r + _BLOCK])))
     sups += [abs(pot.constants.c0 * zeta) * np.max(np.abs(_slices(S, a, grid)))
              for a, zeta in pot.deltas]
@@ -556,7 +555,8 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
     if sink is None:
         sink = lambda order, kernel: iterates.append(kernel)
     k = seed_kernel = seed_to_kernel(seed, grid)
-    sup_norms, truncation = [k.sup_smooth], [_truncation_residual(k.smooth, pot, grid)]
+    v = eval_potential(pot, grid.nodes)
+    sup_norms, truncation = [k.sup_smooth], [_truncation_residual(k.smooth, pot, grid, v)]
     sink(0, k)
     c_diag, c_anti, smooth = 0 + k.c_diag, 0 + k.c_anti, None
     if pot.has_segments or pot.has_deltas:
@@ -568,7 +568,7 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
                 smooth += k.smooth
             k = nxt
             sup_norms.append(k.sup_smooth)
-            truncation.append(_truncation_residual(k.smooth, pot, grid))
+            truncation.append(_truncation_residual(k.smooth, pot, grid, v))
             if not np.isfinite(sup_norms[-1]):
                 raise FloatingPointError(f"iterate {order} of the series is not finite "
                                          f"(sup norm {sup_norms[-1]})")
@@ -582,7 +582,7 @@ def neumann_series(seed: SeedPair, pot: PotentialSpec, cfg: KConfig,
     if k is not seed_kernel:
         smooth += k.smooth
     partial = Kernel(grid=grid, c_diag=c_diag, c_anti=c_anti, smooth=smooth)
-    grid_part = None if pot.has_deltas else _kg_sup(smooth, pot, grid, last=k.smooth)
+    grid_part = None if pot.has_deltas else _kg_sup(smooth, pot, grid, v, last=k.smooth)
     applied = sum(1 for s in sup_norms[:-1] if s > 0.0)
     return SeriesState(iterates=iterates, partial_sum=partial, sup_norms=sup_norms,
                        truncation_residuals=truncation, discretization_residual=grid_part,

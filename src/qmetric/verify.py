@@ -16,17 +16,21 @@ for both; the singular values are then |lambda|.  An M that is also
 exactly PT-symmetric (P conj(M) P = M, P the reversal of the node order,
 as the oracle's metric is) is folded to a real symmetric matrix U^dag M U
 first, so that eigvalsh runs in real arithmetic.  An M that is not
-exactly Hermitian takes an SVD for invertibility.
+exactly Hermitian takes an SVD for invertibility; one that holds a NaN or
+an inf gets NaN singular values instead, and a failing record.
 
 Both wave checks read one operator, the commutator H^dag A - A H, formed
 with banded products on the two diagonals of a finite-difference H; times
 2m/hbar^2 it is the lattice Klein-Gordon operator [-Dxx + Dyy + mu^2] A.
 The series' convergence verdict reads kg's region of it less mu^2 times
-the last iterate (_kg_sup).  The operator runs over blocks of _BLOCK
-columns, the exact Hermiticity and PT tests of M over blocks of _BLOCK
-rows, and the sup of the mass term mu^2(x, y) over blocks of _BLOCK
-distinct node values of v (mu^2 sees a node pair only through v(x) and
-v(y)), so their memory beyond the kernel and M is O(_BLOCK n).  The
+the last iterate (_kg_sup).  kg takes one sample of v on the nodes and
+one on the negated nodes (for the parity channel), one sup|S| and one
+sup|mu^2| for all it reports; the series samples v once per ladder.  The
+operator runs over blocks of _BLOCK columns, the exact Hermiticity and PT
+tests of M over blocks of _BLOCK rows, and the sup of the mass term
+mu^2(x, y) over blocks of _BLOCK distinct values in the sample of v (mu^2
+sees a node pair only through v(x) and v(y)), so their memory beyond the
+kernel and M is O(_BLOCK n).  The
 per-block maxima are reduced with np.max, which keeps a NaN (Python's max
 drops it).  Each element keeps the expression and operation order of the
 whole-array form, so the reports are the same bit for bit.
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qmetric.kernels import _BLOCK, Grid, Kernel, _conj_equal, _grids_match, hermiticity_defect
-from qmetric.potentials import PotentialSpec, eval_mass_term, eval_potential
+from qmetric.potentials import PotentialSpec, eval_potential
 from qmetric.spectral import (DiscretizedHamiltonian, _fd_diagonals, _fold, _is_pt_symmetric,
                               _tridiagonal_product)
 
@@ -49,7 +53,6 @@ __all__ = [
     "kernel_matrix",
     "hermitian_eigenvalues",
     "kg_residual",
-    "mass_term_sup",
     "pseudo_hermiticity_residual",
     "positivity_check",
     "invertibility_check",
@@ -120,11 +123,10 @@ def hermitian_eigenvalues(k: Kernel) -> np.ndarray | None:
     return np.linalg.eigvalsh(_fold(M) if _is_pt_symmetric(M) else M)
 
 
-def mass_term_sup(pot: PotentialSpec, grid: Grid) -> float:
-    """sup |mu^2(x, y)| over all node pairs, from the pairs of distinct node values of v."""
+def _mass_term_sup(v: np.ndarray, c0: float) -> float:
+    """sup |mu^2(x, y)| over all node pairs, from the pairs of distinct values of the sample v."""
     # a set, not np.unique: numpy 2.4's np.unique imports numpy.ma (about 15 ms, 1.5 MB)
-    v = np.fromiter(set(eval_potential(pot, grid.nodes).tolist()), complex)
-    c0 = pot.constants.c0
+    v = np.fromiter(set(v.tolist()), complex)
     return float(np.max([np.max(np.abs(c0 * (np.conj(v[r:r + _BLOCK])[:, None] - v[None, :])))
                          for r in range(0, v.size, _BLOCK)]))
 
@@ -143,16 +145,22 @@ def _commutator_blocks(diag: np.ndarray, off: np.ndarray, A: np.ndarray):
         yield c0, c1, _tridiagonal_product(diag.conj(), off.conj(), A[:, c0:c1]) - ah
 
 
-def _kg_budget(k: Kernel, pot: PotentialSpec, grid: Grid) -> float:
-    return max(KG_TOL, KG_HEADROOM * mass_term_sup(pot, grid) * k.sup_smooth)
+def _kg_budget(sup_mu2: float, sup_s: float) -> float:
+    return max(KG_TOL, KG_HEADROOM * sup_mu2 * sup_s)
 
 
-def _kg_sup(S: np.ndarray, pot: PotentialSpec, grid: Grid,
+def _kg_budget_of(k: Kernel, pot: PotentialSpec, grid: Grid) -> float:
+    """kg_residual's default budget for k (oracle --cross-check's, for the series kernel)."""
+    sup_mu2 = _mass_term_sup(eval_potential(pot, grid.nodes), pot.constants.c0)
+    return _kg_budget(sup_mu2, k.sup_smooth)
+
+
+def _kg_sup(S: np.ndarray, pot: PotentialSpec, grid: Grid, v: np.ndarray,
             last: np.ndarray | None = None) -> float:
-    """sup|(H^dag S - S H) * 2m/hbar^2 - mu^2 last| off the walls and |i - j| <= _KG_BAND.
-    A partial sum S = sum_{l<=L} K^l u misses the continuum equation by mu^2 K^L u exactly,
-    so with last = K^L u what is left is the grid's part (series.neumann_series)."""
-    n, v, c0 = grid.n, eval_potential(pot, grid.nodes), pot.constants.c0
+    """sup|(H^dag S - S H) * 2m/hbar^2 - mu^2 last| off the walls and |i - j| <= _KG_BAND, v
+    the potential on the nodes.  A partial sum S = sum_{l<=L} K^l u misses the continuum
+    equation by mu^2 K^L u exactly, so with last = K^L u what is left is the grid's part."""
+    n, c0 = grid.n, pot.constants.c0
     rows, maxima = np.arange(1, n - 1)[:, None], []
     for j0, j1, comm in _commutator_blocks(*_fd_diagonals(pot.constants, grid.h, v), S):
         comm *= c0
@@ -178,14 +186,14 @@ def kg_residual(k: Kernel, pot: PotentialSpec, grid: Grid,
     """
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
-    if tolerance is None:
-        tolerance = _kg_budget(k, pot, grid)
-    residual = _kg_sup(k.smooth, pot, grid)
-    scale = max(k.sup_smooth, _TINY) * (4.0 / grid.h**2 + mass_term_sup(pot, grid))
-    diag_channel = float(np.abs(k.c_diag) * np.max(np.abs(
-        eval_mass_term(pot, grid.nodes, grid.nodes))))
-    anti_channel = float(np.abs(k.c_anti) * np.max(np.abs(eval_mass_term(
-        pot, grid.nodes, -grid.nodes))))
+    nodes, c0 = grid.nodes, pot.constants.c0
+    v, v_neg = eval_potential(pot, nodes), eval_potential(pot, -nodes)
+    sup_s, sup_mu2 = k.sup_smooth, _mass_term_sup(v, c0)
+    tolerance = _kg_budget(sup_mu2, sup_s) if tolerance is None else tolerance
+    residual = _kg_sup(k.smooth, pot, grid, v)
+    scale = max(sup_s, _TINY) * (4.0 / grid.h**2 + sup_mu2)
+    diag_channel = float(np.abs(k.c_diag) * np.max(np.abs(c0 * (np.conj(v) - v))))
+    anti_channel = float(np.abs(k.c_anti) * np.max(np.abs(c0 * (np.conj(v) - v_neg))))
     return CheckReport(
         check="kg_residual",
         residual=residual,
@@ -264,19 +272,21 @@ def invertibility_check(k: Kernel, grid: Grid, tolerance: float = INVERTIBILITY_
 
     On an exactly Hermitian M the singular values are |lambda| for the
     eigenvalues from hermitian_eigenvalues(k), passed in or computed here;
-    any other M takes an SVD.
+    any other M takes an SVD, unless it is not finite: then sigma_max and
+    sigma_min are NaN and the check fails.
     """
     if not _grids_match(k.grid, grid):
         raise ValueError("kernel grid does not match the supplied grid")
     if eigenvalues is None:
         eigenvalues = hermitian_eigenvalues(k)
-    if eigenvalues is None:
-        s = np.linalg.svd(kernel_matrix(k), compute_uv=False)
+    if eigenvalues is None:  # a NaN is never exactly Hermitian; the SVD stops on NaN or inf
+        M = kernel_matrix(k)
+        s = np.linalg.svd(M, compute_uv=False) if np.isfinite(M).all() else [np.nan]
         sigma_max, sigma_min = float(s[0]), float(s[-1])
     else:
         s = np.abs(eigenvalues)
         sigma_max, sigma_min = float(s.max()), float(s.min())
-    ratio = sigma_min / sigma_max if sigma_max > 0.0 else 0.0
+    ratio = sigma_min / sigma_max if sigma_max != 0.0 else 0.0
     return CheckReport(
         check="invertibility",
         residual=sigma_min,

@@ -39,7 +39,7 @@ from qmetric.potentials import (
 )
 from qmetric.series import neumann_series
 from qmetric.spectral import ExceptionalPointError
-from qmetric.verify import _kg_budget, kg_residual
+from qmetric.verify import _kg_budget_of, kg_residual
 
 BT = constants_preset("bender-tan")
 
@@ -844,7 +844,7 @@ class TestOracle:
         metric, _ = commands._spectral_artifacts(pot, grid, None, tmp_path)
         diff = Kernel(grid=grid, c_diag=series.c_diag - metric.c_diag,
                       c_anti=series.c_anti - metric.c_anti, smooth=series.smooth - metric.smooth)
-        rep = kg_residual(diff, pot, grid, tolerance=_kg_budget(series, pot, grid))
+        rep = kg_residual(diff, pot, grid, tolerance=_kg_budget_of(series, pot, grid))
         rep = dataclasses.replace(rep, check="difference-kg")
         assert printed == rep.to_json_line()
         assert json.loads((out / "oracle.json").read_text())["cross_check"] == json.loads(printed)
@@ -1204,6 +1204,25 @@ class TestInputErrors:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("checks", ["kg,kg", "kg,positivity, kg"])
+    def test_repeated_check_name_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                            capsys, checks):
+        # verify used to run kg twice, write two equal records and exit 0
+        out = tmp_path / "run"
+        assert run("compute", "--n", "33", "--order", "1", "--out", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_read(path):
+            raise AssertionError(f"kernel read from {path}")
+
+        monkeypatch.setattr(commands, "kernel_from_csv", no_read)
+        capsys.readouterr()
+        assert run("verify", "--checks", checks, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: check 'kg' is named twice in --checks")
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("command", ["oracle", "verify"])
     def test_coupling_off_the_grid_exits_2_and_writes_nothing(self, tmp_path, capsys, command):

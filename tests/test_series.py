@@ -1000,7 +1000,9 @@ class TestNeumannSeries:
         couplings = delta_potential([(0.5, 0.3), (-0.25, -0.8)], NAT)
         mixed = PotentialSpec(NAT, Domain.line(), segments.segments, couplings.deltas)
         X, Y = grid.mesh()
-        truncation = series._truncation_residual
+
+        def truncation(S, pot, grid):
+            return series._truncation_residual(S, pot, grid, eval_potential(pot, grid.nodes))
         assert truncation(S, segments, grid) == np.max(np.abs(eval_mass_term(segments, X, Y) * S))
         slices = [abs(NAT.c0 * zeta) * max(np.max(np.abs(S[:, j])), np.max(np.abs(S[j, :])))
                   for j, zeta in ((40, 0.3), (28, -0.8))]
@@ -1009,8 +1011,8 @@ class TestNeumannSeries:
 
     def test_each_pass_samples_the_potential_once(self, monkeypatch):
         # the truncation residual of each order and the closing grid-part pass form mu^2
-        # from one sample of v on the nodes, not one per block of 32 rows or columns: the
-        # count does not grow with n (it was 40, 112 and 208 at n 65, 257 and 513)
+        # from one sample of v on the nodes, taken once per ladder: the count does not grow
+        # with n or the order (it was 40, 112 and 208 at n 65, 257 and 513, then 9)
         from qmetric import potentials, verify
         sampled = potentials.eval_potential
         calls = []
@@ -1021,9 +1023,9 @@ class TestNeumannSeries:
             calls.clear()
             neumann_series(SeedPair.zero(), square_well(0.068931, np.pi, BT),
                            KConfig(max_order=4), Grid.for_box(np.pi, n))
-            # five orders' truncation residuals, the grid part, three characteristic terms
-            assert len(calls) == 9
-            assert calls.count((n,)) == 6
+            # the node sample and the three characteristic terms' midpoints
+            assert len(calls) == 4
+            assert calls.count((n,)) == 1
 
     @pytest.mark.parametrize("zeta, truncation", [(0.1, 0.0153398), (1.0, 1.53398)])
     def test_order_one_discretization_residual_is_round_off(self, zeta, truncation):

@@ -37,13 +37,13 @@ from qmetric.verify import (
     KG_TOL,
     CheckReport,
     _commutator_blocks,
-    _kg_budget,
+    _kg_budget_of,
     _kg_sup,
+    _mass_term_sup,
     hermitian_eigenvalues,
     invertibility_check,
     kernel_matrix,
     kg_residual,
-    mass_term_sup,
     positivity_check,
     pseudo_hermiticity_residual,
 )
@@ -57,6 +57,10 @@ def real_well(depth=1.0, width=np.pi):
     return PotentialSpec(constants=BT, domain=dom,
                          segments=(((-width / 2, 0.0), complex(depth)),
                                    ((0.0, width / 2), complex(depth))))
+
+
+def _sampled_mass_term_sup(pot, grid):
+    return _mass_term_sup(eval_potential(pot, grid.nodes), pot.constants.c0)
 
 
 class TestReportSerialization:
@@ -124,7 +128,7 @@ class TestKleinGordonResidual:
         expected = np.max(np.abs(mu2 * k.smooth)[kept])
         assert rep.residual == pytest.approx(expected, rel=1e-12)
         # the quadratic defect lies within the default budget, far above KG_TOL
-        assert rep.passed and rep.meta["tolerance"] == _kg_budget(k, pot, grid)
+        assert rep.passed and rep.meta["tolerance"] == _kg_budget_of(k, pot, grid)
         assert not kg_residual(k, pot, grid, tolerance=KG_TOL).passed
 
     def test_quartering_under_coupling_halving(self):
@@ -537,7 +541,7 @@ class TestMassTermFromNodes:
         for pot, grid, k in cases:
             X, Y = grid.mesh()
             mu_sup = float(np.max(np.abs(eval_mass_term(pot, X, Y))))
-            tol = _kg_budget(k, pot, grid)
+            tol = _kg_budget_of(k, pot, grid)
             assert tol == max(1e-8, KG_HEADROOM * mu_sup * k.sup_smooth)
             scale = max(k.sup_smooth, 1e-300) * (4.0 / grid.h**2 + mu_sup)
             got = kg_residual(k, pot, grid)
@@ -562,7 +566,7 @@ class TestMassTermFromNodes:
         last = state.iterates[-1].smooth
         want = self._whole_array_residual(state.partial_sum, pot, grid, _KG_BAND, last)
         assert state.discretization_residual == want
-        assert _kg_sup(state.partial_sum.smooth, pot, grid) \
+        assert _kg_sup(state.partial_sum.smooth, pot, grid, eval_potential(pot, grid.nodes)) \
             == kg_residual(state.partial_sum, pot, grid).residual
 
 
@@ -603,7 +607,7 @@ def test_kg_and_pseudo_hermiticity_read_one_operator(n):
 
 
 def _node_pair_mass_term_sup(pot, grid):
-    """mass_term_sup as a scan of all n^2 node pairs, _BLOCK rows at a time."""
+    """_mass_term_sup as a scan of all n^2 node pairs, _BLOCK rows at a time."""
     v = eval_potential(pot, grid.nodes)
     c0 = pot.constants.c0
     return float(np.max([np.max(np.abs(c0 * (np.conj(v[r:r + _BLOCK])[:, None] - v[None, :])))
@@ -636,13 +640,13 @@ class TestMassTermSupOverDistinctValues:
             grid = Grid(half_width=2.0, n=2 * int(rng.integers(16, 101)) + 1)
             cases.append((_random_segments(rng, int(rng.integers(1, 13))), grid))
         for pot, grid in cases:
-            assert mass_term_sup(pot, grid) == _node_pair_mass_term_sup(pot, grid)
+            assert _sampled_mass_term_sup(pot, grid) == _node_pair_mass_term_sup(pot, grid)
 
     def test_hundreds_of_segments_span_several_blocks(self):
         grid = Grid(half_width=2.0, n=1025)
         pot = _random_segments(np.random.default_rng(23), 600)
         assert np.unique(eval_potential(pot, grid.nodes)).size > 2 * _BLOCK
-        assert mass_term_sup(pot, grid) == _node_pair_mass_term_sup(pot, grid)
+        assert _sampled_mass_term_sup(pot, grid) == _node_pair_mass_term_sup(pot, grid)
 
 
 def test_nan_in_an_interior_block_fails_both_residual_checks():
@@ -662,6 +666,53 @@ def test_nan_in_an_interior_block_fails_both_residual_checks():
         assert math.isnan(rep.residual) and math.isnan(rep.relative)
         assert rep.passed is False
         assert json.loads(rep.to_json_line())["pass"] is False
+
+
+def test_nan_kernel_fails_all_four_checks_in_their_records():
+    # invertibility's SVD used to raise LinAlgError ("SVD did not converge") on this kernel
+    grid = Grid.for_box(np.pi, 33)
+    pot = square_well(0.1, np.pi, BT)
+    smooth = np.zeros((33, 33), dtype=complex)
+    smooth[5, 9] = np.nan
+    k = Kernel(grid=grid, c_diag=1.0, smooth=smooth)
+    reports = [kg_residual(k, pot, grid), positivity_check(k, grid),
+               invertibility_check(k, grid), pseudo_hermiticity_residual(k, discretize(pot, grid))]
+    for rep in reports:
+        assert rep.passed is False and json.loads(rep.to_json_line())["pass"] is False
+        assert math.isnan(rep.residual)
+    inv = reports[2]
+    assert inv.check == "invertibility" and math.isnan(inv.relative)
+    assert set(inv.meta) == {"n", "sigma_max", "tolerance"} and math.isnan(inv.meta["sigma_max"])
+
+
+@pytest.mark.parametrize("grid, domain", [
+    (Grid.for_box(np.pi, 65), Domain.box(np.pi)), (Grid(half_width=2.0, n=65), Domain.line())])
+def test_default_kg_residual_reads_each_input_once(monkeypatch, grid, domain):
+    # one sup|S|, one sup|mu^2| and one sample of v on x and one on -x; it took 2, 2 and 7
+    from qmetric import verify
+    pot = PotentialSpec(constants=NAT, domain=domain,
+                        segments=(((-1.5, 0.5), 1.0 + 0.5j), ((0.5, 1.5), -0.3j)))
+    k = Kernel(grid=grid, c_diag=1.0, c_anti=0.5,
+               smooth=np.outer(np.cos(grid.nodes), np.sin(grid.nodes)) + 0j)
+    want = kg_residual(k, pot, grid).to_json_line()
+    # both channels are mu^2 on the identity and parity lines, sampled on x and -x
+    meta, nodes = json.loads(want)["meta"], grid.nodes
+    for channel, c, y in (("identity_channel", 1.0, nodes), ("parity_channel", 0.5, -nodes)):
+        assert meta[channel] == c * float(np.max(np.abs(eval_mass_term(pot, nodes, y)))) > 0.0
+    calls = {"sup_smooth": 0, "_mass_term_sup": 0, "eval_potential": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(Kernel, "sup_smooth", property(counted("sup_smooth",
+                                                               Kernel.sup_smooth.fget)))
+    for name in ("_mass_term_sup", "eval_potential"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    assert kg_residual(k, pot, grid).to_json_line() == want
+    assert calls == {"sup_smooth": 1, "_mass_term_sup": 1, "eval_potential": 2}
 
 
 class TestResidualMemory:
@@ -685,7 +736,7 @@ class TestResidualMemory:
     def test_mass_term_sup(self, case, traced_peak):
         # through its caller: the kg budget also takes sup|smooth| (0.5 of the bytes)
         k, pot, _ = case
-        assert traced_peak(lambda: _kg_budget(k, pot, k.grid)) / k.smooth.nbytes < 1.0
+        assert traced_peak(lambda: _kg_budget_of(k, pot, k.grid)) / k.smooth.nbytes < 1.0
 
     def test_pseudo_hermiticity_residual(self, case, traced_peak):
         # one copy of the interior matrix M is kept
